@@ -82,10 +82,9 @@ def _boundary_safe(trace, k: int) -> bool:
     or a ReLU branch."""
     s = trace.x.shape[1]
     if k < s:
-        for alpha in trace.alpha_full:
-            srt = np.sort(alpha, axis=-1)[..., ::-1]
-            if np.min(srt[..., k - 1] - srt[..., k]) < BOUNDARY_MARGIN:
-                return False
+        srt = np.sort(trace.alpha_full, axis=-1)[..., ::-1]
+        if np.min(srt[..., k - 1] - srt[..., k]) < BOUNDARY_MARGIN:
+            return False
     if np.min(np.abs(trace.resid)) < BOUNDARY_MARGIN:
         return False
     return True

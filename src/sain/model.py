@@ -6,7 +6,10 @@ a jointly weighted MSE loss, and exact hand-derived reverse-mode gradients for
 every learnable tensor.
 
 Shapes: B batch, S = m + n feature positions (m user fields then n item
-fields), d embed dim, H heads, dh = d // H.
+fields), d embed dim, H heads, dh = d // H. The heads run as one tensor axis:
+Q, K and V for every head come from one (B*S,d) @ (d,3d) product, and the
+attention arrays are (B,H,S,S) and (B,H,S,dh). Each head's projections stay
+registered as their own (d,dh) tensors `attn{h}_w{q,k,v}`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .data import EntityFeatures, FeatureVocab, PackedFeatures
 from .errors import ShapeError
-from .tensor import softmax_rows, top_k_mask_rows
+from .tensor import scatter_add_rows, softmax_rows, top_k_mask_rows
 
 L2_SCOPES = ("all", "embeddings", "projections")
 EMBEDDING_TENSORS = ("embeddings", "cf_user", "cf_item")
@@ -39,6 +42,8 @@ class ModelConfig:
     bn_momentum: float = 0.1
 
     def __post_init__(self):
+        if self.embed_dim < 1 or self.num_heads < 1:
+            raise ValueError("embed_dim and num_heads must be >= 1")
         if self.embed_dim % self.num_heads != 0:
             raise ShapeError(f"embed_dim {self.embed_dim} not divisible by "
                              f"num_heads {self.num_heads}")
@@ -239,15 +244,16 @@ class ForwardTrace:
     iids: np.ndarray
     mode: str
     x: np.ndarray                      # (B,S,d) embedded feature sequence
-    embed_cache: list                  # per side: list of (field pos, idx, weights)
-    q: list                           # per head (B,S,dh)
-    k: list
-    v: list
-    alpha_full: list                   # per head (B,S,S) pre-top-K softmax
-    topk_mask: list                    # per head (B,S,S) bool
-    alpha_topk: list                   # per head (B,S,S) post-top-K weights
-    sel_sum: list                      # per head (B,S,1) selected-weight row sums
-    head_out: list                     # per head (B,S,dh)
+    embed_rows: np.ndarray             # (B,T) embedding row of every pooled token
+    embed_weights: np.ndarray          # (B,T) its mean-pooling weight, 0 on padding
+    embed_bounds: list                 # (S+1,) position p pools columns [p]..[p+1]-1
+    q: np.ndarray                      # (B,H,S,dh)
+    k: np.ndarray
+    v: np.ndarray
+    alpha_full: np.ndarray             # (B,H,S,S) pre-top-K softmax
+    topk_mask: np.ndarray              # (B,H,S,S) bool
+    alpha_topk: np.ndarray             # (B,H,S,S) post-top-K weights
+    sel_sum: np.ndarray                # (B,H,S,1) selected-weight row sums
     concat: np.ndarray                 # (B,S,d) pre batch norm
     bn_xhat: np.ndarray                # (B,S,d)
     bn_inv_std: np.ndarray             # (d,)
@@ -302,46 +308,55 @@ def _pool_slot(emb: np.ndarray, slot: list[int], offset: int, size: int,
 
 def _embed_batch(uids, iids, user_packed: PackedFeatures, item_packed: PackedFeatures,
                  params: SainParams):
-    """(B,S,d) pooled embeddings plus the scatter cache for the backward pass."""
+    """(B,S,d) pooled embeddings, plus what the backward scatter needs: the
+    (B,T) token rows and pooling weights of all fields side by side in field
+    order, and the column bounds of each field."""
     emb = params.tensors["embeddings"]
-    B = uids.shape[0]
-    cols, cache = [], []
+    cols, rows, weights, bounds = [], [], [], [0]
     for packed, ids in ((user_packed, uids), (item_packed, iids)):
         for fi in range(len(packed.fields)):
             idx = packed.index[fi][ids]                      # (B,L)
             w = packed.mask[fi][ids] / packed.counts[fi][ids][:, None]
             cols.append(np.einsum("bl,bld->bd", w, emb[idx]))
-            cache.append((idx, w))
-    return np.stack(cols, axis=1), cache
+            rows.append(idx)
+            weights.append(w)
+            bounds.append(bounds[-1] + idx.shape[1])
+    return (np.stack(cols, axis=1), np.concatenate(rows, axis=1),
+            np.concatenate(weights, axis=1), bounds)
+
+
+def _qkv_weights(params: SainParams, config: ModelConfig) -> np.ndarray:
+    """(d,3d): every head's Q, then K, then V projection side by side, so the
+    columns of one product reshape to (3,H,dh)."""
+    return np.concatenate([params.tensors[f"attn{h}_w{p}"] for p in "qkv"
+                           for h in range(config.num_heads)], axis=1)
 
 
 def _attention_heads(x: np.ndarray, params: SainParams, config: ModelConfig):
-    """Per-head scaled dot-product attention with top-K row filtering."""
-    S = x.shape[1]
-    k_eff = min(config.top_k, S)
-    scale = 1.0 / math.sqrt(config.head_dim)
-    q, k, v, alpha_full, masks, alpha_topk, sel_sums, outs = [], [], [], [], [], [], [], []
-    for h in range(config.num_heads):
-        qh = x @ params.tensors[f"attn{h}_wq"]
-        kh = x @ params.tensors[f"attn{h}_wk"]
-        vh = x @ params.tensors[f"attn{h}_wv"]
-        logits = np.einsum("bsh,bth->bst", qh, kh) * scale
-        alpha = softmax_rows(logits)
-        mask = top_k_mask_rows(alpha, k_eff)
-        selected = alpha * mask
-        ssum = selected.sum(axis=-1, keepdims=True)
-        ahat = selected / ssum if config.renormalize_topk else selected
-        out = np.einsum("bst,bth->bsh", ahat, vh)
-        q.append(qh); k.append(kh); v.append(vh)
-        alpha_full.append(alpha); masks.append(mask)
-        alpha_topk.append(ahat); sel_sums.append(ssum); outs.append(out)
-    return q, k, v, alpha_full, masks, alpha_topk, sel_sums, outs
+    """Scaled dot-product attention with top-K row filtering, all heads at
+    once. Returns q, k, v (B,H,S,dh), the pre-top-K weights, the top-K mask and
+    the post-top-K weights (B,H,S,S), the selected row sums (B,H,S,1), and the
+    head outputs concatenated in head order (B,S,d)."""
+    B, S, d = x.shape
+    H, dh = config.num_heads, config.head_dim
+    qkv = (x.reshape(B * S, d) @ _qkv_weights(params, config)).reshape(B, S, 3, H, dh)
+    q, k, v = qkv.transpose(2, 0, 3, 1, 4)
+    logits = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
+    alpha = softmax_rows(logits)
+    mask = top_k_mask_rows(alpha, min(config.top_k, S))
+    selected = alpha * mask
+    ssum = selected.sum(axis=-1, keepdims=True)
+    ahat = selected / ssum if config.renormalize_topk else selected
+    concat = np.empty((B, S, H, dh))
+    np.matmul(ahat, v, out=concat.transpose(0, 2, 1, 3))
+    return q, k, v, alpha, mask, ahat, ssum, concat.reshape(B, S, d)
 
 
 def attention_head(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
                    k: int, renormalize: bool = True):
-    """Single-sequence attention head. Returns (outputs (S,dh), pre-top-K
-    attention matrix, post-top-K weight matrix)."""
+    """Single-sequence attention head, the per-head reference for the
+    all-heads path. Returns (outputs (S,dh), pre-top-K attention matrix,
+    post-top-K weight matrix)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     x = np.asarray(x, dtype=np.float64)
@@ -391,10 +406,10 @@ def forward_batch(uids: np.ndarray, iids: np.ndarray, user_packed: PackedFeature
     if uids.size == 0:
         raise ValueError("empty batch")
 
-    x, embed_cache = _embed_batch(uids, iids, user_packed, item_packed, params)
-    q, k, v, alpha_full, masks, alpha_topk, sel_sums, outs = _attention_heads(
+    x, embed_rows, embed_weights, embed_bounds = _embed_batch(
+        uids, iids, user_packed, item_packed, params)
+    q, k, v, alpha_full, mask, alpha_topk, sel_sum, concat = _attention_heads(
         x, params, config)
-    concat = np.concatenate(outs, axis=-1)
 
     bn_out, xhat, inv_std, new_mean, new_var = _batch_norm_forward(
         concat, params, config, mode)
@@ -441,9 +456,10 @@ def forward_batch(uids: np.ndarray, iids: np.ndarray, user_packed: PackedFeature
     score_preference = np.einsum("bd,bd->b", cf_user, cf_item)
     score_combined = np.einsum("bd,bd->b", combined["user"], combined["item"])
 
-    return ForwardTrace(uids=uids, iids=iids, mode=mode, x=x, embed_cache=embed_cache,
-                        q=q, k=k, v=v, alpha_full=alpha_full, topk_mask=masks,
-                        alpha_topk=alpha_topk, sel_sum=sel_sums, head_out=outs,
+    return ForwardTrace(uids=uids, iids=iids, mode=mode, x=x, embed_rows=embed_rows,
+                        embed_weights=embed_weights, embed_bounds=embed_bounds,
+                        q=q, k=k, v=v, alpha_full=alpha_full, topk_mask=mask,
+                        alpha_topk=alpha_topk, sel_sum=sel_sum,
                         concat=concat, bn_xhat=xhat, bn_inv_std=inv_std,
                         bn_new_mean=new_mean, bn_new_var=new_var,
                         dropout_mask=dropout_mask, resid=resid, xbar=xbar,
@@ -461,8 +477,7 @@ def multi_head_block(x: np.ndarray, params: SainParams, config: ModelConfig,
     """Single-sequence interaction block: heads, concat, batch norm, dropout,
     residual, ReLU. (S,d) in, (S,d) out."""
     x3 = np.asarray(x, dtype=np.float64)[None, :, :]
-    _, _, _, _, _, _, _, outs = _attention_heads(x3, params, config)
-    concat = np.concatenate(outs, axis=-1)
+    *_, concat = _attention_heads(x3, params, config)
     bn_out, _, _, _, _ = _batch_norm_forward(concat, params, config, mode)
     if mode == "train" and config.dropout_rate > 0.0:
         if dropout_rng is None:
@@ -603,8 +618,9 @@ def backward(trace: ForwardTrace, ratings: np.ndarray, params: SainParams,
         grads[name_w] += np.einsum("b,bd->d", dt, cf_vec - ct_vec)
         # the shared-affine bias cancels in the logit difference: gradient 0
 
-    np.add.at(grads["cf_user"], trace.uids, d_cf_u)
-    np.add.at(grads["cf_item"], trace.iids, d_cf_v)
+    for name, ids, d_cf in (("cf_user", trace.uids, d_cf_u),
+                            ("cf_item", trace.iids, d_cf_v)):
+        grads[name] = scatter_add_rows(ids, d_cf, len(params.tensors[name]))
 
     # entity aggregation (affine, no activation)
     flat_u = trace.xbar[:, :m, :].reshape(B, -1)
@@ -640,35 +656,42 @@ def backward(trace: ForwardTrace, ratings: np.ndarray, params: SainParams,
         d_z = d_xhat * trace.bn_inv_std
     d_concat = d_z.reshape(B, -1, d)
 
-    # attention heads
-    scale = 1.0 / math.sqrt(dh)
-    for h in range(config.num_heads):
-        d_out = d_concat[:, :, h * dh:(h + 1) * dh]
-        ahat, alpha, mask = trace.alpha_topk[h], trace.alpha_full[h], trace.topk_mask[h]
-        qh, kh, vh = trace.q[h], trace.k[h], trace.v[h]
-        d_ahat = np.einsum("bsh,bth->bst", d_out, vh)
-        d_vh = np.einsum("bst,bsh->bth", ahat, d_out)
-        if config.renormalize_topk:
-            rowdot = np.einsum("bst,bst->bs", d_ahat, ahat)[:, :, None]
-            d_alpha = ((d_ahat - rowdot) / trace.sel_sum[h]) * mask
-        else:
-            d_alpha = d_ahat * mask
-        # softmax rows
-        inner = np.einsum("bst,bst->bs", d_alpha, alpha)[:, :, None]
-        d_logits = alpha * (d_alpha - inner)
-        d_qh = np.einsum("bst,bth->bsh", d_logits, kh) * scale
-        d_kh = np.einsum("bst,bsh->bth", d_logits, qh) * scale
-        grads[f"attn{h}_wq"] += np.einsum("bsd,bsh->dh", trace.x, d_qh)
-        grads[f"attn{h}_wk"] += np.einsum("bsd,bsh->dh", trace.x, d_kh)
-        grads[f"attn{h}_wv"] += np.einsum("bsd,bsh->dh", trace.x, d_vh)
-        d_x += d_qh @ params.tensors[f"attn{h}_wq"].T
-        d_x += d_kh @ params.tensors[f"attn{h}_wk"].T
-        d_x += d_vh @ params.tensors[f"attn{h}_wv"].T
+    # attention heads, all at once; d_q, d_k, d_v are (B,H,S,dh) views of one
+    # (B,S,3,H,dh) buffer, whose rows reshape to (B*S,3d) in the column order
+    # of _qkv_weights
+    H, S = config.num_heads, trace.x.shape[1]
+    d_out = d_concat.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
+    ahat, alpha, mask = trace.alpha_topk, trace.alpha_full, trace.topk_mask
+    d_ahat = d_out @ trace.v.swapaxes(-1, -2)
+    if config.renormalize_topk:
+        rowdot = (d_ahat * ahat).sum(axis=-1, keepdims=True)
+        d_alpha = ((d_ahat - rowdot) / trace.sel_sum) * mask
+    else:
+        d_alpha = d_ahat * mask
+    # softmax rows, with the logit scale folded in
+    inner = (d_alpha * alpha).sum(axis=-1, keepdims=True)
+    d_logits = alpha * (d_alpha - inner) * (1.0 / math.sqrt(dh))
+    d_qkv = np.empty((B, S, 3, H, dh))
+    d_q, d_k, d_v = d_qkv.transpose(2, 0, 3, 1, 4)
+    np.matmul(d_logits, trace.k, out=d_q)
+    np.matmul(d_logits.swapaxes(-1, -2), trace.q, out=d_k)
+    np.matmul(ahat.swapaxes(-1, -2), d_out, out=d_v)
+    d_qkv = d_qkv.reshape(B * S, 3 * d)
+    g_qkv = trace.x.reshape(B * S, d).T @ d_qkv
+    for j, p in enumerate("qkv"):
+        for h in range(H):
+            col = (j * H + h) * dh
+            grads[f"attn{h}_w{p}"] += g_qkv[:, col:col + dh]
+    d_x += (d_qkv @ _qkv_weights(params, config).T).reshape(B, S, d)
 
     # embedding scatter (mean pooling weights recorded at embed time)
-    d_emb = grads["embeddings"]
-    for pos, (idx, w) in enumerate(trace.embed_cache):
-        contrib = d_x[:, pos, :][:, None, :] * w[:, :, None]   # (B,L,d)
-        np.add.at(d_emb, idx.reshape(-1), contrib.reshape(-1, d))
-
+    bounds = trace.embed_bounds
+    contrib = np.empty(trace.embed_rows.shape + (d,))
+    for pos in range(S):
+        cols = slice(bounds[pos], bounds[pos + 1])
+        np.multiply(d_x[:, pos:pos + 1, :], trace.embed_weights[:, cols, None],
+                    out=contrib[:, cols, :])
+    grads["embeddings"] = scatter_add_rows(trace.embed_rows.reshape(-1),
+                                           contrib.reshape(-1, d),
+                                           len(params.tensors["embeddings"]))
     return grads

@@ -1,6 +1,7 @@
 """Minimal dense numerical kernel: stable softmax, deterministic top-k selection,
-Adam with decoupled weight decay, and a central finite-difference oracle used to
-certify every analytic gradient in this package.
+a row scatter-add, Adam with decoupled weight decay, and a central
+finite-difference oracle used to certify every analytic gradient in this
+package.
 
 All arithmetic is float64; gradient certification at 1e-4 relative tolerance is
 not reliable in float32.
@@ -68,6 +69,17 @@ def top_k_mask_rows(weights: np.ndarray, k: int) -> np.ndarray:
     mask = np.zeros(weights.shape, dtype=bool)
     np.put_along_axis(mask, order[..., :k], True, axis=-1)
     return mask
+
+
+def scatter_add_rows(rows: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """Dense (num_rows, d) table holding the sum of values[i] (d,) in row
+    rows[i], as one flattened bincount. Each element sums its contributions
+    in input order starting from zero, as np.add.at into a zero table does,
+    so the two agree bit for bit."""
+    d = values.shape[1]
+    flat = (rows[:, None] * d + np.arange(d)).reshape(-1)
+    return np.bincount(flat, weights=values.reshape(-1),
+                       minlength=num_rows * d).reshape(num_rows, d)
 
 
 @dataclass

@@ -8,6 +8,7 @@ so logs are byte-stable across runs.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs, and patience must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, "
+                             f"got {self.learning_rate!r}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValueError(f"weight_decay must be finite and >= 0, "
+                             f"got {self.weight_decay!r}")
+        if not math.isfinite(self.min_delta):
+            raise ValueError(f"min_delta must be finite, got {self.min_delta!r}")
 
     def to_dict(self) -> dict:
         return {"learning_rate": self.learning_rate, "weight_decay": self.weight_decay,
@@ -258,24 +267,37 @@ def rmse_mae(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
     return float(np.sqrt(np.mean(err * err))), float(np.mean(np.abs(err)))
 
 
+def _eval_outputs(params: SainParams, data: PreparedData, uids: np.ndarray,
+                  iids: np.ndarray) -> dict[str, np.ndarray]:
+    """Eval-mode scores and gate weights of every pair, EVAL_BATCH pairs per
+    forward pass. Only these (B,) arrays outlive a chunk: its trace is dropped
+    before the next chunk's forward pass, so two traces are never alive."""
+    n = uids.shape[0]
+    outs = {name: np.empty(n) for name in ("content", "preference", "combined",
+                                           "gate_user", "gate_item")}
+    for start in range(0, n, EVAL_BATCH):
+        sl = slice(start, start + EVAL_BATCH)
+        trace = forward_batch(uids[sl], iids[sl], data.user_packed,
+                              data.item_packed, params, params.config, mode="eval")
+        outs["content"][sl] = trace.score_content
+        outs["preference"][sl] = trace.score_preference
+        outs["combined"][sl] = trace.score_combined
+        outs["gate_user"][sl] = trace.gate_alpha["user"]
+        outs["gate_item"][sl] = trace.gate_alpha["item"]
+        del trace
+    return outs
+
+
 def evaluate_sain(params: SainParams, data: PreparedData,
                   split: str = "test") -> EvalReport:
     """Deterministic eval-mode metrics. The served combined score is clipped to
     the rating range; the content/preference breakdown stays unclipped as a
     diagnostic."""
     users, items, ratings = interactions_to_arrays(data.split.select(split))
-    cols = {"content": [], "preference": [], "combined": []}
-    for start in range(0, users.shape[0], EVAL_BATCH):
-        sl = slice(start, start + EVAL_BATCH)
-        trace = forward_batch(users[sl], items[sl], data.user_packed,
-                              data.item_packed, params, params.config, mode="eval")
-        cols["content"].append(trace.score_content)
-        cols["preference"].append(trace.score_preference)
-        cols["combined"].append(trace.score_combined)
-    detail = {"content": rmse_mae(np.concatenate(cols["content"]), ratings),
-              "preference": rmse_mae(np.concatenate(cols["preference"]), ratings),
-              "combined": rmse_mae(clip_ratings(np.concatenate(cols["combined"])),
-                                    ratings)}
+    outs = _eval_outputs(params, data, users, items)
+    detail = {"content": rmse_mae(outs["content"], ratings),
+              "preference": rmse_mae(outs["preference"], ratings),
+              "combined": rmse_mae(clip_ratings(outs["combined"]), ratings)}
     rmse, mae = detail["combined"]
     return EvalReport(rmse=rmse, mae=mae, count=int(users.shape[0]), detail=detail)
 
@@ -292,23 +314,16 @@ def evaluate_mf(params: MfParams, data: PreparedData,
 def predict_sain(params: SainParams, data: PreparedData, uids: np.ndarray,
                  iids: np.ndarray) -> list[dict]:
     """Per-pair served prediction plus the blend diagnostics."""
-    uids = np.asarray(uids, dtype=np.int64)
-    iids = np.asarray(iids, dtype=np.int64)
-    rows = []
-    for start in range(0, uids.shape[0], EVAL_BATCH):
-        sl = slice(start, start + EVAL_BATCH)
-        trace = forward_batch(uids[sl], iids[sl], data.user_packed,
-                              data.item_packed, params, params.config, mode="eval")
-        comb = clip_ratings(trace.score_combined)
-        cont = clip_ratings(trace.score_content)
-        pref = clip_ratings(trace.score_preference)
-        for j in range(comb.shape[0]):
-            rows.append({"score": float(comb[j]),
-                         "score_content": float(cont[j]),
-                         "score_preference": float(pref[j]),
-                         "gate_user": float(trace.gate_alpha["user"][j]),
-                         "gate_item": float(trace.gate_alpha["item"][j])})
-    return rows
+    outs = _eval_outputs(params, data, np.asarray(uids, dtype=np.int64),
+                         np.asarray(iids, dtype=np.int64))
+    comb = clip_ratings(outs["combined"])
+    cont = clip_ratings(outs["content"])
+    pref = clip_ratings(outs["preference"])
+    return [{"score": float(comb[j]), "score_content": float(cont[j]),
+             "score_preference": float(pref[j]),
+             "gate_user": float(outs["gate_user"][j]),
+             "gate_item": float(outs["gate_item"][j])}
+            for j in range(comb.shape[0])]
 
 
 def predict_mf(params: MfParams, uids: np.ndarray, iids: np.ndarray) -> list[dict]:
@@ -343,7 +358,7 @@ def attention_matrices(params: SainParams, user: EntityFeatures,
     """Eval-mode pre-top-K attention, one (m+n, m+n) matrix per head, rows =
     query positions in field order (user fields then item fields)."""
     trace = forward(user, item, params, params.config, mode="eval")
-    return [trace.alpha_full[h][0] for h in range(params.config.num_heads)]
+    return [trace.alpha_full[0, h] for h in range(params.config.num_heads)]
 
 
 def write_training_log(path: str, history: list[EpochLog]) -> None:

@@ -94,12 +94,12 @@ def test_criterion_02_attention_rows_are_filtered_distributions():
                               rng.integers(0, 4, size=b),
                               user_packed, item_packed, params, config)
         for h in range(config.num_heads):
-            sums = trace.alpha_full[h].sum(axis=-1)
+            sums = trace.alpha_full[:, h].sum(axis=-1)
             worst_sum_err = max(worst_sum_err, float(np.max(np.abs(sums - 1.0))))
             assert np.max(np.abs(sums - 1.0)) <= 1e-9
-            nonzero = (trace.alpha_topk[h] > 0.0).sum(axis=-1)
+            nonzero = (trace.alpha_topk[:, h] > 0.0).sum(axis=-1)
             assert nonzero.max() <= min(k, S)
-            renorm = trace.alpha_topk[h].sum(axis=-1)
+            renorm = trace.alpha_topk[:, h].sum(axis=-1)
             assert np.max(np.abs(renorm - 1.0)) <= 1e-9
     print(f"criterion 2: 1000 forwards, worst row-sum error {worst_sum_err:.3e}")
 

@@ -4,9 +4,12 @@ outputs and exit codes, flag overrides, and deterministic reruns."""
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import sain
 from sain.cli import RunManifest, main
 
 from conftest import write_synthetic_dataset
@@ -134,6 +137,56 @@ class TestTrainCommand:
     def test_indivisible_heads_exit_5(self, run_config, capsys):
         assert main(["train", "--config", run_config, "--embed-dim", "9"]) == 5
         assert "category=shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--num-heads", "0"], "num_heads"),
+        (["--embed-dim", "0"], "embed_dim"),
+        (["--embed-dim", "-4"], "embed_dim"),
+        (["--learning-rate", "nan"], "learning_rate"),
+        (["--learning-rate", "0"], "learning_rate"),
+        (["--weight-decay", "-1"], "weight_decay")])
+    def test_out_of_range_settings_exit_1_with_one_line(self, run_config, tmp_path,
+                                                        capsys, flags, message):
+        assert main(["train", "--config", run_config] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error category=error: ") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_min_delta_in_the_run_config_exits_1(self, tmp_path,
+                                                           synthetic_manifest,
+                                                           capsys):
+        # Python's json reads and writes the NaN literal.
+        path = _write_config(tmp_path, synthetic_manifest,
+                             train_config={"min_delta": float("nan")})
+        assert main(["train", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error category=error: min_delta")
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """embed_dim 64 and batch 256 make the Q/K/V and weight-gradient GEMMs
+        big enough for OpenBLAS to split them across threads; the log and the
+        checkpoint must come out byte-identical at 1 and 2 threads."""
+        manifest = write_synthetic_dataset(str(tmp_path / "data"), n_users=120)
+        config = _write_config(tmp_path, manifest,
+                               model_config={"embed_dim": 64, "num_heads": 4,
+                                             "top_k": 3, "dropout_rate": 0.1},
+                               train_config={"max_epochs": 2, "batch_size": 256,
+                                             "seed": 5})
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sain.__file__)))
+        outputs = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+            out_dir = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "sain.cli", "train", "--config", config,
+                 "--output-dir", str(out_dir)], env=env, capture_output=True,
+                text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs[threads] = [(out_dir / name).read_bytes()
+                                for name in ("training_log.csv", "model.ckpt")]
+        assert outputs["1"] == outputs["2"]
 
 
 @pytest.fixture()

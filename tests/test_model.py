@@ -32,6 +32,12 @@ class TestModelConfig:
         with pytest.raises(ShapeError):
             ModelConfig(embed_dim=5, num_heads=2)
 
+    @pytest.mark.parametrize("embed_dim, num_heads", [(0, 2), (-4, 2), (8, 0),
+                                                      (8, -2), (0, 0)])
+    def test_sizes_must_be_positive(self, embed_dim, num_heads):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            ModelConfig(embed_dim=embed_dim, num_heads=num_heads)
+
     def test_value_validation(self):
         with pytest.raises(ValueError):
             ModelConfig(top_k=0)
@@ -73,6 +79,13 @@ class TestParams:
         assert t["agg_user_w"].shape == (params.layout.m * d, d)
         assert t["bn_gamma"].shape == (d,)
         assert t["gate_user_w"].shape == (d,)
+        # The registration order drives init draws, Adam and the checkpoint.
+        assert list(t) == ["embeddings", "cf_user", "cf_item",
+                           "attn0_wq", "attn0_wk", "attn0_wv",
+                           "attn1_wq", "attn1_wk", "attn1_wv",
+                           "agg_user_w", "agg_user_b", "agg_item_w", "agg_item_b",
+                           "bn_gamma", "bn_beta", "gate_user_w", "gate_user_b",
+                           "gate_item_w", "gate_item_b"]
         np.testing.assert_array_equal(params.bn_mean, np.zeros(d))
         np.testing.assert_array_equal(params.bn_var, np.ones(d))
 
@@ -327,12 +340,45 @@ class TestForward:
         assert trace.x.shape == (6, S, cfg.embed_dim)
         assert trace.scores().shape == (6, 3)
         for h in range(cfg.num_heads):
-            sums = trace.alpha_full[h].sum(axis=-1)
+            sums = trace.alpha_full[:, h].sum(axis=-1)
             np.testing.assert_allclose(sums, np.ones((6, S)), atol=1e-9)
-            nonzero = (trace.alpha_topk[h] > 0).sum(axis=-1)
+            nonzero = (trace.alpha_topk[:, h] > 0).sum(axis=-1)
             assert nonzero.max() <= min(cfg.top_k, S)
-            renorm_sums = trace.alpha_topk[h].sum(axis=-1)
+            renorm_sums = trace.alpha_topk[:, h].sum(axis=-1)
             np.testing.assert_allclose(renorm_sums, np.ones((6, S)), atol=1e-9)
+
+    @pytest.mark.parametrize("top_k", [2, 4, 6])
+    @pytest.mark.parametrize("renormalize", [True, False])
+    def test_heads_axis_matches_the_per_head_oracle(self, prepared, top_k,
+                                                    renormalize):
+        """Every (b, h) slice of the all-heads trace equals attention_head run
+        on that sequence with that head's weights. The sequence has S = 4, so
+        top_k 2 filters and top_k 4 and 6 keep every entry."""
+        params, cfg = small_params(prepared, seed=40, embed_dim=8, num_heads=4,
+                                   top_k=top_k, renormalize_topk=renormalize)
+        uids, iids = _batch(prepared, 7, seed=41)
+        trace = forward_batch(uids, iids, prepared.user_packed,
+                              prepared.item_packed, params, cfg)
+        S, H, dh = params.layout.seq_len, cfg.num_heads, cfg.head_dim
+        assert trace.alpha_full.shape == trace.alpha_topk.shape == (7, H, S, S)
+        assert trace.topk_mask.shape == (7, H, S, S)
+        assert trace.q.shape == trace.k.shape == trace.v.shape == (7, H, S, dh)
+        assert trace.sel_sum.shape == (7, H, S, 1)
+        t = params.tensors
+        for b in range(7):
+            for h in range(H):
+                wq, wk, wv = (t[f"attn{h}_w{p}"] for p in "qkv")
+                out, alpha, ahat = attention_head(trace.x[b], wq, wk, wv, top_k,
+                                                  renormalize=renormalize)
+                np.testing.assert_allclose(trace.alpha_full[b, h], alpha,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(trace.alpha_topk[b, h], ahat,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(trace.topk_mask[b, h], ahat > 0)
+                np.testing.assert_allclose(trace.q[b, h], trace.x[b] @ wq,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(trace.concat[b, :, h * dh:(h + 1) * dh],
+                                           out, rtol=0, atol=1e-12)
 
     def test_gates_in_open_interval_and_combined_between_endpoints(self, prepared):
         params, cfg = small_params(prepared, seed=23)

@@ -1,5 +1,5 @@
-"""Unit tests for the dense numerical kernel: softmax, top-k selection, Adam,
-and the finite-difference oracle itself."""
+"""Unit tests for the dense numerical kernel: softmax, top-k selection, the
+row scatter-add, Adam, and the finite-difference oracle itself."""
 
 import math
 
@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from sain.tensor import (AdamState, adam_step, as_matrix, finite_diff_gradient,
-                         relative_error, softmax_row, softmax_rows,
-                         top_k_indices, top_k_mask_rows)
+                         relative_error, scatter_add_rows, softmax_row,
+                         softmax_rows, top_k_indices, top_k_mask_rows)
 
 
 class TestSoftmax:
@@ -103,6 +103,30 @@ class TestTopK:
         mask = top_k_mask_rows(w, 2)
         assert mask.shape == w.shape
         np.testing.assert_array_equal(mask.sum(axis=-1), np.full((2, 3), 2))
+
+
+class TestScatterAddRows:
+    def test_equals_add_at_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        # 40 rows, 300 contributions: every row that is hit is hit repeatedly,
+        # rows 30..39 are never hit, and the magnitudes span 12 decades so any
+        # change in summation order would show in the last bits.
+        rows = rng.integers(0, 30, size=300)
+        values = rng.normal(size=(300, 5)) * 10.0 ** rng.integers(-6, 6, (300, 1))
+        expected = np.zeros((40, 5))
+        np.add.at(expected, rows, values)
+        got = scatter_add_rows(rows, values, 40)
+        assert got.shape == (40, 5)
+        assert np.array_equal(got, expected)
+        assert got.tobytes() == expected.tobytes()
+        assert not got[30:].any()
+
+    def test_zero_contributions_and_empty_input(self):
+        np.testing.assert_array_equal(
+            scatter_add_rows(np.asarray([1, 1]), np.asarray([[2.0], [-2.0]]), 3),
+            [[0.0], [0.0], [0.0]])
+        out = scatter_add_rows(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 2)
+        np.testing.assert_array_equal(out, np.zeros((2, 4)))
 
 
 class TestAdam:

@@ -70,6 +70,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", 0.0), ("learning_rate", -1e-3),
+        ("weight_decay", -1e-4), ("weight_decay", float("nan")),
+        ("weight_decay", float("inf")),
+        ("min_delta", float("nan")), ("min_delta", float("inf")),
+        ("min_delta", float("-inf"))])
+    def test_rejects_non_finite_and_out_of_range_floats(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_accepts_boundary_floats(self):
+        TrainConfig(learning_rate=1e-12, weight_decay=0.0, min_delta=-0.5)
+
     def test_dict_round_trip(self):
         tcfg = TrainConfig(learning_rate=0.01, max_epochs=7, seed=3)
         assert TrainConfig.from_dict(tcfg.to_dict()) == tcfg
