@@ -19,8 +19,9 @@ from .model import (FieldLayout, ForwardTrace, ModelConfig, SainParams,
                     multi_head_block, score_content, score_preference)
 from .ml100k import convert_ml100k, find_ml100k
 from .seeding import derive_seed, stream_rng
-from .tensor import (AdamState, adam_step, finite_diff_gradient, relative_error,
-                     softmax_row, softmax_rows, top_k_indices, top_k_mask_rows)
+from .tensor import (AdamState, ParamSet, adam_step, finite_diff_gradient,
+                     relative_error, softmax_row, softmax_rows, top_k_indices,
+                     top_k_mask_rows)
 from .training import (EvalReport, TrainConfig, TrainResult, attention_matrices,
                        evaluate_mf, evaluate_sain, load_model, predict_mf,
                        predict_sain, rmse_mae, run_training, save_model,

@@ -13,18 +13,27 @@ import math
 import numpy as np
 
 from .errors import ShapeError
+from .tensor import AdamState, ParamSet, scatter_add_rows
 
 
-class MfParams:
-    """Learnable tensors for the biased factor model plus the frozen mean."""
+class MfParams(ParamSet):
+    """Learnable tensors for the biased factor model, packed into one
+    ParamSet arena, plus the frozen mean."""
 
     def __init__(self, tensors: dict[str, np.ndarray], mu: float,
-                 num_users: int, num_items: int, dim: int):
-        self.tensors = tensors
+                 num_users: int, num_items: int, dim: int,
+                 adam: dict[str, AdamState] | None = None):
+        super().__init__(tensors, adam)
         self.mu = float(mu)
         self.num_users = num_users
         self.num_items = num_items
         self.dim = dim
+
+    @staticmethod
+    def shapes(num_users: int, num_items: int, dim: int) -> dict[str, tuple]:
+        """Every learnable tensor's shape, in registration order."""
+        return {"user_factors": (num_users, dim), "item_factors": (num_items, dim),
+                "user_bias": (num_users,), "item_bias": (num_items,)}
 
     @classmethod
     def init(cls, num_users: int, num_items: int, dim: int, mu: float,
@@ -33,31 +42,10 @@ class MfParams:
             raise ShapeError("factor model needs at least one user, one item, "
                              "and a positive dimension")
         scale = 1.0 / math.sqrt(dim)
-        t = {
-            "user_factors": rng.uniform(-scale, scale, size=(num_users, dim)),
-            "item_factors": rng.uniform(-scale, scale, size=(num_items, dim)),
-            "user_bias": np.zeros(num_users),
-            "item_bias": np.zeros(num_items),
-        }
+        t = {name: rng.uniform(-scale, scale, size=shape)
+             if name.endswith("_factors") else np.zeros(shape)
+             for name, shape in cls.shapes(num_users, num_items, dim).items()}
         return cls(t, mu=mu, num_users=num_users, num_items=num_items, dim=dim)
-
-    def clone(self) -> "MfParams":
-        return MfParams({k: v.copy() for k, v in self.tensors.items()},
-                        self.mu, self.num_users, self.num_items, self.dim)
-
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([v.ravel() for v in self.tensors.values()])
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        if vec.size != sum(v.size for v in self.tensors.values()):
-            raise ShapeError("flat vector length does not match parameter count")
-        pos = 0
-        for k, v in self.tensors.items():
-            self.tensors[k] = vec[pos:pos + v.size].reshape(v.shape).copy()
-            pos += v.size
 
 
 def mf_scores(uids: np.ndarray, iids: np.ndarray, params: MfParams) -> np.ndarray:
@@ -83,8 +71,9 @@ def mf_loss(scores: np.ndarray, ratings: np.ndarray) -> float:
 
 def mf_backward(uids: np.ndarray, iids: np.ndarray, scores: np.ndarray,
                 ratings: np.ndarray, params: MfParams) -> dict[str, np.ndarray]:
-    """Exact MSE gradients for every learnable tensor (scatter-add over the
-    batch, so repeated users/items accumulate)."""
+    """Exact MSE gradients for every learnable tensor. Each table is one
+    bincount scatter over the batch, so repeated users/items accumulate, in
+    batch order from zero, as np.add.at into a zero table would."""
     uids = np.asarray(uids, dtype=np.int64)
     iids = np.asarray(iids, dtype=np.int64)
     r = np.asarray(ratings, dtype=np.float64)
@@ -93,9 +82,8 @@ def mf_backward(uids: np.ndarray, iids: np.ndarray, scores: np.ndarray,
     g = 2.0 * (scores - r) / r.shape[0]
     p = params.tensors["user_factors"][uids]
     q = params.tensors["item_factors"][iids]
-    grads = params.zero_grads()
-    np.add.at(grads["user_factors"], uids, g[:, None] * q)
-    np.add.at(grads["item_factors"], iids, g[:, None] * p)
-    np.add.at(grads["user_bias"], uids, g)
-    np.add.at(grads["item_bias"], iids, g)
-    return grads
+    nu, ni = len(params.tensors["user_bias"]), len(params.tensors["item_bias"])
+    return {"user_factors": scatter_add_rows(uids, g[:, None] * q, nu),
+            "item_factors": scatter_add_rows(iids, g[:, None] * p, ni),
+            "user_bias": np.bincount(uids, weights=g, minlength=nu),
+            "item_bias": np.bincount(iids, weights=g, minlength=ni)}

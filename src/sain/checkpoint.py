@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -76,34 +77,56 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     os.replace(tmp, path)
 
 
+def _shape(entry, path: str) -> tuple[str, tuple[int, ...]]:
+    """Name and shape of one header array entry, or a ParseError."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise ParseError(f"checkpoint array entry malformed: {path}")
+    shape = entry.get("shape")
+    if not isinstance(shape, list) or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
+        raise ParseError(f"checkpoint array {entry['name']!r} has a malformed "
+                         f"shape {shape!r}: {path}")
+    return entry["name"], tuple(shape)
+
+
 def load_checkpoint(path: str) -> Checkpoint:
+    """Decode and verify a checkpoint. The file is read into one writable
+    buffer, and the returned arrays are views into it, so the payload is
+    not copied again."""
     if not os.path.exists(path):
         raise IoError(f"checkpoint not found: {path}")
     with open(path, "rb") as f:
-        data = f.read()
+        data = bytearray(os.fstat(f.fileno()).st_size)
+        read = f.readinto(data)
+    if read != len(data):
+        raise ParseError(f"checkpoint changed while being read: {path}")
     if len(data) < len(MAGIC) + 8 + 32 or data[:len(MAGIC)] != MAGIC:
         raise ParseError(f"not a checkpoint file: {path}")
-    blob, digest = data[:-32], data[-32:]
-    if hashlib.sha256(blob).digest() != digest:
+    view = memoryview(data)
+    if hashlib.sha256(view[:-32]).digest() != data[-32:]:
         raise ParseError(f"checkpoint checksum mismatch: {path}")
-    head_len = int.from_bytes(blob[len(MAGIC):len(MAGIC) + 8], "little")
+    head_len = int.from_bytes(data[len(MAGIC):len(MAGIC) + 8], "little")
     head_start = len(MAGIC) + 8
     try:
-        header = json.loads(blob[head_start:head_start + head_len].decode())
+        header = json.loads(bytes(view[head_start:head_start + head_len]).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParseError(f"checkpoint header unreadable: {path}: {e}") from e
+    if not (isinstance(header, dict) and isinstance(header.get("kind"), str)
+            and isinstance(header.get("arrays"), list)
+            and isinstance(header.get("config"), dict)
+            and isinstance(header.get("layout"), dict)):
+        raise ParseError(f"checkpoint header lacks kind, config, layout or "
+                         f"arrays: {path}")
 
-    body = blob[head_start + head_len:]
+    body = view[head_start + head_len:-32]
     pos = 0
     arrays: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
-        shape = tuple(int(s) for s in entry["shape"])
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = size * 8
+        name, shape = _shape(entry, path)
+        nbytes = math.prod(shape) * 8
         if pos + nbytes > len(body):
             raise ParseError(f"checkpoint payload truncated: {path}")
-        arrays[entry["name"]] = np.frombuffer(
-            body[pos:pos + nbytes], dtype="<f8").reshape(shape).copy()
+        arrays[name] = np.frombuffer(body[pos:pos + nbytes], dtype="<f8").reshape(shape)
         pos += nbytes
     if pos != len(body):
         raise ParseError(f"checkpoint payload has trailing bytes: {path}")
@@ -112,13 +135,18 @@ def load_checkpoint(path: str) -> Checkpoint:
     stats = {n[len("stat/"):]: a for n, a in arrays.items() if n.startswith("stat/")}
     adam = None
     if header.get("adam") is not None:
-        ah = header["adam"]
-        adam = {"beta1": float(ah["beta1"]), "beta2": float(ah["beta2"]),
-                "eps": float(ah["eps"]), "t": {k: int(v) for k, v in ah["t"].items()},
-                "m": {n[len("adam_m/"):]: a for n, a in arrays.items()
-                      if n.startswith("adam_m/")},
-                "v": {n[len("adam_v/"):]: a for n, a in arrays.items()
-                      if n.startswith("adam_v/")}}
+        try:
+            ah = header["adam"]
+            adam = {"beta1": float(ah["beta1"]), "beta2": float(ah["beta2"]),
+                    "eps": float(ah["eps"]),
+                    "t": {k: int(v) for k, v in ah["t"].items()},
+                    "m": {n[len("adam_m/"):]: a for n, a in arrays.items()
+                          if n.startswith("adam_m/")},
+                    "v": {n[len("adam_v/"):]: a for n, a in arrays.items()
+                          if n.startswith("adam_v/")}}
+        except (KeyError, TypeError, ValueError, AttributeError) as e:
+            raise ParseError(f"checkpoint optimizer header malformed: {path}: "
+                             f"{e!r}") from e
     return Checkpoint(kind=header["kind"], config=header["config"],
                       layout=header["layout"], tensors=tensors, stats=stats,
                       adam=adam, meta=header.get("meta", {}))

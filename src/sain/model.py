@@ -14,6 +14,7 @@ registered as their own (d,dh) tensors `attn{h}_w{q,k,v}`.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -21,10 +22,24 @@ import numpy as np
 
 from .data import EntityFeatures, FeatureVocab, PackedFeatures
 from .errors import ShapeError
-from .tensor import scatter_add_rows, softmax_rows, top_k_mask_rows
+from .tensor import (AdamState, ParamSet, scatter_add_rows, softmax_rows,
+                     top_k_mask_rows)
 
 L2_SCOPES = ("all", "embeddings", "projections")
 EMBEDDING_TENSORS = ("embeddings", "cf_user", "cf_item")
+
+
+def require_int(name: str, value) -> None:
+    """ValueError unless value is an integer; a bool or a float is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """ValueError unless value is an int or a float; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                         np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass
@@ -42,6 +57,14 @@ class ModelConfig:
     bn_momentum: float = 0.1
 
     def __post_init__(self):
+        for name in ("embed_dim", "num_heads", "top_k", "num_attention_layers"):
+            require_int(name, getattr(self, name))
+        for name in ("dropout_rate", "bn_epsilon", "bn_momentum"):
+            require_real(name, getattr(self, name))
+        for name in ("gate_shared", "renormalize_topk"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, "
+                                 f"got {getattr(self, name)!r}")
         if self.embed_dim < 1 or self.num_heads < 1:
             raise ValueError("embed_dim and num_heads must be >= 1")
         if self.embed_dim % self.num_heads != 0:
@@ -53,11 +76,23 @@ class ModelConfig:
             raise ValueError("dropout_rate must be in [0,1)")
         if self.num_attention_layers != 1:
             raise ValueError("num_attention_layers is fixed at 1")
-        if len(self.loss_weights) != 3:
+        if not (math.isfinite(self.bn_epsilon) and self.bn_epsilon > 0.0):
+            raise ValueError(f"bn_epsilon must be finite and > 0, "
+                             f"got {self.bn_epsilon!r}")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ValueError(f"bn_momentum must be in [0,1], got {self.bn_momentum!r}")
+        if not (isinstance(self.loss_weights, (tuple, list))
+                and len(self.loss_weights) == 3):
             raise ValueError("loss_weights needs exactly three entries")
+        for w in self.loss_weights:
+            require_real("loss_weights", w)
+        self.loss_weights = tuple(float(w) for w in self.loss_weights)
+        if not all(math.isfinite(w) and w >= 0.0 for w in self.loss_weights) or \
+                not any(self.loss_weights):
+            raise ValueError(f"loss_weights must be finite and >= 0, and not all "
+                             f"zero, got {self.loss_weights!r}")
         if self.l2_scope not in L2_SCOPES:
             raise ValueError(f"l2_scope must be one of {L2_SCOPES}")
-        self.loss_weights = tuple(float(w) for w in self.loss_weights)
 
     @property
     def head_dim(self) -> int:
@@ -139,55 +174,58 @@ class FieldLayout:
                    num_items=int(d["num_items"]))
 
 
-class SainParams:
-    """All learnable tensors plus batch-norm running statistics. Every learnable
-    tensor is registered exactly once in `tensors`; the registration order
-    drives initialization draws, the optimizer loop, and the flat vector used
-    by the finite-difference oracle. Running stats are excluded from gradients."""
+class SainParams(ParamSet):
+    """All learnable tensors, packed into one ParamSet arena, plus batch-norm
+    running statistics. Every learnable tensor is registered exactly once in
+    `tensors`; the registration order drives initialization draws, the
+    optimizer loop, and the flat vector used by the finite-difference oracle.
+    Running stats are excluded from gradients."""
 
     def __init__(self, layout: FieldLayout, config: ModelConfig,
                  tensors: dict[str, np.ndarray], bn_mean: np.ndarray,
-                 bn_var: np.ndarray):
+                 bn_var: np.ndarray, adam: dict[str, AdamState] | None = None):
+        super().__init__(tensors, adam)
         self.layout = layout
         self.config = config
-        self.tensors = tensors
         self.bn_mean = bn_mean
         self.bn_var = bn_var
+
+    @staticmethod
+    def shapes(layout: FieldLayout, config: ModelConfig) -> dict[str, tuple]:
+        """Every learnable tensor's shape, in registration order."""
+        d, dh = config.embed_dim, config.head_dim
+        s: dict[str, tuple] = {"embeddings": (layout.total_rows, d),
+                               "cf_user": (layout.num_users, d),
+                               "cf_item": (layout.num_items, d)}
+        for h in range(config.num_heads):
+            for p in "qkv":
+                s[f"attn{h}_w{p}"] = (d, dh)
+        s.update({"agg_user_w": (layout.m * d, d), "agg_user_b": (d,),
+                  "agg_item_w": (layout.n * d, d), "agg_item_b": (d,),
+                  "bn_gamma": (d,), "bn_beta": (d,)})
+        for side in ("",) if config.gate_shared else ("user_", "item_"):
+            s[f"gate_{side}w"] = (d,)
+            s[f"gate_{side}b"] = (1,)
+        return s
 
     @classmethod
     def init(cls, layout: FieldLayout, config: ModelConfig,
              rng: np.random.Generator) -> "SainParams":
+        """Weights uniform in +-1/sqrt(d), drawn in registration order; biases
+        and bn_beta zero; bn_gamma one."""
         if layout.m == 0 or layout.n == 0:
             raise ShapeError("the attention model needs at least one feature "
                              "field on each of the user and item sides")
-        d, dh = config.embed_dim, config.head_dim
+        d = config.embed_dim
         scale = 1.0 / math.sqrt(d)
-
-        def uniform(*shape):
-            return rng.uniform(-scale, scale, size=shape)
-
         t: dict[str, np.ndarray] = {}
-        t["embeddings"] = uniform(layout.total_rows, d)
-        t["cf_user"] = uniform(layout.num_users, d)
-        t["cf_item"] = uniform(layout.num_items, d)
-        for h in range(config.num_heads):
-            t[f"attn{h}_wq"] = uniform(d, dh)
-            t[f"attn{h}_wk"] = uniform(d, dh)
-            t[f"attn{h}_wv"] = uniform(d, dh)
-        t["agg_user_w"] = uniform(layout.m * d, d)
-        t["agg_user_b"] = np.zeros(d)
-        t["agg_item_w"] = uniform(layout.n * d, d)
-        t["agg_item_b"] = np.zeros(d)
-        t["bn_gamma"] = np.ones(d)
-        t["bn_beta"] = np.zeros(d)
-        if config.gate_shared:
-            t["gate_w"] = uniform(d)
-            t["gate_b"] = np.zeros(1)
-        else:
-            t["gate_user_w"] = uniform(d)
-            t["gate_user_b"] = np.zeros(1)
-            t["gate_item_w"] = uniform(d)
-            t["gate_item_b"] = np.zeros(1)
+        for name, shape in cls.shapes(layout, config).items():
+            if name == "bn_gamma":
+                t[name] = np.ones(shape)
+            elif name == "bn_beta" or name.endswith("_b"):
+                t[name] = np.zeros(shape)
+            else:
+                t[name] = rng.uniform(-scale, scale, size=shape)
         return cls(layout, config, t, bn_mean=np.zeros(d), bn_var=np.ones(d))
 
     def gate(self, side: str) -> tuple[np.ndarray, np.ndarray, str, str]:
@@ -198,23 +236,10 @@ class SainParams:
                 f"gate_{side}_w", f"gate_{side}_b")
 
     def clone(self) -> "SainParams":
-        return SainParams(self.layout, self.config,
-                          {k: v.copy() for k, v in self.tensors.items()},
-                          self.bn_mean.copy(), self.bn_var.copy())
-
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([v.ravel() for v in self.tensors.values()])
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        if vec.size != sum(v.size for v in self.tensors.values()):
-            raise ShapeError("flat vector length does not match parameter count")
-        pos = 0
-        for k, v in self.tensors.items():
-            self.tensors[k] = vec[pos:pos + v.size].reshape(v.shape).copy()
-            pos += v.size
+        other = super().clone()
+        other.bn_mean = self.bn_mean.copy()
+        other.bn_var = self.bn_var.copy()
+        return other
 
 
 def decayed_names(params, scope: str) -> set[str]:
@@ -555,10 +580,11 @@ def _with_cf_rows(params: SainParams, uid: int, iid: int) -> SainParams:
         raise ShapeError(f"user index {uid} out of range")
     if not (0 <= iid < params.layout.num_items):
         raise ShapeError(f"item index {iid} out of range")
-    t = dict(params.tensors)
-    t["cf_user"] = params.tensors["cf_user"][uid:uid + 1]
-    t["cf_item"] = params.tensors["cf_item"][iid:iid + 1]
-    return SainParams(params.layout, params.config, t, params.bn_mean, params.bn_var)
+    view = copy.copy(params)
+    view.tensors = {**params.tensors,
+                    "cf_user": params.tensors["cf_user"][uid:uid + 1],
+                    "cf_item": params.tensors["cf_item"][iid:iid + 1]}
+    return view
 
 
 def joint_loss(trace: ForwardTrace, ratings: np.ndarray,
@@ -590,7 +616,7 @@ def backward(trace: ForwardTrace, ratings: np.ndarray, params: SainParams,
     d = config.embed_dim
     dh = config.head_dim
     w1, w2, w3 = config.loss_weights
-    grads = params.zero_grads()
+    grads = params.zero_grads(skip=EMBEDDING_TENSORS)
 
     gc = 2.0 * w1 * (trace.score_content - r) / B
     gp = 2.0 * w2 * (trace.score_preference - r) / B

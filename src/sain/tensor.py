@@ -1,5 +1,6 @@
 """Minimal dense numerical kernel: stable softmax, deterministic top-k selection,
-a row scatter-add, Adam with decoupled weight decay, and a central
+a row scatter-add, the parameter arena (ParamSet) with its in-place,
+cache-blocked Adam step with decoupled weight decay, and a central
 finite-difference oracle used to certify every analytic gradient in this
 package.
 
@@ -9,9 +10,13 @@ not reliable in float32.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ShapeError
 
 
 def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -82,9 +87,12 @@ def scatter_add_rows(rows: np.ndarray, values: np.ndarray, num_rows: int) -> np.
                        minlength=num_rows * d).reshape(num_rows, d)
 
 
+ADAM_BLOCK = 16384   # elements per block: the six 128 KiB slices it touches fit in L2
+
+
 @dataclass
 class AdamState:
-    """Per-tensor Adam moments. t counts completed steps."""
+    """One tensor's Adam moments and step count, as a checkpoint stores them."""
 
     m: np.ndarray
     v: np.ndarray
@@ -93,30 +101,148 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
 
-    @classmethod
-    def for_param(cls, param: np.ndarray, beta1: float = 0.9, beta2: float = 0.999,
-                  eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros_like(param), v=np.zeros_like(param),
-                   t=0, beta1=beta1, beta2=beta2, eps=eps)
 
+def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+              t: int, lr: float, weight_decay: float = 0.0, beta1: float = 0.9,
+              beta2: float = 0.999, eps: float = 1e-8,
+              scratch: np.ndarray | None = None) -> None:
+    """One Adam update with bias correction, in place on param, m and v; t is
+    the number of this step (1 on the first). L2 is decoupled: lr *
+    weight_decay * param (the value before the step) is subtracted after the
+    Adam step, so the loss gradient stays independent of the regularizer.
 
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
-              lr: float, weight_decay: float = 0.0) -> tuple[np.ndarray, AdamState]:
-    """One Adam update with bias correction. L2 is decoupled: lr * weight_decay *
-    param is subtracted after the Adam step, so the loss gradient stays
-    independent of the regularizer. Returns (new param, new state)."""
-    if param.shape != grad.shape or param.shape != state.m.shape or param.shape != state.v.shape:
+    The arrays are walked in blocks of ADAM_BLOCK elements through the two
+    rows of `scratch` (allocated when None), so no full-size temporary is
+    made. Every element sees the same float operations in the same order as
+    the textbook form: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    param - (lr*(m/c1)) / (sqrt(v/c2) + eps) - (lr*wd)*param."""
+    if param.shape != grad.shape or param.shape != m.shape or param.shape != v.shape:
         raise ValueError("shape mismatch")
-    t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_param = param - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    if weight_decay != 0.0:
-        new_param = new_param - lr * weight_decay * param
-    return new_param, AdamState(m=m, v=v, t=t, beta1=state.beta1,
-                                beta2=state.beta2, eps=state.eps)
+    if not all(a.flags.c_contiguous and a.dtype == np.float64 for a in (param, m, v)):
+        raise ValueError("param, m and v must be contiguous float64 arrays")
+    p, g, m, v = param.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1)
+    if scratch is None:
+        scratch = np.empty((2, min(p.size, ADAM_BLOCK)))
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    lr_wd = lr * weight_decay
+    for lo in range(0, p.size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, p.size)
+        pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        x, y = scratch[0, :hi - lo], scratch[1, :hi - lo]
+        np.multiply(mb, beta1, out=mb)
+        np.multiply(gb, 1.0 - beta1, out=x)
+        mb += x
+        np.multiply(vb, beta2, out=vb)
+        np.multiply(gb, 1.0 - beta2, out=x)
+        x *= gb
+        vb += x
+        np.divide(vb, c2, out=y)
+        np.sqrt(y, out=y)
+        y += eps
+        np.divide(mb, c1, out=x)
+        x *= lr
+        x /= y
+        if weight_decay != 0.0:
+            np.multiply(pb, lr_wd, out=y)
+            pb -= x
+            pb -= y
+        else:
+            pb -= x
+
+
+class TensorViews(dict):
+    """name -> view into a ParamSet vector. Assigning to a name copies the
+    value into the existing view (the shape must match), so the vector stays
+    the only storage and the optimizer keeps updating what readers see."""
+
+    def __setitem__(self, name: str, value) -> None:
+        view = self[name]
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != view.shape:
+            raise ShapeError(f"tensor {name!r} has shape {view.shape}, "
+                             f"got {value.shape}")
+        view[...] = value
+
+
+class ParamSet:
+    """Named float64 tensors packed, in registration order, into one vector
+    `flat`; `tensors[name]` is a view into it, so `flat` is also the order of
+    flatten() and set_flat(). Adam's moments live in vectors `m` and `v` of
+    the same layout (`moments[name]` gives the two views), with one step
+    counter `t` for the whole set."""
+
+    def __init__(self, tensors: dict[str, np.ndarray],
+                 adam: dict[str, AdamState] | None = None):
+        arrays = {k: np.asarray(a, dtype=np.float64) for k, a in tensors.items()}
+        self._shapes = {k: a.shape for k, a in arrays.items()}
+        self.flat = np.concatenate([a.reshape(-1) for a in arrays.values()])
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.t = 0
+        self.beta1, self.beta2 = AdamState.beta1, AdamState.beta2
+        self.eps = AdamState.eps
+        self._bind()
+        if adam is not None:
+            self._set_adam(adam)
+
+    def _views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        out, pos = {}, 0
+        for name, shape in self._shapes.items():
+            size = math.prod(shape)
+            out[name] = vec[pos:pos + size].reshape(shape)
+            pos += size
+        return out
+
+    def _bind(self) -> None:
+        self.tensors = TensorViews(self._views(self.flat))
+        m, v = self._views(self.m), self._views(self.v)
+        self.moments = {name: (m[name], v[name]) for name in self._shapes}
+        self.scratch = np.empty((2, min(self.flat.size, ADAM_BLOCK)))
+
+    def _set_adam(self, states: dict[str, AdamState]) -> None:
+        if list(states) != list(self._shapes):
+            raise ShapeError("optimizer state names do not match the tensors")
+        first = next(iter(states.values()))
+        for name, s in states.items():
+            if (s.t, s.beta1, s.beta2, s.eps) != (first.t, first.beta1,
+                                                  first.beta2, first.eps):
+                raise ShapeError(f"optimizer state of {name!r} is out of step "
+                                 "with the other tensors")
+            m, v = self.moments[name]
+            if np.shape(s.m) != m.shape or np.shape(s.v) != v.shape:
+                raise ShapeError(f"optimizer state of {name!r} has the wrong shape")
+            m[...] = s.m
+            v[...] = s.v
+        self.t = int(first.t)
+        self.beta1, self.beta2, self.eps = first.beta1, first.beta2, first.eps
+
+    def adam_states(self) -> dict[str, AdamState]:
+        """Per-tensor views of the optimizer state, in tensor order."""
+        return {name: AdamState(m=m, v=v, t=self.t, beta1=self.beta1,
+                                beta2=self.beta2, eps=self.eps)
+                for name, (m, v) in self.moments.items()}
+
+    def clone(self):
+        """Independent copy: new vectors, other attributes shared."""
+        other = copy.copy(self)
+        other.flat, other.m, other.v = self.flat.copy(), self.m.copy(), self.v.copy()
+        other._bind()
+        return other
+
+    def zero_grads(self, skip=()) -> dict[str, np.ndarray]:
+        """A zero gradient per tensor, leaving out the names in `skip` (the
+        tables whose gradient the caller builds by a scatter)."""
+        return {k: np.zeros(shape) for k, shape in self._shapes.items()
+                if k not in skip}
+
+    def flatten(self) -> np.ndarray:
+        return self.flat.copy()
+
+    def set_flat(self, vec: np.ndarray) -> None:
+        if np.size(vec) != self.flat.size:
+            raise ShapeError("flat vector length does not match parameter count")
+        self.flat[...] = np.reshape(vec, -1)
 
 
 def finite_diff_gradient(scalar_fn, point, eps: float = 1e-5) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Mini-batch training with Adam, seeded shuffles, validation-driven early
 stopping, divergence detection, and deterministic reporting. One generic loop
-drives both model kinds through a small engine interface; evaluation clips
-predictions to the rating range; every emitted number is formatted with repr()
-so logs are byte-stable across runs.
+drives both model kinds through a small engine interface, and both engines
+share one optimizer update: an in-place Adam step per tensor on the views of
+the model's ParamSet arena, so a step allocates nothing the size of the
+model. Evaluation clips predictions to the rating range; every emitted number
+is formatted with repr() so logs are byte-stable across runs.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -19,13 +22,18 @@ from .checkpoint import (Checkpoint, adam_states_from_header,
 from .data import EntityFeatures, PreparedData, interactions_to_arrays
 from .errors import DivergenceError, ParseError, ShapeError
 from .model import (FieldLayout, ModelConfig, SainParams, backward,
-                    decayed_names, forward, forward_batch, joint_loss)
+                    decayed_names, forward, forward_batch, joint_loss,
+                    require_int, require_real)
 from .seeding import derive_seed, stream_rng
-from .tensor import AdamState, adam_step
+from .tensor import AdamState, ParamSet, adam_step
 
 RATING_MIN, RATING_MAX = 1.0, 5.0
 EVAL_BATCH = 4096
 DIVERGENCE_LIMIT = 1e8
+# glibc mallopt parameters and the values keep_heap() sets.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+HEAP_MMAP_THRESHOLD = 32 << 20
+HEAP_TRIM_THRESHOLD = 256 << 20
 
 
 def fmt(x) -> str:
@@ -48,6 +56,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience", "seed"):
+            require_int(name, getattr(self, name))
+        for name in ("learning_rate", "weight_decay", "min_delta"):
+            require_real(name, getattr(self, name))
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs, and patience must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
@@ -94,7 +106,8 @@ class EpochLog:
 @dataclass
 class TrainResult:
     """params/adam are the best-validation-epoch snapshot (what gets served
-    and checkpointed); final_params is the state after the last epoch run."""
+    and checkpointed; adam holds views of its moment vectors); final_params
+    is the state after the last epoch run."""
 
     params: object
     adam: dict[str, AdamState]
@@ -106,24 +119,56 @@ class TrainResult:
     final_params: object
 
 
-def _clone_adam(states: dict[str, AdamState]) -> dict[str, AdamState]:
-    return {k: AdamState(m=s.m.copy(), v=s.v.copy(), t=s.t, beta1=s.beta1,
-                         beta2=s.beta2, eps=s.eps) for k, s in states.items()}
+def keep_heap() -> None:
+    """Keep freed memory in the heap between training steps. A step's
+    temporaries (tens of MB on the benchmark workloads) are freed at its end;
+    with glibc's defaults the heap top above them is then returned to the OS,
+    and the next step faults every page back in. Blocks up to 32 MiB come
+    from the heap instead of their own mappings, and only a free top above
+    256 MiB is trimmed. Process-wide and idempotent; a no-op where the C
+    library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+
+
+def adam_update(params: ParamSet, grads: dict[str, np.ndarray], tcfg: TrainConfig,
+                decay_set: set[str]) -> None:
+    """One optimizer step of every tensor, in place: the set's step counter
+    advances once, then adam_step runs on each tensor's arena view with its
+    moment views, decoupled decay on the names in decay_set."""
+    params.t += 1
+    for name, tensor in params.tensors.items():
+        m, v = params.moments[name]
+        wd = tcfg.weight_decay if name in decay_set else 0.0
+        adam_step(tensor, grads[name], m, v, params.t, tcfg.learning_rate, wd,
+                  params.beta1, params.beta2, params.eps, params.scratch)
+
+
+def _snapshot(params: ParamSet):
+    snap = params.clone()
+    return snap, snap.adam_states()
 
 
 class SainEngine:
-    """Attention-model steps: joint three-score loss, full backward, per-tensor
-    Adam with scoped decoupled decay, and batch-norm running-stat commits."""
+    """Attention-model steps: joint three-score loss, full backward, the
+    shared in-place Adam update with scoped decoupled decay, and batch-norm
+    running-stat commits."""
 
     kind = "sain"
 
     def __init__(self, data: PreparedData, params: SainParams, tcfg: TrainConfig):
+        keep_heap()
         self.data = data
         self.params = params
         self.mcfg = params.config
         self.tcfg = tcfg
         self.users, self.items, self.ratings = interactions_to_arrays(data.split.train)
-        self.adam = {k: AdamState.for_param(v) for k, v in params.tensors.items()}
         self.dropout_rng = stream_rng(tcfg.seed, "dropout")
         self.decay_set = decayed_names(params, self.mcfg.l2_scope)
 
@@ -138,10 +183,7 @@ class SainEngine:
                               dropout_rng=self.dropout_rng)
         loss, parts = joint_loss(trace, r, self.mcfg.loss_weights)
         grads = backward(trace, r, self.params, self.mcfg)
-        for name, tensor in self.params.tensors.items():
-            wd = self.tcfg.weight_decay if name in self.decay_set else 0.0
-            self.params.tensors[name], self.adam[name] = adam_step(
-                tensor, grads[name], self.adam[name], self.tcfg.learning_rate, wd)
+        adam_update(self.params, grads, self.tcfg, self.decay_set)
         self.params.bn_mean = trace.bn_new_mean
         self.params.bn_var = trace.bn_new_var
         return loss, parts
@@ -150,7 +192,7 @@ class SainEngine:
         return evaluate_sain(self.params, self.data, split)
 
     def snapshot(self):
-        return self.params.clone(), _clone_adam(self.adam)
+        return _snapshot(self.params)
 
 
 class MfEngine:
@@ -161,11 +203,11 @@ class MfEngine:
 
     def __init__(self, data: PreparedData, params: MfParams, tcfg: TrainConfig,
                  l2_scope: str = "all"):
+        keep_heap()
         self.data = data
         self.params = params
         self.tcfg = tcfg
         self.users, self.items, self.ratings = interactions_to_arrays(data.split.train)
-        self.adam = {k: AdamState.for_param(v) for k, v in params.tensors.items()}
         self.decay_set = decayed_names(params, l2_scope)
 
     @property
@@ -177,17 +219,14 @@ class MfEngine:
         scores = mf_scores(u, i, self.params)
         loss = mf_loss(scores, r)
         grads = mf_backward(u, i, scores, r, self.params)
-        for name, tensor in self.params.tensors.items():
-            wd = self.tcfg.weight_decay if name in self.decay_set else 0.0
-            self.params.tensors[name], self.adam[name] = adam_step(
-                tensor, grads[name], self.adam[name], self.tcfg.learning_rate, wd)
+        adam_update(self.params, grads, self.tcfg, self.decay_set)
         return loss, (None, None, loss)
 
     def evaluate(self, split: str) -> EvalReport:
         return evaluate_mf(self.params, self.data, split)
 
     def snapshot(self):
-        return self.params.clone(), _clone_adam(self.adam)
+        return _snapshot(self.params)
 
 
 def run_training(engine, tcfg: TrainConfig) -> TrainResult:
@@ -413,20 +452,48 @@ def save_model(path: str, kind: str, params, adam: dict[str, AdamState] | None =
     save_checkpoint(path, ckpt)
 
 
+def _check_shapes(path: str, what: str, arrays: dict[str, np.ndarray],
+                  expected: dict[str, tuple]) -> None:
+    got = [(name, a.shape) for name, a in arrays.items()]
+    if got != list(expected.items()):
+        wrong = next((f"{n} {s}" for n, s in got if expected.get(n) != s),
+                     "the tensor names or their order")
+        raise ParseError(f"checkpoint {what} do not match its layout "
+                         f"({wrong}): {path}")
+
+
 def load_model(path: str):
-    """Inverse of save_model: (kind, params, adam or None, meta)."""
+    """Inverse of save_model: (kind, params, adam or None, meta). Every tensor
+    must have the name, order and shape that the stored layout and config
+    imply, and the optimizer moments those of the tensors. They are packed
+    into the params' arena once; the returned adam states are views of its
+    moment vectors."""
     ckpt = load_checkpoint(path)
-    if ckpt.kind == "sain":
-        params = SainParams(FieldLayout.from_dict(ckpt.layout),
-                            ModelConfig.from_dict(ckpt.config),
-                            dict(ckpt.tensors), ckpt.stats["bn_mean"],
-                            ckpt.stats["bn_var"])
-    elif ckpt.kind == "biasedmf":
-        params = MfParams(dict(ckpt.tensors), mu=float(ckpt.layout["mu"]),
-                          num_users=int(ckpt.layout["num_users"]),
-                          num_items=int(ckpt.layout["num_items"]),
-                          dim=int(ckpt.layout["dim"]))
-    else:
-        raise ParseError(f"unknown model kind in checkpoint: {ckpt.kind!r}")
-    adam = adam_states_from_header(ckpt.adam) if ckpt.adam else None
-    return ckpt.kind, params, adam, ckpt.meta
+    try:
+        if ckpt.kind == "sain":
+            layout = FieldLayout.from_dict(ckpt.layout)
+            config = ModelConfig.from_dict(ckpt.config)
+            expected = SainParams.shapes(layout, config)
+            stats = {"bn_mean": (config.embed_dim,), "bn_var": (config.embed_dim,)}
+            _check_shapes(path, "stats", ckpt.stats, stats)
+        elif ckpt.kind == "biasedmf":
+            sizes = [int(ckpt.layout[k]) for k in ("num_users", "num_items", "dim")]
+            mu = float(ckpt.layout["mu"])
+            expected = MfParams.shapes(*sizes)
+        else:
+            raise ParseError(f"unknown model kind in checkpoint: {ckpt.kind!r}")
+        adam = adam_states_from_header(ckpt.adam) if ckpt.adam else None
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"checkpoint layout, config or optimizer state "
+                         f"malformed: {path}: {e!r}") from e
+    _check_shapes(path, "tensors", ckpt.tensors, expected)
+    try:
+        if ckpt.kind == "sain":
+            params = SainParams(layout, config, ckpt.tensors,
+                                ckpt.stats["bn_mean"].copy(),
+                                ckpt.stats["bn_var"].copy(), adam=adam)
+        else:
+            params = MfParams(ckpt.tensors, mu, *sizes, adam=adam)
+    except ShapeError as e:
+        raise ParseError(f"checkpoint optimizer state unusable: {path}: {e}") from e
+    return ckpt.kind, params, params.adam_states() if adam else None, ckpt.meta

@@ -85,6 +85,31 @@ class TestLossAndGradients:
         np.testing.assert_allclose(grads["user_factors"][0],
                                    np.full(2, g.sum()), atol=1e-15)
 
+    def test_scatters_equal_np_add_at_bit_for_bit(self):
+        # Heavily repeated ids, mixed-sign contributions of very different
+        # sizes, and rows no pair touches: the bincount scatters must sum each
+        # row in batch order from zero, exactly as np.add.at does.
+        rng = np.random.default_rng(44)
+        p = MfParams.init(30, 20, 5, mu=3.0, rng=rng)
+        p.tensors["user_bias"] = rng.normal(size=30)
+        uids = rng.integers(0, 6, size=500)
+        iids = rng.integers(0, 15, size=500)
+        ratings = rng.uniform(1.0, 5.0, 500) * 10.0 ** rng.integers(-3, 3, 500)
+        scores = mf_scores(uids, iids, p)
+        grads = mf_backward(uids, iids, scores, ratings, p)
+        g = 2.0 * (scores - ratings) / ratings.shape[0]
+        expected = {k: np.zeros_like(v) for k, v in p.tensors.items()}
+        factors_u, factors_i = p.tensors["user_factors"], p.tensors["item_factors"]
+        np.add.at(expected["user_factors"], uids, g[:, None] * factors_i[iids])
+        np.add.at(expected["item_factors"], iids, g[:, None] * factors_u[uids])
+        np.add.at(expected["user_bias"], uids, g)
+        np.add.at(expected["item_bias"], iids, g)
+        assert list(grads) == list(expected)
+        for name, want in expected.items():
+            assert grads[name].shape == want.shape
+            assert grads[name].tobytes() == want.tobytes(), name
+        assert not grads["user_bias"][6:].any() and not grads["item_factors"][15:].any()
+
     def test_mismatched_ratings_rejected(self):
         p = _params()
         with pytest.raises(ShapeError):

@@ -2,6 +2,7 @@
 and malformed-input rejection."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -146,3 +147,66 @@ class TestCorruption:
         save_checkpoint(path, _sample())
         with open(path, "rb") as f:
             assert f.read(8) == MAGIC
+
+
+def _with_header(path, edit):
+    """Save the sample, let `edit` change its decoded header in place, and
+    re-seal the file with a correct digest."""
+    save_checkpoint(path, _sample())
+    with open(path, "rb") as f:
+        blob = f.read()[:-32]
+    n = int.from_bytes(blob[len(MAGIC):len(MAGIC) + 8], "little")
+    start = len(MAGIC) + 8
+    header = json.loads(blob[start:start + n])
+    edit(header)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    _rewrite(path, MAGIC + len(head).to_bytes(8, "little") + head + blob[start + n:])
+
+
+def _set_shape(value):
+    def edit(h):
+        h["arrays"][0]["shape"] = value
+    return edit
+
+
+class TestMalformedHeader:
+    """The digest is valid in every case, so only the header checks stand
+    between these files and a KeyError or reshape traceback."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.pop("arrays"), "lacks"),
+        (lambda h: h.pop("kind"), "lacks"),
+        (lambda h: h.pop("layout"), "lacks"),
+        (lambda h: h.update(kind=7), "lacks"),
+        (lambda h: h.update(arrays={"tensor/alpha": [3, 4]}), "lacks"),
+        (_set_shape("3x4"), "malformed shape"),
+        (_set_shape([3, -4]), "malformed shape"),
+        (_set_shape([3.0, 4]), "malformed shape"),
+        (_set_shape([True, 4]), "malformed shape"),
+        (_set_shape(None), "malformed shape"),
+        (lambda h: h["arrays"].__setitem__(0, "tensor/alpha"), "entry malformed"),
+        (lambda h: h["arrays"][0].pop("name"), "entry malformed"),
+        (lambda h: h["adam"].pop("t"), "optimizer header"),
+        (lambda h: h["adam"].update(beta1="x"), "optimizer header"),
+        (lambda h: h["adam"].update(t=[7, 7]), "optimizer header")],
+        ids=["no-arrays", "no-kind", "no-layout", "kind-not-text", "arrays-not-list",
+             "shape-text", "shape-negative", "shape-float", "shape-bool", "shape-null",
+             "entry-not-object", "entry-no-name", "adam-no-t", "adam-beta-text",
+             "adam-t-list"])
+    def test_is_a_parse_error(self, tmp_path, edit, message):
+        path = str(tmp_path / "k.ckpt")
+        _with_header(path, edit)
+        with pytest.raises(ParseError, match=message):
+            load_checkpoint(path)
+
+    def test_unedited_header_still_loads(self, tmp_path):
+        path = str(tmp_path / "l.ckpt")
+        _with_header(path, lambda h: None)
+        assert load_checkpoint(path).kind == "sain"
+
+    def test_header_that_is_not_an_object(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        head = b"[1,2]"
+        _rewrite(path, MAGIC + len(head).to_bytes(8, "little") + head)
+        with pytest.raises(ParseError, match="lacks"):
+            load_checkpoint(path)

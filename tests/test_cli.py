@@ -162,6 +162,25 @@ class TestTrainCommand:
         assert main(["train", "--config", path]) == 1
         assert capsys.readouterr().err.startswith("error category=error: min_delta")
 
+    @pytest.mark.parametrize("scope, key, value", [
+        ("model_config", "embed_dim", 8.0), ("model_config", "top_k", True),
+        ("train_config", "batch_size", 64.0), ("train_config", "max_epochs", 2.0),
+        ("model_config", "bn_epsilon", -1.0), ("model_config", "bn_momentum", 2.0),
+        ("model_config", "loss_weights", [0.0, 0.0, 0.0]),
+        ("model_config", "loss_weights", [1.0, -1.0, 1.0])])
+    def test_bad_run_config_values_exit_1_before_training(
+            self, tmp_path, synthetic_manifest, capsys, scope, key, value):
+        base = {"model_config": {"embed_dim": 8, "num_heads": 2, "top_k": 2,
+                                 "dropout_rate": 0.1},
+                "train_config": {"max_epochs": 2, "batch_size": 64, "seed": 3}}
+        base[scope][key] = value
+        path = _write_config(tmp_path, synthetic_manifest, **base)
+        assert main(["train", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error category=error: {key}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         """embed_dim 64 and batch 256 make the Q/K/V and weight-gradient GEMMs
         big enough for OpenBLAS to split them across threads; the log and the

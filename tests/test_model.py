@@ -50,6 +50,36 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(l2_scope="none")
 
+    @pytest.mark.parametrize("field", ["embed_dim", "num_heads", "top_k",
+                                       "num_attention_layers"])
+    @pytest.mark.parametrize("value", [8.0, 1.0, True])
+    def test_integer_fields_reject_floats_and_bools(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("dropout_rate", "0.1"), ("dropout_rate", True), ("bn_epsilon", None),
+        ("gate_shared", 1), ("renormalize_topk", "yes")])
+    def test_other_fields_reject_wrong_types(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("bn_epsilon", 0.0), ("bn_epsilon", -1.0), ("bn_epsilon", float("nan")),
+        ("bn_epsilon", float("inf")), ("bn_momentum", -0.1), ("bn_momentum", 1.5),
+        ("bn_momentum", float("nan")), ("loss_weights", (1.0, -1.0, 1.0)),
+        ("loss_weights", (float("nan"), 1.0, 1.0)),
+        ("loss_weights", (1.0, float("inf"), 1.0)), ("loss_weights", (0.0, 0.0, 0.0)),
+        ("loss_weights", (1.0, "a", 1.0)), ("loss_weights", 3.0)])
+    def test_batch_norm_and_loss_weight_ranges(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: value})
+
+    def test_accepts_boundary_values(self):
+        ModelConfig(bn_epsilon=1e-300, bn_momentum=0.0, loss_weights=(0, 0, 1))
+        cfg = ModelConfig(bn_momentum=1.0, loss_weights=[2, 0.0, 0])
+        assert cfg.loss_weights == (2.0, 0.0, 0.0)
+
     def test_dict_round_trip(self):
         cfg = ModelConfig(embed_dim=8, num_heads=4, top_k=2, dropout_rate=0.0,
                           loss_weights=(0.5, 1.0, 2.0), gate_shared=True,

@@ -1,14 +1,18 @@
 """Unit tests for the dense numerical kernel: softmax, top-k selection, the
-row scatter-add, Adam, and the finite-difference oracle itself."""
+row scatter-add, the parameter arena and its in-place Adam step, and the
+finite-difference oracle itself."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sain.tensor import (AdamState, adam_step, as_matrix, finite_diff_gradient,
-                         relative_error, scatter_add_rows, softmax_row,
-                         softmax_rows, top_k_indices, top_k_mask_rows)
+from sain.errors import ShapeError
+from sain.tensor import (ADAM_BLOCK, AdamState, ParamSet, adam_step, as_matrix,
+                         finite_diff_gradient, relative_error, scatter_add_rows,
+                         softmax_row, softmax_rows, top_k_indices,
+                         top_k_mask_rows)
+from sain.training import TrainConfig, adam_update
 
 
 class TestSoftmax:
@@ -129,52 +133,177 @@ class TestScatterAddRows:
         np.testing.assert_array_equal(out, np.zeros((2, 4)))
 
 
+def _adam_reference(param, grad, m, v, t, lr, weight_decay=0.0,
+                    beta1=0.9, beta2=0.999, eps=1e-8):
+    """The out-of-place textbook update, the oracle for the in-place one."""
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    new_param = param - lr * m_hat / (np.sqrt(v_hat) + eps)
+    if weight_decay != 0.0:
+        new_param = new_param - lr * weight_decay * param
+    return new_param, m, v
+
+
+def _zero_moments(p):
+    return np.zeros_like(p), np.zeros_like(p)
+
+
 class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         # With bias correction the very first step is lr * g / (|g| + eps).
-        p = np.asarray([1.0])
-        state = AdamState.for_param(p)
-        new_p, new_state = adam_step(p, np.asarray([1.0]), state, lr=0.1)
-        assert math.isclose(new_p[0], 0.9, abs_tol=1e-7)
-        assert new_state.t == 1
-        np.testing.assert_allclose(new_state.m, [0.1], atol=1e-15)
-        np.testing.assert_allclose(new_state.v, [0.001], atol=1e-15)
+        ps = ParamSet({"p": np.asarray([1.0])})
+        adam_update(ps, {"p": np.asarray([1.0])},
+                    TrainConfig(learning_rate=0.1, weight_decay=0.0), set())
+        assert math.isclose(ps.tensors["p"][0], 0.9, abs_tol=1e-7)
+        assert ps.t == 1
+        m, v = ps.moments["p"]
+        np.testing.assert_allclose(m, [0.1], atol=1e-15)
+        np.testing.assert_allclose(v, [0.001], atol=1e-15)
 
     def test_decay_only_step(self):
         # Zero gradient leaves the Adam term at zero; only the decoupled decay
         # moves the parameter: 1 - lr * wd = 0.95.
         p = np.asarray([1.0])
-        state = AdamState.for_param(p)
-        new_p, _ = adam_step(p, np.zeros(1), state, lr=0.1, weight_decay=0.5)
-        assert math.isclose(new_p[0], 0.95, abs_tol=1e-15)
+        adam_step(p, np.zeros(1), *_zero_moments(p), 1, lr=0.1, weight_decay=0.5)
+        assert math.isclose(p[0], 0.95, abs_tol=1e-15)
 
     def test_zero_grad_zero_decay_is_identity(self):
         rng = np.random.default_rng(6)
         p = rng.normal(size=(3, 4))
-        new_p, _ = adam_step(p, np.zeros_like(p), AdamState.for_param(p), lr=0.1)
-        np.testing.assert_array_equal(new_p, p)
+        before = p.copy()
+        adam_step(p, np.zeros_like(p), *_zero_moments(p), 1, lr=0.1)
+        np.testing.assert_array_equal(p, before)
 
     def test_decay_is_decoupled_from_moments(self):
         # The decay term must not leak into m/v: moments match the no-decay run.
-        p = np.asarray([2.0, -1.0])
         g = np.asarray([0.3, 0.7])
-        _, s_plain = adam_step(p, g, AdamState.for_param(p), lr=0.01)
-        _, s_decay = adam_step(p, g, AdamState.for_param(p), lr=0.01,
-                               weight_decay=0.5)
-        np.testing.assert_array_equal(s_plain.m, s_decay.m)
-        np.testing.assert_array_equal(s_plain.v, s_decay.v)
+        p_plain, p_decay = np.asarray([2.0, -1.0]), np.asarray([2.0, -1.0])
+        m_plain, v_plain = _zero_moments(p_plain)
+        m_decay, v_decay = _zero_moments(p_decay)
+        adam_step(p_plain, g, m_plain, v_plain, 1, lr=0.01)
+        adam_step(p_decay, g, m_decay, v_decay, 1, lr=0.01, weight_decay=0.5)
+        np.testing.assert_array_equal(m_plain, m_decay)
+        np.testing.assert_array_equal(v_plain, v_decay)
 
     def test_steps_descend_a_quadratic(self):
         p = np.asarray([5.0])
-        state = AdamState.for_param(p)
-        for _ in range(200):
-            p, state = adam_step(p, 2.0 * p, state, lr=0.1)
+        m, v = _zero_moments(p)
+        for t in range(1, 201):
+            adam_step(p, 2.0 * p, m, v, t, lr=0.1)
         assert abs(p[0]) < 0.1
 
     def test_shape_mismatch_raises(self):
         p = np.zeros(3)
         with pytest.raises(ValueError):
-            adam_step(p, np.zeros(4), AdamState.for_param(p), lr=0.1)
+            adam_step(p, np.zeros(4), *_zero_moments(p), 1, lr=0.1)
+
+    def test_non_contiguous_param_raises(self):
+        # A strided view would be updated in a reshaped copy and lost.
+        p = np.zeros((4, 4))[:, ::2]
+        with pytest.raises(ValueError):
+            adam_step(p, np.zeros_like(p), *_zero_moments(p.copy()), 1, lr=0.1)
+
+    @pytest.mark.parametrize("shape", [(ADAM_BLOCK - 1,), (ADAM_BLOCK,),
+                                       (ADAM_BLOCK + 1,), (130, 257)])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_in_place_matches_the_out_of_place_oracle_bit_for_bit(
+            self, shape, weight_decay):
+        rng = np.random.default_rng(len(shape) * 7 + shape[0])
+        p = rng.normal(size=shape)
+        m, v = _zero_moments(p)
+        ref_p, ref_m, ref_v = p.copy(), m.copy(), v.copy()
+        scratch = np.empty((2, ADAM_BLOCK))
+        for t in range(1, 21):
+            # Every fourth step has a zero gradient; the others have some
+            # zero entries, as untouched table rows do.
+            g = np.zeros(shape) if t % 4 == 0 else (
+                rng.normal(scale=10.0 ** rng.integers(-6, 2), size=shape)
+                * (rng.random(shape) > 0.2))
+            adam_step(p, g, m, v, t, lr=1e-2, weight_decay=weight_decay,
+                      scratch=scratch if t % 2 else None)
+            ref_p, ref_m, ref_v = _adam_reference(ref_p, g, ref_m, ref_v, t, 1e-2,
+                                                  weight_decay)
+            assert p.tobytes() == ref_p.tobytes()
+            assert m.tobytes() == ref_m.tobytes()
+            assert v.tobytes() == ref_v.tobytes()
+
+
+class TestParamSet:
+    def _set(self):
+        rng = np.random.default_rng(9)
+        return ParamSet({"w": rng.normal(size=(3, 4)), "b": rng.normal(size=5),
+                         "one": np.ones(1)})
+
+    def test_tensors_are_views_of_one_vector_in_order(self):
+        ps = self._set()
+        assert ps.flat.shape == (18,)
+        pos = 0
+        for name, t in ps.tensors.items():
+            assert np.shares_memory(t, ps.flat)
+            np.testing.assert_array_equal(t.reshape(-1), ps.flat[pos:pos + t.size])
+            pos += t.size
+        ps.flat[12] = 42.0
+        assert ps.tensors["b"][0] == 42.0
+        assert [t.shape for t in ps.tensors.values()] == [(3, 4), (5,), (1,)]
+
+    def test_assigning_a_name_writes_into_the_arena(self):
+        ps = self._set()
+        view = ps.tensors["w"]
+        ps.tensors["w"] = np.full((3, 4), 2.0)
+        assert ps.tensors["w"] is view
+        np.testing.assert_array_equal(ps.flat[:12], np.full(12, 2.0))
+        with pytest.raises(ShapeError):
+            ps.tensors["w"] = np.zeros(12)
+
+    def test_clone_is_independent(self):
+        ps = self._set()
+        ps.t = 3
+        ps.m[:] = 1.0
+        other = ps.clone()
+        other.tensors["w"][0, 0] = 99.0
+        other.moments["b"][0][:] = 5.0
+        other.t += 1
+        assert ps.tensors["w"][0, 0] != 99.0
+        np.testing.assert_array_equal(ps.m, np.ones(18))
+        assert ps.t == 3 and other.t == 4
+        np.testing.assert_array_equal(other.m[12:17], np.full(5, 5.0))
+        assert not np.shares_memory(other.flat, ps.flat)
+
+    def test_flatten_set_flat_round_trip(self):
+        ps = self._set()
+        flat = ps.flatten()
+        flat[0] = 7.0                          # a copy, not the arena
+        assert ps.tensors["w"][0, 0] != 7.0
+        ps.set_flat(flat * 2.0)
+        np.testing.assert_array_equal(ps.flatten(), flat * 2.0)
+        np.testing.assert_array_equal(ps.tensors["w"].reshape(-1), flat[:12] * 2.0)
+        with pytest.raises(ShapeError):
+            ps.set_flat(flat[:-1])
+
+    def test_zero_grads_match_shapes_and_skip(self):
+        ps = self._set()
+        grads = ps.zero_grads(skip=("b",))
+        assert list(grads) == ["w", "one"]
+        assert grads["w"].shape == (3, 4) and not grads["w"].any()
+
+    def test_adam_states_round_trip_and_must_be_in_step(self):
+        ps = self._set()
+        rng = np.random.default_rng(10)
+        ps.m[:] = rng.normal(size=18)
+        ps.v[:] = rng.random(18)
+        ps.t = 7
+        states = ps.adam_states()
+        assert all(s.t == 7 for s in states.values())
+        assert np.shares_memory(states["b"].m, ps.m)
+        again = ParamSet(ps.tensors, adam=states)
+        np.testing.assert_array_equal(again.m, ps.m)
+        np.testing.assert_array_equal(again.v, ps.v)
+        assert again.t == 7
+        states["one"] = AdamState(m=states["one"].m, v=states["one"].v, t=6)
+        with pytest.raises(ShapeError):
+            ParamSet(ps.tensors, adam=states)
 
 
 class TestFiniteDifference:

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from sain.errors import DivergenceError, ParseError, ShapeError
+from sain import training
+from sain.checkpoint import load_checkpoint, save_checkpoint
 from sain.model import ModelConfig
 from sain.seeding import derive_seed
 from sain.training import (EpochLog, EvalReport, TrainConfig, attention_matrices,
@@ -79,6 +81,19 @@ class TestTrainConfig:
         ("min_delta", float("-inf"))])
     def test_rejects_non_finite_and_out_of_range_floats(self, field, value):
         with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 64.0), ("max_epochs", True), ("patience", 2.5),
+        ("seed", 1.0), ("seed", False)])
+    def test_integer_fields_reject_floats_and_bools(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", "0.1"), ("weight_decay", True), ("min_delta", None)])
+    def test_float_fields_reject_non_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
             TrainConfig(**{field: value})
 
     def test_accepts_boundary_floats(self):
@@ -280,6 +295,48 @@ class TestTrainSain:
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
 
+class TestKeepHeap:
+    class _Mallopt:
+        """Stands in for the C function: records calls and ctypes settings."""
+
+        def __init__(self):
+            self.calls = []
+
+        def __call__(self, param, value):
+            self.calls.append((param, value))
+            return 1
+
+    def test_sets_mmap_then_trim_threshold(self, monkeypatch):
+        libc = type("Libc", (), {})()
+        libc.mallopt = self._Mallopt()
+        monkeypatch.setattr(training.ctypes, "CDLL", lambda name: libc)
+        training.keep_heap()
+        assert libc.mallopt.calls == [(-3, 32 << 20), (-1, 256 << 20)]
+        assert libc.mallopt.argtypes == [training.ctypes.c_int, training.ctypes.c_int]
+
+    def test_no_op_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(training.ctypes, "CDLL", lambda name: object())
+        training.keep_heap()
+
+        def no_library(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(training.ctypes, "CDLL", no_library)
+        training.keep_heap()
+
+    def test_runs_on_this_platform_and_when_each_engine_is_built(self, prepared,
+                                                                 monkeypatch):
+        training.keep_heap()
+        built = []
+        monkeypatch.setattr(training, "keep_heap", lambda: built.append(1))
+        training.SainEngine(prepared, small_params(prepared, seed=1)[0], TrainConfig())
+        from sain.baseline import MfParams
+        mf = MfParams.init(prepared.num_users, prepared.num_items, 2, 3.0,
+                           np.random.default_rng(0))
+        training.MfEngine(prepared, mf, TrainConfig())
+        assert built == [1, 1]
+
+
 class TestEvaluate:
     def test_report_structure_and_idempotence(self, prepared):
         result, _, _ = _quick_train(prepared)
@@ -397,6 +454,63 @@ class TestModelSerialization:
         assert (params.num_users, params.num_items, params.dim) == (
             result.params.num_users, result.params.num_items, result.params.dim)
         np.testing.assert_array_equal(params.flatten(), result.params.flatten())
+
+    def test_loaded_params_are_one_arena_with_the_saved_moments(self, prepared,
+                                                                tmp_path):
+        result, _, _ = _quick_train(prepared)
+        path = str(tmp_path / "m.ckpt")
+        save_model(path, "sain", result.params, result.adam)
+        _, params, adam, _ = load_model(path)
+        assert all(np.shares_memory(t, params.flat) for t in params.tensors.values())
+        assert params.t == result.params.t > 0
+        np.testing.assert_array_equal(params.m, result.params.m)
+        np.testing.assert_array_equal(params.v, result.params.v)
+        assert all(np.shares_memory(s.m, params.m) for s in adam.values())
+
+    @staticmethod
+    def _edited(path, edit):
+        ckpt = load_checkpoint(path)
+        edit(ckpt)
+        save_checkpoint(path, ckpt)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c.tensors.pop("gate_user_b"), "tensors do not match"),
+        (lambda c: c.tensors.update(embeddings=c.tensors["embeddings"][1:]),
+         r"tensors do not match its layout \(embeddings"),
+        (lambda c: c.tensors.update(cf_user=c.tensors.pop("cf_user")),
+         "tensors do not match its layout"),
+        (lambda c: c.config.update(embed_dim=4), "do not match its layout"),
+        (lambda c: c.stats.pop("bn_var"), "stats do not match"),
+        (lambda c: c.adam["m"].update(bn_beta=np.zeros(3)), "wrong shape"),
+        (lambda c: c.adam["t"].update(bn_beta=1), "optimizer state unusable"),
+        (lambda c: c.adam["t"].pop("bn_beta"), "optimizer state"),
+        (lambda c: c.layout.pop("num_items"), "layout, config"),
+        (lambda c: c.config.update(top_k=2.0), "layout, config")],
+        ids=["missing-tensor", "short-table", "reordered", "config-shape",
+             "missing-stat", "moment-shape", "t-out-of-step", "t-missing",
+             "layout-key", "config-type"])
+    def test_sain_checkpoint_must_match_its_layout(self, prepared, tmp_path,
+                                                   edit, message):
+        result, _, _ = _quick_train(prepared)
+        path = str(tmp_path / "m.ckpt")
+        save_model(path, "sain", result.params, result.adam)
+        self._edited(path, edit)
+        with pytest.raises(ParseError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.layout.update(num_users=c.layout["num_users"] + 1),
+        lambda c: c.layout.update(dim=3),
+        lambda c: c.layout.pop("mu")], ids=["num-users", "dim", "no-mu"])
+    def test_biasedmf_checkpoint_must_match_its_layout(self, prepared, tmp_path,
+                                                       edit):
+        from sain.training import train_biasedmf
+        result = train_biasedmf(prepared, dim=4, tcfg=TrainConfig(max_epochs=1))
+        path = str(tmp_path / "m.ckpt")
+        save_model(path, "biasedmf", result.params, result.adam)
+        self._edited(path, edit)
+        with pytest.raises(ParseError):
+            load_model(path)
 
     def test_unknown_kind_rejected(self, prepared, tmp_path):
         result, _, _ = _quick_train(prepared)
