@@ -7,7 +7,7 @@ finite-difference gradient certification suite.
 from .baseline import MfParams, mf_backward, mf_loss, mf_scores
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import (DatasetManifest, DatasetSplit, EntityFeatures, FeatureVocab,
-                   FieldSpec, Interaction, PreparedData, build_dataset,
+                   FieldSpec, Interactions, PreparedData, build_dataset,
                    build_feature_vocab, encode_entity_features, load_ratings,
                    pack_features, split_dataset)
 from .errors import (DivergenceError, IoError, ManifestDriftError, ParseError,

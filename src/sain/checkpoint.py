@@ -40,7 +40,8 @@ class Checkpoint:
     meta: dict = field(default_factory=dict)
 
 
-def _encode(ckpt: Checkpoint) -> bytes:
+def _layout(ckpt: Checkpoint) -> tuple[bytes, list[np.ndarray]]:
+    """The canonical JSON header and the arrays of the payload, in order."""
     arrays: list[tuple[str, np.ndarray]] = []
     for name, arr in ckpt.tensors.items():
         arrays.append((f"tensor/{name}", arr))
@@ -64,16 +65,25 @@ def _encode(ckpt: Checkpoint) -> bytes:
         "meta": ckpt.meta,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays)
-    blob = MAGIC + len(head).to_bytes(8, "little") + head + body
-    return blob + hashlib.sha256(blob).digest()
+    return head, [a for _, a in arrays]
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    data = _encode(ckpt)
+    """Stream the checkpoint into `path + ".tmp"` through one running sha256,
+    then rename it over `path`. Each array's own buffer is written; only an
+    array that is not C-contiguous little-endian float64 is copied first."""
+    head, arrays = _layout(ckpt)
+    digest = hashlib.sha256()
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
-        f.write(data)
+        def write(chunk) -> None:
+            digest.update(chunk)
+            f.write(chunk)
+
+        write(MAGIC + len(head).to_bytes(8, "little") + head)
+        for arr in arrays:
+            write(np.ascontiguousarray(arr, dtype="<f8").reshape(-1))
+        f.write(digest.digest())
     os.replace(tmp, path)
 
 

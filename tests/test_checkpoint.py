@@ -1,17 +1,57 @@
 """Checkpoint container tests: byte-exact round trips, checksum enforcement,
-and malformed-input rejection."""
+and malformed-input rejection. The streamed writer is checked against the
+in-memory encoder it replaced, kept here as the byte oracle."""
 
 import hashlib
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sain import training
 from sain.checkpoint import (MAGIC, Checkpoint, adam_states_from_header,
                              adam_states_to_header, load_checkpoint,
                              save_checkpoint)
 from sain.errors import IoError, ParseError
+from sain.model import ModelConfig
 from sain.tensor import AdamState
+
+
+def _encode(ckpt: Checkpoint) -> bytes:
+    """The whole checkpoint file, built in memory as the writer once did."""
+    arrays: list[tuple[str, np.ndarray]] = []
+    for name, arr in ckpt.tensors.items():
+        arrays.append((f"tensor/{name}", arr))
+    for name, arr in ckpt.stats.items():
+        arrays.append((f"stat/{name}", arr))
+    adam_header = None
+    if ckpt.adam is not None:
+        for name in ckpt.tensors:
+            arrays.append((f"adam_m/{name}", ckpt.adam["m"][name]))
+            arrays.append((f"adam_v/{name}", ckpt.adam["v"][name]))
+        adam_header = {"beta1": ckpt.adam["beta1"], "beta2": ckpt.adam["beta2"],
+                       "eps": ckpt.adam["eps"],
+                       "t": {k: int(v) for k, v in ckpt.adam["t"].items()}}
+    header = {
+        "format": 1,
+        "kind": ckpt.kind,
+        "config": ckpt.config,
+        "layout": ckpt.layout,
+        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
+        "adam": adam_header,
+        "meta": ckpt.meta,
+    }
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays)
+    blob = MAGIC + len(head).to_bytes(8, "little") + head + body
+    return blob + hashlib.sha256(blob).digest()
+
+
+def _read(path) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
 
 
 def _sample(with_adam=True):
@@ -210,3 +250,75 @@ class TestMalformedHeader:
         _rewrite(path, MAGIC + len(head).to_bytes(8, "little") + head)
         with pytest.raises(ParseError, match="lacks"):
             load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def trained_models(prepared):
+    """One short SAIN run and one short BiasedMF run on the fixture."""
+    tcfg = training.TrainConfig(max_epochs=1, batch_size=64, seed=2)
+    sain = training.train_sain(prepared, ModelConfig(embed_dim=8, num_heads=2,
+                                                     top_k=2), tcfg)
+    mf = training.train_biasedmf(prepared, 4, tcfg)
+    return {"sain": sain, "biasedmf": mf}
+
+
+class TestStreamedWriter:
+    @pytest.mark.parametrize("kind", ["sain", "biasedmf"])
+    @pytest.mark.parametrize("with_adam", [True, False], ids=["adam", "no-adam"])
+    def test_model_bytes_equal_the_in_memory_encoding(self, tmp_path, monkeypatch,
+                                                      trained_models, kind, with_adam):
+        result = trained_models[kind]
+        saved = []
+
+        def capture(path, ckpt):
+            saved.append(ckpt)
+            save_checkpoint(path, ckpt)
+
+        monkeypatch.setattr(training, "save_checkpoint", capture)
+        path = str(tmp_path / "model.ckpt")
+        training.save_model(path, kind, result.params,
+                            result.adam if with_adam else None, {"seed": 2})
+        assert _read(path) == _encode(saved[0])
+        assert (load_checkpoint(path).adam is None) != with_adam
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    def test_sample_bytes_equal_the_in_memory_encoding(self, tmp_path):
+        for with_adam in (True, False):
+            path = str(tmp_path / "s.ckpt")
+            save_checkpoint(path, _sample(with_adam))
+            assert _read(path) == _encode(_sample(with_adam))
+
+    def test_arrays_of_any_layout_are_written_as_little_endian_float64(self, tmp_path):
+        rng = np.random.default_rng(61)
+        tensors = {"strided": rng.normal(size=(4, 6))[:, ::2],
+                   "transposed": rng.normal(size=(3, 5)).T,
+                   "big_endian": rng.normal(size=7).astype(">f8"),
+                   "single": rng.normal(size=7).astype(np.float32),
+                   "integer": np.arange(5), "scalar": np.array(2.5),
+                   "empty": np.zeros((0, 3))}
+        ckpt = Checkpoint(kind="sain", config={}, layout={}, tensors=tensors)
+        path = str(tmp_path / "odd.ckpt")
+        save_checkpoint(path, ckpt)
+        assert _read(path) == _encode(ckpt)
+        loaded = load_checkpoint(path)
+        for name, arr in tensors.items():
+            np.testing.assert_array_equal(loaded.tensors[name], arr)
+            assert loaded.tensors[name].shape == arr.shape
+
+    def test_saving_allocates_no_copy_of_the_payload(self, tmp_path):
+        # 8 MB of tensors and moments; the in-memory encoder peaked at about
+        # three times that.
+        rng = np.random.default_rng(62)
+        tensors = {"table": rng.normal(size=(1024, 256)), "bias": rng.normal(size=256)}
+        adam = adam_states_to_header({k: AdamState(m=np.zeros_like(v),
+                                                   v=np.ones_like(v), t=3)
+                                      for k, v in tensors.items()})
+        ckpt = Checkpoint(kind="biasedmf", config={}, layout={}, tensors=tensors,
+                          adam=adam)
+        tracemalloc.start()
+        try:
+            save_checkpoint(str(tmp_path / "big.ckpt"), ckpt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -214,6 +214,55 @@ def trained(run_config, tmp_path):
     return run_config, tmp_path
 
 
+def _broken_dataset(tmp_path, edit):
+    """A private synthetic dataset whose files `edit(root)` then breaks, and a
+    run config for it."""
+    root = tmp_path / "data"
+    manifest = write_synthetic_dataset(str(root))
+    edit(root)
+    return _write_config(tmp_path, manifest, name="broken.json")
+
+
+def _make_directory(name):
+    def edit(root):
+        os.remove(root / name)
+        os.mkdir(root / name)
+    return edit
+
+
+def _append_bytes(name, data):
+    def edit(root):
+        with open(root / name, "ab") as f:
+            f.write(data)
+    return edit
+
+
+class TestBadDataFiles:
+    """Each bad data file ends the command with one error line naming the
+    file (and the line, where there is one) and its category's exit code."""
+
+    @pytest.mark.parametrize("edit, code, category, needle", [
+        (_make_directory("ratings.tsv"), 3, "io", "cannot read {root}/ratings.tsv"),
+        (_make_directory("item_tag.tsv"), 3, "io", "cannot read {root}/item_tag.tsv"),
+        (_append_bytes("ratings.tsv", b"u1\ti1\t4\t\xff\n"), 4, "parse",
+         "{root}/ratings.tsv: not UTF-8 text"),
+        (_append_bytes("user_age.tsv", b"u1\t\xe9t\xe9\n"), 4, "parse",
+         "{root}/user_age.tsv: not UTF-8 text"),
+        (_append_bytes("ratings.tsv", b"u1\ti1\t4\t99999999999999999999\n"), 4,
+         "parse", "{root}/ratings.tsv line 272: timestamp outside the int64 range")],
+        ids=["ratings-directory", "feature-directory", "ratings-not-utf8",
+             "feature-not-utf8", "timestamp-overflow"])
+    def test_one_error_line_and_exit_code(self, tmp_path, capsys, edit, code,
+                                          category, needle):
+        config = _broken_dataset(tmp_path, edit)
+        assert main(["train", "--config", config]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error category={category}: ")
+        assert needle.format(root=tmp_path / "data") in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestEvaluateCommand:
     def test_metrics_line_and_report_file(self, trained, capsys):
         run_config, tmp_path = trained

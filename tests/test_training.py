@@ -359,7 +359,7 @@ class TestEvaluate:
         params.tensors["gate_user_w"][:] = 0.0
         params.tensors["gate_item_w"][:] = 0.0
         report = evaluate_sain(params, prepared, "test")
-        ratings = np.asarray([x.rating for x in prepared.split.test])
+        ratings = np.asarray(prepared.split.test.ratings)
         want_rmse, want_mae = rmse_mae(np.full(ratings.shape, 5.0), ratings)
         assert math.isclose(report.rmse, want_rmse, rel_tol=1e-12)
         assert math.isclose(report.mae, want_mae, rel_tol=1e-12)
