@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetManifest, PreparedData, build_dataset
+from .data import DatasetManifest, PreparedData, _read_text, build_dataset
 from .errors import IoError, ManifestDriftError, ParseError, SainError, ShapeError
 from .gradcheck import TOLERANCE, run_suite
 from .model import ModelConfig
@@ -50,12 +50,19 @@ class RunManifest:
         if not os.path.exists(path):
             raise IoError(f"run config not found: {path}")
         try:
-            with open(path, encoding="utf-8") as f:
-                raw = json.load(f)
+            raw = json.loads(_read_text(path))
         except json.JSONDecodeError as e:
             raise ParseError(f"run config {path}: {e}") from e
+        if not isinstance(raw, dict):
+            raise ParseError(f"run config {path}: expected a JSON object")
         if "dataset" not in raw:
             raise ParseError(f"run config {path}: missing key 'dataset'")
+        for key, kind, what in (("dataset", str, "a string"),
+                                ("output_dir", str, "a string"),
+                                ("model_config", dict, "a JSON object"),
+                                ("train_config", dict, "a JSON object")):
+            if key in raw and not isinstance(raw[key], kind):
+                raise ParseError(f"run config {path}: {key} must be {what}")
         base = os.path.dirname(os.path.abspath(path))
         mc = {**ModelConfig().to_dict(), **raw.get("model_config", {})}
         tc = {**TrainConfig().to_dict(), **raw.get("train_config", {})}

@@ -101,13 +101,23 @@ class DatasetManifest:
                      for f in raw.get("features", [])]
             return cls(ratings_path=os.path.join(base, raw["ratings"]),
                        features=specs,
-                       min_ratings=int(raw.get("min_ratings", 5)),
-                       tag_top_t=int(raw.get("tag_top_t", 50)))
+                       min_ratings=_manifest_count(path, raw, "min_ratings", 5),
+                       tag_top_t=_manifest_count(path, raw, "tag_top_t", 50))
         except (KeyError, TypeError) as e:
             raise ParseError(f"dataset manifest {path}: missing or invalid key {e}") from e
 
     def fields_for(self, owner: str) -> list[FieldSpec]:
         return [f for f in self.features if f.owner == owner]
+
+
+def _manifest_count(path: str, raw: dict, key: str, default: int) -> int:
+    """raw[key] (default when absent), which must be a JSON integer >= 0: a
+    bool, a float or a string is a ParseError naming the manifest and key."""
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ParseError(f"dataset manifest {path}: {key} must be an integer "
+                         f">= 0, got {value!r}")
+    return value
 
 
 class FeatureVocab:
@@ -406,12 +416,13 @@ def encode_entity_features(raw_by_field: dict[str, dict[str, list[str]]],
 @dataclass
 class PackedFeatures:
     """Vectorized view of one side's EntityFeatures: per field, padded global
-    embedding-row indices with a validity mask, for batched mean pooling."""
+    embedding-row indices with their mean-pooling weights, for batched mean
+    pooling. A slot of c tokens has weight 1/c on each of them (the division
+    mask / count, done once here) and 0 on its padding."""
 
     fields: list[str]
-    index: list[np.ndarray]   # per field: (num_entities, width) int64
-    mask: list[np.ndarray]    # per field: (num_entities, width) float64 in {0,1}
-    counts: list[np.ndarray]  # per field: (num_entities,) float64, >= 1
+    index: list[np.ndarray]    # per field: (num_entities, width) int64
+    weights: list[np.ndarray]  # per field: (num_entities, width) float64
 
 
 def pack_features(entities: list[EntityFeatures], vocab: FeatureVocab,
@@ -419,7 +430,7 @@ def pack_features(entities: list[EntityFeatures], vocab: FeatureVocab,
     fields = vocab.fields_of(owner)
     offsets = vocab.offsets()
     n = len(entities)
-    index, mask, counts = [], [], []
+    index, weights = [], []
     for fi, fname in enumerate(fields):
         width = max((len(e.slots[fi]) for e in entities), default=1)
         idx = np.zeros((n, width), dtype=np.int64)
@@ -429,9 +440,8 @@ def pack_features(entities: list[EntityFeatures], vocab: FeatureVocab,
             idx[e.entity_id, :len(vals)] = np.asarray(vals, dtype=np.int64) + offsets[fname]
             msk[e.entity_id, :len(vals)] = 1.0
         index.append(idx)
-        mask.append(msk)
-        counts.append(msk.sum(axis=1))
-    return PackedFeatures(fields=fields, index=index, mask=mask, counts=counts)
+        weights.append(msk / msk.sum(axis=1)[:, None])
+    return PackedFeatures(fields=fields, index=index, weights=weights)
 
 
 @dataclass

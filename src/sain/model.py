@@ -341,7 +341,7 @@ def _embed_batch(uids, iids, user_packed: PackedFeatures, item_packed: PackedFea
     for packed, ids in ((user_packed, uids), (item_packed, iids)):
         for fi in range(len(packed.fields)):
             idx = packed.index[fi][ids]                      # (B,L)
-            w = packed.mask[fi][ids] / packed.counts[fi][ids][:, None]
+            w = packed.weights[fi][ids]
             cols.append(np.einsum("bl,bld->bd", w, emb[idx]))
             rows.append(idx)
             weights.append(w)
@@ -551,16 +551,14 @@ def forward(user: EntityFeatures, item: EntityFeatures, params: SainParams,
     offsets = layout.offsets()
 
     def packed_for(entity, fields):
-        index, mask, counts = [], [], []
+        index, weights = [], []
         for fi, fname in enumerate(fields):
             vals = np.asarray(entity.slots[fi], dtype=np.int64)
             if vals.size == 0 or vals.min() < 0 or vals.max() >= layout.sizes[fname]:
                 raise ShapeError(f"feature index out of range for field {fname!r}")
             index.append((vals + offsets[fname])[None, :])
-            mask.append(np.ones((1, vals.size)))
-            counts.append(np.asarray([float(vals.size)]))
-        return PackedFeatures(fields=list(fields), index=index, mask=mask,
-                              counts=counts)
+            weights.append(np.ones((1, vals.size)) / float(vals.size))
+        return PackedFeatures(fields=list(fields), index=index, weights=weights)
 
     packed_u = packed_for(user, layout.user_fields)
     packed_i = packed_for(item, layout.item_fields)

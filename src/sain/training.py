@@ -28,7 +28,15 @@ from .seeding import derive_seed, stream_rng
 from .tensor import AdamState, ParamSet, adam_step
 
 RATING_MIN, RATING_MAX = 1.0, 5.0
-EVAL_BATCH = 4096
+# Pairs per eval-mode forward pass. A block's trace (q/k/v, four (B,H,S,S)
+# arrays, the batch-norm and residual arrays) is what an eval holds at its
+# peak: about 28 MB at 512 pairs with S=10, d=64 and H=4, against about
+# 220 MB at the former 4096. On perfbench's `wide-topk` workload (2 cores,
+# one BLAS thread, 10 runs each) the median peak RSS fell from 338 to 115
+# MB and eval pairs/s rose 5%. 256 saved another ~7 MB but was slower
+# in-process; 1024 peaked at ~145 MB. Any multiple of 4 gives the same
+# output bits (see _eval_outputs).
+EVAL_BATCH = 512
 DIVERGENCE_LIMIT = 1e8
 # glibc mallopt parameters and the values keep_heap() sets.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
@@ -309,13 +317,27 @@ def rmse_mae(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
 def _eval_outputs(params: SainParams, data: PreparedData, uids: np.ndarray,
                   iids: np.ndarray) -> dict[str, np.ndarray]:
     """Eval-mode scores and gate weights of every pair, EVAL_BATCH pairs per
-    forward pass. Only these (B,) arrays outlive a chunk: its trace is dropped
-    before the next chunk's forward pass, so two traces are never alive."""
+    forward pass. Only these (B,) arrays outlive a block: its trace is dropped
+    before the next block's forward pass, so two traces are never alive and
+    the peak is one block's trace plus the five (n,) outputs.
+
+    Eval-mode rows do not depend on each other (batch norm uses the running
+    stats), so the blocking does not change what a row computes, but it can
+    change how BLAS sums it. OpenBLAS runs a one-row matrix product as a
+    matrix-vector product, and its matrix-vector kernel takes rows in groups
+    of 4, summing the rows past the last full group in another order. So no
+    block of one row is split off a larger call: a last row joins the block
+    before it. Then, for a block size that is a multiple of 4, every row
+    keeps its place in its group and the last rows stay the last rows, and
+    the outputs are the same bits at every such block size."""
     n = uids.shape[0]
     outs = {name: np.empty(n) for name in ("content", "preference", "combined",
                                            "gate_user", "gate_item")}
-    for start in range(0, n, EVAL_BATCH):
-        sl = slice(start, start + EVAL_BATCH)
+    bounds = list(range(0, n, EVAL_BATCH)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    for lo, hi in zip(bounds, bounds[1:]):
+        sl = slice(lo, hi)
         trace = forward_batch(uids[sl], iids[sl], data.user_packed,
                               data.item_packed, params, params.config, mode="eval")
         outs["content"][sl] = trace.score_content

@@ -263,6 +263,72 @@ class TestBadDataFiles:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("key, value, needle", [
+        ("min_ratings", "five", "min_ratings must be an integer >= 0, got 'five'"),
+        ("min_ratings", 2.7, "min_ratings must be an integer >= 0, got 2.7"),
+        ("tag_top_t", -3, "tag_top_t must be an integer >= 0, got -3")],
+        ids=["min-ratings-text", "min-ratings-fraction", "tag-top-t-negative"])
+    def test_bad_manifest_counts_exit_4(self, tmp_path, capsys, key, value,
+                                        needle):
+        def edit(root):
+            manifest = json.loads((root / "dataset.json").read_text())
+            manifest[key] = value
+            (root / "dataset.json").write_text(json.dumps(manifest))
+        config = _broken_dataset(tmp_path, edit)
+        assert main(["train", "--config", config]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error category=parse: ")
+        assert f"{tmp_path / 'data' / 'dataset.json'}: {needle}" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+def _config_directory(path):
+    path.mkdir()
+
+
+def _config_bytes(data):
+    def write(path):
+        path.write_bytes(data)
+    return write
+
+
+class TestBadRunConfigs:
+    """A run config that cannot be read or is not the expected JSON ends the
+    command with one error line naming it, its category's exit code, and no
+    output directory."""
+
+    @pytest.mark.parametrize("write, code, category, needle", [
+        (_config_directory, 3, "io", "cannot read {path}"),
+        (_config_bytes(b'{"dataset": "d.json", "output_dir": "\xff"}'), 4, "parse",
+         "{path}: not UTF-8 text"),
+        (_config_bytes(b"5"), 4, "parse", "run config {path}: expected a JSON object"),
+        (_config_bytes(b'["dataset"]'), 4, "parse",
+         "run config {path}: expected a JSON object"),
+        (_config_bytes(b'{"dataset": "d.json", "model_config": [1]}'), 4, "parse",
+         "run config {path}: model_config must be a JSON object"),
+        (_config_bytes(b'{"dataset": "d.json", "train_config": "fast"}'), 4, "parse",
+         "run config {path}: train_config must be a JSON object"),
+        (_config_bytes(b'{"dataset": 5}'), 4, "parse",
+         "run config {path}: dataset must be a string"),
+        (_config_bytes(b'{"dataset": "d.json", "output_dir": null}'), 4, "parse",
+         "run config {path}: output_dir must be a string")],
+        ids=["directory", "not-utf8", "top-level-number", "top-level-list",
+             "model-config-list", "train-config-text", "dataset-number",
+             "output-dir-null"])
+    def test_one_error_line_and_exit_code(self, tmp_path, capsys, write, code,
+                                          category, needle):
+        path = tmp_path / "run.json"
+        write(path)
+        before = sorted(os.listdir(tmp_path))
+        assert main(["train", "--config", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error category={category}: ")
+        assert needle.format(path=path) in err
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == before
+
+
 class TestEvaluateCommand:
     def test_metrics_line_and_report_file(self, trained, capsys):
         run_config, tmp_path = trained

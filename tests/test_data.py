@@ -353,8 +353,28 @@ class TestPack:
         np.testing.assert_array_equal(packed.index[0], [[0], [1]])
         # tag indices are offset by the genre field size (3).
         np.testing.assert_array_equal(packed.index[1], [[3, 4], [3, 0]])
-        np.testing.assert_array_equal(packed.mask[1], [[1.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(packed.counts[1], [2.0, 1.0])
+        # Mean-pooling weights: 1/count on each token, 0 on the padding.
+        np.testing.assert_array_equal(packed.weights[1], [[0.5, 0.5], [1.0, 0.0]])
+        np.testing.assert_array_equal(packed.weights[0], [[1.0], [1.0]])
+
+    def test_weights_are_mask_over_count_bit_for_bit(self, prepared):
+        for owner, entities, packed in (
+                ("user", prepared.user_features, prepared.user_packed),
+                ("item", prepared.item_features, prepared.item_packed)):
+            for fi in range(len(packed.fields)):
+                lengths = np.asarray([len(e.slots[fi]) for e in entities])
+                width = packed.weights[fi].shape[1]
+                assert width == lengths.max()
+                mask = (np.arange(width) < lengths[:, None]).astype(np.float64)
+                counts = mask.sum(axis=1)
+                want = mask / counts[:, None]
+                assert packed.weights[fi].dtype == np.float64
+                assert packed.weights[fi].tobytes() == want.tobytes(), (owner, fi)
+                # The gathered weights of a batch are what the per-batch
+                # division of gathered masks and counts gave.
+                ids = np.arange(len(entities))[::-1]
+                assert (packed.weights[fi][ids].tobytes()
+                        == (mask[ids] / counts[ids][:, None]).tobytes())
 
 
 class TestBuildDataset:
@@ -396,6 +416,32 @@ class TestBuildDataset:
         nokey.write_text("{}")
         with pytest.raises(ParseError):
             DatasetManifest.from_file(str(nokey))
+
+    @pytest.mark.parametrize("key, value", [
+        ("min_ratings", "five"), ("min_ratings", 2.7), ("min_ratings", 5.0),
+        ("min_ratings", True), ("min_ratings", -1), ("min_ratings", None),
+        ("tag_top_t", -3), ("tag_top_t", "50"), ("tag_top_t", False),
+        ("tag_top_t", 1e3), ("tag_top_t", [50])],
+        ids=["min-text", "min-fraction", "min-whole-float", "min-bool",
+             "min-negative", "min-null", "top-negative", "top-text",
+             "top-bool", "top-float", "top-list"])
+    def test_manifest_counts_must_be_integers_at_least_zero(self, tmp_path, key,
+                                                            value):
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps({"ratings": "r.tsv", key: value}))
+        with pytest.raises(ParseError) as e:
+            DatasetManifest.from_file(str(path))
+        assert f"{path}: {key} must be an integer >= 0, got {value!r}" in str(e.value)
+
+    def test_manifest_counts_accept_zero_and_defaults(self, tmp_path):
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps({"ratings": "r.tsv", "min_ratings": 0,
+                                    "tag_top_t": 0}))
+        manifest = DatasetManifest.from_file(str(path))
+        assert (manifest.min_ratings, manifest.tag_top_t) == (0, 0)
+        path.write_text(json.dumps({"ratings": "r.tsv"}))
+        manifest = DatasetManifest.from_file(str(path))
+        assert (manifest.min_ratings, manifest.tag_top_t) == (5, 50)
 
     def test_manifest_rejects_unknown_owner(self):
         with pytest.raises(ParseError, match="owner"):

@@ -109,6 +109,68 @@ class TestTopK:
         np.testing.assert_array_equal(mask.sum(axis=-1), np.full((2, 3), 2))
 
 
+def _top_k_mask_put_along_axis(weights, k):
+    """The mask as np.put_along_axis wrote it before the flat assignment: the
+    oracle for the selection, its tie order and its NaN order."""
+    k = min(k, weights.shape[-1])
+    order = np.argsort(-weights, axis=-1, kind="stable")
+    mask = np.zeros(weights.shape, dtype=bool)
+    np.put_along_axis(mask, order[..., :k], True, axis=-1)
+    return mask
+
+
+def _special_rows(rng, shape):
+    """Rows of random, tied, all-equal and NaN/±inf values, in that order of
+    the leading positions, cycling."""
+    w = rng.normal(size=shape)
+    rows = w.reshape(math.prod(shape[:-1]), shape[-1])
+    for j, row in enumerate(rows):
+        kind = j % 4
+        if kind == 1:
+            row[:] = rng.integers(0, 3, size=row.size)
+        elif kind == 2:
+            row[:] = 0.25
+        elif kind == 3:
+            row[rng.random(row.size) < 0.4] = np.nan
+            row[rng.random(row.size) < 0.2] = np.inf
+            row[rng.random(row.size) < 0.2] = -np.inf
+    return w
+
+
+class TestTopKMaskMatchesPutAlongAxis:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (9, 6), (1, 6), (3, 4, 5, 5),
+                                       (2, 3, 10, 10), (0, 4), (3, 0)],
+                             ids=["1d-one", "1d", "2d", "2d-one-row", "4d",
+                                  "4d-wide", "no-rows", "empty-rows"])
+    def test_random_tied_equal_and_non_finite_rows(self, shape):
+        rng = np.random.default_rng(sum(shape) + len(shape))
+        for _ in range(5):
+            w = _special_rows(rng, shape)
+            n = shape[-1]
+            for k in sorted({1, 2, max(n - 1, 1), max(n, 1), n + 3}):
+                got = top_k_mask_rows(w, k)
+                assert got.dtype == bool and got.shape == w.shape
+                np.testing.assert_array_equal(got, _top_k_mask_put_along_axis(w, k))
+
+    def test_k_at_or_above_the_row_length_keeps_everything(self):
+        w = _special_rows(np.random.default_rng(8), (4, 2, 5))
+        for k in (5, 6, 100):
+            assert top_k_mask_rows(w, k).all()
+
+    def test_nan_rows_keep_the_argsort_order(self):
+        # -NaN sorts last, so a NaN is kept only when k reaches it.
+        w = np.array([[np.nan, 1.0, np.nan, -np.inf, np.inf]])
+        np.testing.assert_array_equal(top_k_mask_rows(w, 2),
+                                      [[False, True, False, False, True]])
+        np.testing.assert_array_equal(top_k_mask_rows(w, 4),
+                                      [[True, True, False, True, True]])
+
+    def test_non_contiguous_input(self):
+        w = _special_rows(np.random.default_rng(9), (6, 8, 8))[:, ::2, 1:]
+        np.testing.assert_array_equal(top_k_mask_rows(w, 3),
+                                      _top_k_mask_put_along_axis(w, 3))
+
+
 class TestScatterAddRows:
     def test_equals_add_at_bit_for_bit(self):
         rng = np.random.default_rng(17)

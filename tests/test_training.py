@@ -5,6 +5,7 @@ attention export, and model serialization."""
 import csv
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from sain.errors import DivergenceError, ParseError, ShapeError
 from sain import training
 from sain.checkpoint import load_checkpoint, save_checkpoint
-from sain.model import ModelConfig
+from sain.model import ModelConfig, forward_batch
 from sain.seeding import derive_seed
 from sain.training import (EpochLog, EvalReport, TrainConfig, attention_matrices,
                            clip_ratings, evaluate_sain, fmt, load_model,
@@ -375,6 +376,93 @@ class TestEvaluate:
             assert 1.0 <= row["score"] <= 5.0
             assert 0.0 < row["gate_user"] < 1.0
             assert 0.0 < row["gate_item"] < 1.0
+
+
+def _eval_pairs(prepared, n, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, prepared.num_users, size=n),
+            rng.integers(0, prepared.num_items, size=n))
+
+
+class TestEvalBlocks:
+    """_eval_outputs runs EVAL_BATCH pairs per forward pass. Eval-mode rows do
+    not depend on each other, so the block size changes nothing but memory
+    and speed, with one caveat: OpenBLAS's matrix-vector kernel takes rows in
+    groups of 4 and sums the rows past the last full group in another order,
+    and it also runs every one-row matrix product. Blocks of 1 or 7 rows
+    therefore change last bits; block sizes that are multiples of 4 must not,
+    with a last single row joined to the block before it."""
+
+    NAMES = ("content", "preference", "combined", "gate_user", "gate_item")
+
+    @staticmethod
+    def _params(prepared, dim=16):
+        params, _ = small_params(prepared, seed=4, embed_dim=dim, num_heads=4,
+                                 top_k=2)
+        params.bn_mean[:] = np.linspace(-0.3, 0.3, dim)
+        params.bn_var[:] = np.linspace(0.5, 2.0, dim)
+        return params
+
+    def _outputs(self, monkeypatch, size, params, prepared, uids, iids):
+        monkeypatch.setattr(training, "EVAL_BATCH", size)
+        out = training._eval_outputs(params, prepared, uids, iids)
+        assert sorted(out) == sorted(self.NAMES)
+        for name in self.NAMES:
+            assert out[name].shape == uids.shape
+        return out
+
+    def test_block_size_changes_no_bit(self, prepared, monkeypatch):
+        params = self._params(prepared)
+        uids, iids = _eval_pairs(prepared, 1100, seed=21)
+        want = self._outputs(monkeypatch, 4096, params, prepared, uids, iids)
+        for size in (4, 8, 100, 512, 1100):
+            got = self._outputs(monkeypatch, size, params, prepared, uids, iids)
+            for name in self.NAMES:
+                assert got[name].tobytes() == want[name].tobytes(), (size, name)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 512, 513, 517, 1025, 4097, 4096 + 513,
+                                   4096 + 517])
+    def test_512_blocks_give_the_4096_block_bits(self, prepared, monkeypatch, n):
+        params = self._params(prepared, dim=8)
+        uids, iids = _eval_pairs(prepared, n, seed=n)
+        want = self._outputs(monkeypatch, 4096, params, prepared, uids, iids)
+        got = self._outputs(monkeypatch, 512, params, prepared, uids, iids)
+        for name in self.NAMES:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_single_pair_predictions_do_not_depend_on_the_block_size(
+            self, prepared, monkeypatch):
+        params = self._params(prepared)
+        uids, iids = _eval_pairs(prepared, 3, seed=23)
+        rows = {}
+        for size in (1, 512, 4096):
+            monkeypatch.setattr(training, "EVAL_BATCH", size)
+            rows[size] = [training.predict_sain(params, prepared, uids[j:j + 1],
+                                                iids[j:j + 1]) for j in range(3)]
+        assert rows[1] == rows[512] == rows[4096]
+
+    def test_block_size_is_512(self):
+        assert training.EVAL_BATCH == 512
+
+    def test_peak_memory_is_one_block_trace(self, prepared):
+        params, _ = small_params(prepared, seed=4, embed_dim=32, num_heads=4,
+                                 top_k=2)
+        block = training.EVAL_BATCH
+        n = 3 * block + 1
+        uids, iids = _eval_pairs(prepared, n, seed=22)
+        tracemalloc.start()
+        try:
+            trace = forward_batch(uids[:block], iids[:block], prepared.user_packed,
+                                  prepared.item_packed, params, params.config,
+                                  mode="eval")
+            _, one_block = tracemalloc.get_traced_memory()
+            del trace
+            tracemalloc.reset_peak()
+            training._eval_outputs(params, prepared, uids, iids)
+            _, whole = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert whole <= 1.25 * one_block + 5 * n * 8
 
 
 class TestSweep:
