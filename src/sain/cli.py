@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetManifest, PreparedData, _read_text, build_dataset
+from .data import (DatasetManifest, PreparedData, _json_flag, _read_text,
+                   build_dataset)
 from .errors import IoError, ManifestDriftError, ParseError, SainError, ShapeError
 from .gradcheck import TOLERANCE, run_suite
 from .model import ModelConfig
@@ -68,7 +69,7 @@ class RunManifest:
         tc = {**TrainConfig().to_dict(), **raw.get("train_config", {})}
         top = {"model": raw.get("model", "sain"),
                "output_dir": raw.get("output_dir", "run"),
-               "split_by_time": bool(raw.get("split_by_time", False))}
+               "split_by_time": _json_flag(f"run config {path}", raw, "split_by_time")}
         for key, value in (overrides or {}).items():
             if value is None:
                 continue

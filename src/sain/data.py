@@ -97,7 +97,9 @@ class DatasetManifest:
         try:
             specs = [FieldSpec(name=f["field"], owner=f["owner"],
                                path=os.path.join(base, f["path"]),
-                               open_vocab=bool(f.get("open", False)))
+                               open_vocab=_json_flag(
+                                   f"dataset manifest {path}: feature {f['field']!r}",
+                                   f, "open"))
                      for f in raw.get("features", [])]
             return cls(ratings_path=os.path.join(base, raw["ratings"]),
                        features=specs,
@@ -117,6 +119,16 @@ def _manifest_count(path: str, raw: dict, key: str, default: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ParseError(f"dataset manifest {path}: {key} must be an integer "
                          f">= 0, got {value!r}")
+    return value
+
+
+def _json_flag(where: str, raw: dict, key: str) -> bool:
+    """raw[key], false when absent, which must be JSON true or false: a
+    string (bool() would read "false" as true), a number or null is a
+    ParseError naming `where` and the key."""
+    value = raw.get(key, False)
+    if not isinstance(value, bool):
+        raise ParseError(f"{where}: {key} must be true or false, got {value!r}")
     return value
 
 
@@ -415,33 +427,42 @@ def encode_entity_features(raw_by_field: dict[str, dict[str, list[str]]],
 
 @dataclass
 class PackedFeatures:
-    """Vectorized view of one side's EntityFeatures: per field, padded global
-    embedding-row indices with their mean-pooling weights, for batched mean
-    pooling. A slot of c tokens has weight 1/c on each of them (the division
-    mask / count, done once here) and 0 on its padding."""
+    """Vectorized view of one side's EntityFeatures for batched mean pooling:
+    two (num_entities, T) tables, one column block per field in field order.
+    Field f owns columns bounds[f]:bounds[f+1], as many as its widest slot.
+    `rows` holds the global embedding row of each token (0 on padding), and
+    `weights` its mean-pooling weight: 1/c on each of a slot's c tokens (the
+    division mask / count, done once here) and 0 on its padding. A side with
+    no fields has (num_entities, 0) tables. A batch gathers each table once
+    per side; the zero weights mark the padding that the embedding gradient
+    leaves out (see scatter_add_rows for why that keeps its bits)."""
 
     fields: list[str]
-    index: list[np.ndarray]    # per field: (num_entities, width) int64
-    weights: list[np.ndarray]  # per field: (num_entities, width) float64
+    rows: np.ndarray     # (num_entities, T) int64
+    weights: np.ndarray  # (num_entities, T) float64
+    bounds: list[int]    # (F+1,) field column bounds
 
 
 def pack_features(entities: list[EntityFeatures], vocab: FeatureVocab,
                   owner: str) -> PackedFeatures:
     fields = vocab.fields_of(owner)
     offsets = vocab.offsets()
+    bounds = [0]
+    for fi in range(len(fields)):
+        bounds.append(bounds[-1] + max((len(e.slots[fi]) for e in entities), default=1))
     n = len(entities)
-    index, weights = [], []
+    rows = np.zeros((n, bounds[-1]), dtype=np.int64)
+    weights = np.zeros((n, bounds[-1]), dtype=np.float64)
     for fi, fname in enumerate(fields):
-        width = max((len(e.slots[fi]) for e in entities), default=1)
-        idx = np.zeros((n, width), dtype=np.int64)
-        msk = np.zeros((n, width), dtype=np.float64)
+        lo = bounds[fi]
         for e in entities:
             vals = e.slots[fi]
-            idx[e.entity_id, :len(vals)] = np.asarray(vals, dtype=np.int64) + offsets[fname]
-            msk[e.entity_id, :len(vals)] = 1.0
-        index.append(idx)
-        weights.append(msk / msk.sum(axis=1)[:, None])
-    return PackedFeatures(fields=fields, index=index, weights=weights)
+            hi = lo + len(vals)
+            rows[e.entity_id, lo:hi] = np.asarray(vals, dtype=np.int64) + offsets[fname]
+            weights[e.entity_id, lo:hi] = 1.0
+        block = weights[:, lo:bounds[fi + 1]]
+        block /= block.sum(axis=1)[:, None]
+    return PackedFeatures(fields=fields, rows=rows, weights=weights, bounds=bounds)
 
 
 @dataclass

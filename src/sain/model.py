@@ -269,8 +269,12 @@ class ForwardTrace:
     iids: np.ndarray
     mode: str
     x: np.ndarray                      # (B,S,d) embedded feature sequence
-    embed_rows: np.ndarray             # (B,T) embedding row of every pooled token
-    embed_weights: np.ndarray          # (B,T) its mean-pooling weight, 0 on padding
+    # The user side's packed columns, then the item side's: each token's
+    # embedding row and mean-pooling weight, 0 on padding. The backward
+    # scatters only the nonzero weights; a padding token's term is d_x * 0,
+    # a signed zero, which adds nothing to a scatter sum (scatter_add_rows).
+    embed_rows: np.ndarray             # (B,T) int64
+    embed_weights: np.ndarray          # (B,T) float64
     embed_bounds: list                 # (S+1,) position p pools columns [p]..[p+1]-1
     q: np.ndarray                      # (B,H,S,dh)
     k: np.ndarray
@@ -334,20 +338,21 @@ def _pool_slot(emb: np.ndarray, slot: list[int], offset: int, size: int,
 def _embed_batch(uids, iids, user_packed: PackedFeatures, item_packed: PackedFeatures,
                  params: SainParams):
     """(B,S,d) pooled embeddings, plus what the backward scatter needs: the
-    (B,T) token rows and pooling weights of all fields side by side in field
-    order, and the column bounds of each field."""
+    (B,T) token rows and pooling weights of both sides' packed columns, and
+    the column bounds of each position. Each side's tables are gathered once,
+    the embedding rows of all tokens once, and each position pools its own
+    column slice straight into x."""
     emb = params.tensors["embeddings"]
-    cols, rows, weights, bounds = [], [], [], [0]
-    for packed, ids in ((user_packed, uids), (item_packed, iids)):
-        for fi in range(len(packed.fields)):
-            idx = packed.index[fi][ids]                      # (B,L)
-            w = packed.weights[fi][ids]
-            cols.append(np.einsum("bl,bld->bd", w, emb[idx]))
-            rows.append(idx)
-            weights.append(w)
-            bounds.append(bounds[-1] + idx.shape[1])
-    return (np.stack(cols, axis=1), np.concatenate(rows, axis=1),
-            np.concatenate(weights, axis=1), bounds)
+    rows = np.concatenate([user_packed.rows[uids], item_packed.rows[iids]], axis=1)
+    weights = np.concatenate([user_packed.weights[uids], item_packed.weights[iids]],
+                             axis=1)
+    tokens = emb[rows]                                       # (B,T,d)
+    bounds = user_packed.bounds + [user_packed.bounds[-1] + b
+                                   for b in item_packed.bounds[1:]]
+    x = np.empty((rows.shape[0], len(bounds) - 1, emb.shape[1]))
+    for p, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        np.einsum("bl,bld->bd", weights[:, lo:hi], tokens[:, lo:hi], out=x[:, p])
+    return x, rows, weights, bounds
 
 
 def _qkv_weights(params: SainParams, config: ModelConfig) -> np.ndarray:
@@ -366,12 +371,14 @@ def _attention_heads(x: np.ndarray, params: SainParams, config: ModelConfig):
     H, dh = config.num_heads, config.head_dim
     qkv = (x.reshape(B * S, d) @ _qkv_weights(params, config)).reshape(B, S, 3, H, dh)
     q, k, v = qkv.transpose(2, 0, 3, 1, 4)
-    logits = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
-    alpha = softmax_rows(logits)
+    logits = q @ k.swapaxes(-1, -2)
+    logits *= 1.0 / math.sqrt(dh)
+    alpha = softmax_rows(logits, out=logits)
     mask = top_k_mask_rows(alpha, min(config.top_k, S))
-    selected = alpha * mask
-    ssum = selected.sum(axis=-1, keepdims=True)
-    ahat = selected / ssum if config.renormalize_topk else selected
+    ahat = alpha * mask
+    ssum = ahat.sum(axis=-1, keepdims=True)
+    if config.renormalize_topk:
+        ahat /= ssum
     concat = np.empty((B, S, H, dh))
     np.matmul(ahat, v, out=concat.transpose(0, 2, 1, 3))
     return q, k, v, alpha, mask, ahat, ssum, concat.reshape(B, S, d)
@@ -405,16 +412,22 @@ def _batch_norm_forward(z: np.ndarray, params: SainParams, config: ModelConfig,
     flat = z.reshape(-1, z.shape[-1])
     if mode == "train":
         mean = flat.mean(axis=0)
-        var = flat.var(axis=0)
+        xhat = flat - mean
+        # np.var's own steps: the centered squares summed, over the count
+        var = (xhat * xhat).sum(axis=0) / flat.shape[0]
         mom = config.bn_momentum
         new_mean = (1.0 - mom) * params.bn_mean + mom * mean
         new_var = (1.0 - mom) * params.bn_var + mom * var
     else:
         mean, var = params.bn_mean, params.bn_var
         new_mean, new_var = params.bn_mean.copy(), params.bn_var.copy()
+        xhat = flat - mean
     inv_std = 1.0 / np.sqrt(var + config.bn_epsilon)
-    xhat = (z - mean) * inv_std
-    return gamma * xhat + beta, xhat, inv_std, new_mean, new_var
+    xhat *= inv_std
+    out = gamma * xhat
+    out += beta
+    xhat = xhat.reshape(z.shape)
+    return out.reshape(z.shape), xhat, inv_std, new_mean, new_var
 
 
 def forward_batch(uids: np.ndarray, iids: np.ndarray, user_packed: PackedFeatures,
@@ -439,26 +452,26 @@ def forward_batch(uids: np.ndarray, iids: np.ndarray, user_packed: PackedFeature
     bn_out, xhat, inv_std, new_mean, new_var = _batch_norm_forward(
         concat, params, config, mode)
 
+    # dropout and residual, in bn_out's buffer, which becomes resid
     if mode == "train" and config.dropout_rate > 0.0:
         if dropout_rng is None:
             raise ValueError("train mode with dropout needs a dropout rng")
         keep = 1.0 - config.dropout_rate
-        dropout_mask = (dropout_rng.random(bn_out.shape) < keep) / keep
-        dropped = bn_out * dropout_mask
+        dropout_mask = dropout_rng.random(bn_out.shape)
+        np.divide(dropout_mask < keep, keep, out=dropout_mask)
+        bn_out *= dropout_mask
     else:
         dropout_mask = None
-        dropped = bn_out
-
-    resid = dropped + x
+    bn_out += x
+    resid = bn_out
     xbar = np.maximum(resid, 0.0)
 
-    m = params.layout.m
-    B = uids.shape[0]
-    d = config.embed_dim
-    flat_u = xbar[:, :m, :].reshape(B, m * d)
-    flat_i = xbar[:, m:, :].reshape(B, -1)
-    content_user = flat_u @ params.tensors["agg_user_w"] + params.tensors["agg_user_b"]
-    content_item = flat_i @ params.tensors["agg_item_w"] + params.tensors["agg_item_b"]
+    md = params.layout.m * config.embed_dim
+    flat = xbar.reshape(uids.shape[0], -1)
+    content_user = flat[:, :md] @ params.tensors["agg_user_w"]
+    content_user += params.tensors["agg_user_b"]
+    content_item = flat[:, md:] @ params.tensors["agg_item_w"]
+    content_item += params.tensors["agg_item_b"]
 
     cf_user = params.tensors["cf_user"][uids]
     cf_item = params.tensors["cf_item"][iids]
@@ -551,14 +564,16 @@ def forward(user: EntityFeatures, item: EntityFeatures, params: SainParams,
     offsets = layout.offsets()
 
     def packed_for(entity, fields):
-        index, weights = [], []
+        rows, weights, bounds = [], [], [0]
         for fi, fname in enumerate(fields):
             vals = np.asarray(entity.slots[fi], dtype=np.int64)
             if vals.size == 0 or vals.min() < 0 or vals.max() >= layout.sizes[fname]:
                 raise ShapeError(f"feature index out of range for field {fname!r}")
-            index.append((vals + offsets[fname])[None, :])
-            weights.append(np.ones((1, vals.size)) / float(vals.size))
-        return PackedFeatures(fields=list(fields), index=index, weights=weights)
+            rows.append(vals + offsets[fname])
+            weights.append(np.ones(vals.size) / float(vals.size))
+            bounds.append(bounds[-1] + vals.size)
+        return PackedFeatures(fields=list(fields), rows=np.concatenate(rows)[None, :],
+                              weights=np.concatenate(weights)[None, :], bounds=bounds)
 
     packed_u = packed_for(user, layout.user_fields)
     packed_i = packed_for(item, layout.item_fields)
@@ -599,6 +614,21 @@ def joint_loss(trace: ForwardTrace, ratings: np.ndarray,
     mse_m = float(np.mean((trace.score_combined - r) ** 2))
     w1, w2, w3 = weights
     return w1 * mse_c + w2 * mse_p + w3 * mse_m, (mse_c, mse_p, mse_m)
+
+
+def _embedding_grad(d_x: np.ndarray, rows: np.ndarray, weights: np.ndarray,
+                    bounds: list, num_rows: int) -> np.ndarray:
+    """Gradient of the embedding table from d_x (B,S,d), the gradient of the
+    pooled positions: every token with a nonzero pooling weight adds weight *
+    d_x of its position to its row, in the (B,T) row-major order of the
+    packed columns. For a finite d_x, a padding token's term is d_x * 0, a
+    signed zero, which changes no scatter sum (scatter_add_rows); so leaving
+    the padding out gives the bits of scattering every column."""
+    bi, ti = np.nonzero(weights)
+    pos_of_col = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    contrib = d_x[bi, pos_of_col[ti]]
+    contrib *= weights[bi, ti][:, None]
+    return scatter_add_rows(rows[bi, ti], contrib, num_rows)
 
 
 def backward(trace: ForwardTrace, ratings: np.ndarray, params: SainParams,
@@ -646,55 +676,63 @@ def backward(trace: ForwardTrace, ratings: np.ndarray, params: SainParams,
                             ("cf_item", trace.iids, d_cf_v)):
         grads[name] = scatter_add_rows(ids, d_cf, len(params.tensors[name]))
 
-    # entity aggregation (affine, no activation)
-    flat_u = trace.xbar[:, :m, :].reshape(B, -1)
-    flat_i = trace.xbar[:, m:, :].reshape(B, -1)
-    grads["agg_user_w"] += flat_u.T @ d_content_u
+    # entity aggregation (affine, no activation), written into d_x's halves
+    S = trace.x.shape[1]
+    md = m * d
+    flat = trace.xbar.reshape(B, -1)
+    grads["agg_user_w"] += flat[:, :md].T @ d_content_u
     grads["agg_user_b"] += d_content_u.sum(axis=0)
-    grads["agg_item_w"] += flat_i.T @ d_content_v
+    grads["agg_item_w"] += flat[:, md:].T @ d_content_v
     grads["agg_item_b"] += d_content_v.sum(axis=0)
-    d_xbar = np.concatenate(
-        [(d_content_u @ params.tensors["agg_user_w"].T).reshape(B, m, d),
-         (d_content_v @ params.tensors["agg_item_w"].T).reshape(B, -1, d)], axis=1)
+    d_x = np.empty((B, S, d))
+    rows_x = d_x.reshape(B, -1)
+    np.matmul(d_content_u, params.tensors["agg_user_w"].T, out=rows_x[:, :md])
+    np.matmul(d_content_v, params.tensors["agg_item_w"].T, out=rows_x[:, md:])
 
-    # ReLU and residual
-    d_resid = d_xbar * (trace.resid > 0.0)
-    d_x = d_resid.copy()
-    d_dropped = d_resid
+    # ReLU; d_x is then the residual's gradient, to which attention adds below
+    np.multiply(d_x, trace.resid > 0.0, out=d_x)
 
     # dropout
-    d_bn_out = d_dropped if trace.dropout_mask is None else d_dropped * trace.dropout_mask
+    d_bn_out = d_x if trace.dropout_mask is None else d_x * trace.dropout_mask
 
-    # batch norm
+    # batch norm, in d_bn_out's buffer when it has its own
     gamma = params.tensors["bn_gamma"]
     flat_dy = d_bn_out.reshape(-1, d)
     flat_xhat = trace.bn_xhat.reshape(-1, d)
     grads["bn_gamma"] += np.einsum("ad,ad->d", flat_dy, flat_xhat)
     grads["bn_beta"] += flat_dy.sum(axis=0)
-    d_xhat = flat_dy * gamma
+    d_z = np.multiply(flat_dy, gamma, out=None if d_bn_out is d_x else flat_dy)
     if trace.mode == "train":
         A = flat_dy.shape[0]
-        d_z = (trace.bn_inv_std / A) * (A * d_xhat - d_xhat.sum(axis=0)
-                                        - flat_xhat * np.einsum("ad,ad->d", d_xhat, flat_xhat))
+        d_sum = d_z.sum(axis=0)
+        d_dot = np.einsum("ad,ad->d", d_z, flat_xhat)
+        d_z *= A
+        d_z -= d_sum
+        d_z -= flat_xhat * d_dot
+        d_z *= trace.bn_inv_std / A
     else:
-        d_z = d_xhat * trace.bn_inv_std
+        d_z *= trace.bn_inv_std
     d_concat = d_z.reshape(B, -1, d)
 
     # attention heads, all at once; d_q, d_k, d_v are (B,H,S,dh) views of one
     # (B,S,3,H,dh) buffer, whose rows reshape to (B*S,3d) in the column order
-    # of _qkv_weights
-    H, S = config.num_heads, trace.x.shape[1]
+    # of _qkv_weights. The renormalization and softmax backward run in
+    # d_logits' buffer with one (B,H,S,S) scratch array for the row products.
+    H = config.num_heads
     d_out = d_concat.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
     ahat, alpha, mask = trace.alpha_topk, trace.alpha_full, trace.topk_mask
-    d_ahat = d_out @ trace.v.swapaxes(-1, -2)
+    d_logits = d_out @ trace.v.swapaxes(-1, -2)
+    scratch = np.empty_like(d_logits)
     if config.renormalize_topk:
-        rowdot = (d_ahat * ahat).sum(axis=-1, keepdims=True)
-        d_alpha = ((d_ahat - rowdot) / trace.sel_sum) * mask
-    else:
-        d_alpha = d_ahat * mask
+        rowdot = np.multiply(d_logits, ahat, out=scratch).sum(axis=-1, keepdims=True)
+        d_logits -= rowdot
+        d_logits /= trace.sel_sum
+    d_logits *= mask
     # softmax rows, with the logit scale folded in
-    inner = (d_alpha * alpha).sum(axis=-1, keepdims=True)
-    d_logits = alpha * (d_alpha - inner) * (1.0 / math.sqrt(dh))
+    inner = np.multiply(d_logits, alpha, out=scratch).sum(axis=-1, keepdims=True)
+    d_logits -= inner
+    d_logits *= alpha
+    d_logits *= 1.0 / math.sqrt(dh)
     d_qkv = np.empty((B, S, 3, H, dh))
     d_q, d_k, d_v = d_qkv.transpose(2, 0, 3, 1, 4)
     np.matmul(d_logits, trace.k, out=d_q)
@@ -708,14 +746,7 @@ def backward(trace: ForwardTrace, ratings: np.ndarray, params: SainParams,
             grads[f"attn{h}_w{p}"] += g_qkv[:, col:col + dh]
     d_x += (d_qkv @ _qkv_weights(params, config).T).reshape(B, S, d)
 
-    # embedding scatter (mean pooling weights recorded at embed time)
-    bounds = trace.embed_bounds
-    contrib = np.empty(trace.embed_rows.shape + (d,))
-    for pos in range(S):
-        cols = slice(bounds[pos], bounds[pos + 1])
-        np.multiply(d_x[:, pos:pos + 1, :], trace.embed_weights[:, cols, None],
-                    out=contrib[:, cols, :])
-    grads["embeddings"] = scatter_add_rows(trace.embed_rows.reshape(-1),
-                                           contrib.reshape(-1, d),
-                                           len(params.tensors["embeddings"]))
+    grads["embeddings"] = _embedding_grad(d_x, trace.embed_rows, trace.embed_weights,
+                                          trace.embed_bounds,
+                                          len(params.tensors["embeddings"]))
     return grads

@@ -42,11 +42,16 @@ def softmax_row(logits) -> np.ndarray:
     return e / e.sum()
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax over the last axis of an n-d array."""
+def softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise stable softmax over the last axis of an n-d array, written
+    into `out` when given (which may be `logits` itself). The float
+    operations are exp(z - max) / sum in that order either way, so `out`
+    changes no bit."""
     z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def top_k_indices(scores, k: int) -> np.ndarray:
@@ -84,7 +89,13 @@ def scatter_add_rows(rows: np.ndarray, values: np.ndarray, num_rows: int) -> np.
     """Dense (num_rows, d) table holding the sum of values[i] (d,) in row
     rows[i], as one flattened bincount. Each element sums its contributions
     in input order starting from zero, as np.add.at into a zero table does,
-    so the two agree bit for bit."""
+    so the two agree bit for bit.
+
+    A sum that starts from +0 never holds -0 (x + y == 0 rounds to +0 for
+    any x, y not both -0), and adding +0 or -0 to anything but -0 leaves it
+    unchanged. So a caller may leave out every contribution that is +0 or
+    -0 (say, the padding tokens of a pooled field, which carry weight 0)
+    and still get the same bits, as long as the others keep their order."""
     d = values.shape[1]
     flat = (rows[:, None] * d + np.arange(d)).reshape(-1)
     return np.bincount(flat, weights=values.reshape(-1),

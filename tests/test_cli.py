@@ -283,6 +283,23 @@ class TestBadDataFiles:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None],
+                             ids=["text-false", "text-no", "zero", "one", "null"])
+    def test_feature_open_flag_must_be_a_json_bool(self, tmp_path, capsys, value):
+        def edit(root):
+            manifest = json.loads((root / "dataset.json").read_text())
+            manifest["features"][3]["open"] = value
+            (root / "dataset.json").write_text(json.dumps(manifest))
+        config = _broken_dataset(tmp_path, edit)
+        assert main(["train", "--config", config]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error category=parse: ")
+        assert (f"{tmp_path / 'data' / 'dataset.json'}: feature 'tag': open must be "
+                f"true or false, got {value!r}") in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 def _config_directory(path):
     path.mkdir()
 
@@ -297,6 +314,25 @@ class TestBadRunConfigs:
     """A run config that cannot be read or is not the expected JSON ends the
     command with one error line naming it, its category's exit code, and no
     output directory."""
+
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None],
+                             ids=["text-false", "text-no", "zero", "one", "null"])
+    def test_split_by_time_must_be_a_json_bool(self, tmp_path, synthetic_manifest,
+                                               capsys, value):
+        path = _write_config(tmp_path, synthetic_manifest, split_by_time=value)
+        assert main(["train", "--config", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error category=parse: ")
+        assert (f"run config {path}: split_by_time must be true or false, "
+                f"got {value!r}") in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_split_by_time_takes_json_bools(self, tmp_path, synthetic_manifest,
+                                            value):
+        path = _write_config(tmp_path, synthetic_manifest, split_by_time=value)
+        assert RunManifest.load(path).split_by_time is value
 
     @pytest.mark.parametrize("write, code, category, needle", [
         (_config_directory, 3, "io", "cannot read {path}"),

@@ -339,6 +339,13 @@ class TestEncode:
         assert feats[0].slots == [[3]]
 
 
+def _field_columns(packed):
+    """Per field: its column slices of the side's rows and weights tables."""
+    spans = list(zip(packed.bounds, packed.bounds[1:]))
+    return ([packed.rows[:, lo:hi] for lo, hi in spans],
+            [packed.weights[:, lo:hi] for lo, hi in spans])
+
+
 class TestPack:
     def test_padding_mask_and_offsets(self, tmp_path):
         g = str(tmp_path / "g.tsv")
@@ -350,31 +357,47 @@ class TestPack:
         entities = [EntityFeatures(0, [[0], [0, 1]]), EntityFeatures(1, [[1], [0]])]
         packed = pack_features(entities, vocab, "item")
         assert packed.fields == ["genre", "tag"]
-        np.testing.assert_array_equal(packed.index[0], [[0], [1]])
+        assert packed.bounds == [0, 1, 3]
+        assert packed.rows.dtype == np.int64 and packed.weights.dtype == np.float64
+        index, weights = _field_columns(packed)
+        np.testing.assert_array_equal(index[0], [[0], [1]])
         # tag indices are offset by the genre field size (3).
-        np.testing.assert_array_equal(packed.index[1], [[3, 4], [3, 0]])
+        np.testing.assert_array_equal(index[1], [[3, 4], [3, 0]])
         # Mean-pooling weights: 1/count on each token, 0 on the padding.
-        np.testing.assert_array_equal(packed.weights[1], [[0.5, 0.5], [1.0, 0.0]])
-        np.testing.assert_array_equal(packed.weights[0], [[1.0], [1.0]])
+        np.testing.assert_array_equal(weights[1], [[0.5, 0.5], [1.0, 0.0]])
+        np.testing.assert_array_equal(weights[0], [[1.0], [1.0]])
 
     def test_weights_are_mask_over_count_bit_for_bit(self, prepared):
         for owner, entities, packed in (
                 ("user", prepared.user_features, prepared.user_packed),
                 ("item", prepared.item_features, prepared.item_packed)):
+            assert packed.weights.dtype == np.float64
+            assert packed.rows.shape == packed.weights.shape
+            assert packed.weights.shape == (len(entities), packed.bounds[-1])
+            _, weights = _field_columns(packed)
             for fi in range(len(packed.fields)):
                 lengths = np.asarray([len(e.slots[fi]) for e in entities])
-                width = packed.weights[fi].shape[1]
+                width = weights[fi].shape[1]
                 assert width == lengths.max()
                 mask = (np.arange(width) < lengths[:, None]).astype(np.float64)
                 counts = mask.sum(axis=1)
                 want = mask / counts[:, None]
-                assert packed.weights[fi].dtype == np.float64
-                assert packed.weights[fi].tobytes() == want.tobytes(), (owner, fi)
+                assert weights[fi].tobytes() == want.tobytes(), (owner, fi)
                 # The gathered weights of a batch are what the per-batch
                 # division of gathered masks and counts gave.
                 ids = np.arange(len(entities))[::-1]
-                assert (packed.weights[fi][ids].tobytes()
-                        == (mask[ids] / counts[ids][:, None]).tobytes())
+                assert (packed.weights[ids][:, packed.bounds[fi]:packed.bounds[fi + 1]]
+                        .tobytes() == (mask[ids] / counts[ids][:, None]).tobytes())
+
+    def test_a_side_without_fields_has_empty_tables(self, tmp_path):
+        g = str(tmp_path / "g.tsv")
+        write_feature_file(g, {"i1": ["a"]})
+        vocab = build_feature_vocab([FieldSpec("genre", "item", g)], tag_top_t=50)
+        packed = pack_features([EntityFeatures(j, []) for j in range(3)], vocab,
+                               "user")
+        assert packed.fields == [] and packed.bounds == [0]
+        assert packed.rows.shape == packed.weights.shape == (3, 0)
+        assert packed.rows.dtype == np.int64 and packed.weights.dtype == np.float64
 
 
 class TestBuildDataset:
@@ -442,6 +465,26 @@ class TestBuildDataset:
         path.write_text(json.dumps({"ratings": "r.tsv"}))
         manifest = DatasetManifest.from_file(str(path))
         assert (manifest.min_ratings, manifest.tag_top_t) == (5, 50)
+
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None],
+                             ids=["text-false", "text-no", "zero", "one", "null"])
+    def test_feature_open_flag_must_be_a_json_bool(self, tmp_path, value):
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps({"ratings": "r.tsv", "features": [
+            {"field": "tag", "owner": "item", "path": "t.tsv", "open": value}]}))
+        with pytest.raises(ParseError) as e:
+            DatasetManifest.from_file(str(path))
+        assert (f"dataset manifest {path}: feature 'tag': open must be true or "
+                f"false, got {value!r}") in str(e.value)
+
+    def test_feature_open_flag_takes_json_bools_or_nothing(self, tmp_path):
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps({"ratings": "r.tsv", "features": [
+            {"field": "a", "owner": "item", "path": "a.tsv", "open": True},
+            {"field": "b", "owner": "item", "path": "b.tsv", "open": False},
+            {"field": "c", "owner": "item", "path": "c.tsv"}]}))
+        manifest = DatasetManifest.from_file(str(path))
+        assert [f.open_vocab for f in manifest.features] == [True, False, False]
 
     def test_manifest_rejects_unknown_owner(self):
         with pytest.raises(ParseError, match="owner"):

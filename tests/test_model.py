@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from sain import model
 from sain.data import EntityFeatures
 from sain.errors import ShapeError
 from sain.model import (FieldLayout, ModelConfig, SainParams, attention_head,
@@ -14,6 +15,7 @@ from sain.model import (FieldLayout, ModelConfig, SainParams, attention_head,
                         forward, forward_batch, integration_gate, joint_loss,
                         multi_head_block, score_content, score_preference)
 from sain.seeding import stream_rng
+from sain.tensor import scatter_add_rows
 
 from conftest import small_params
 
@@ -480,6 +482,80 @@ class TestForward:
         user = EntityFeatures(prepared.num_users + 5, [[0], [0]])
         with pytest.raises(ShapeError, match="out of range"):
             forward(user, prepared.item_features[0], params, cfg)
+
+
+def _padded_embedding_grad(d_x, rows, weights, bounds, num_rows):
+    """The oracle: every (B,T) token column, padding included, multiplied by
+    its position's gradient and scattered in row-major order, as the
+    embedding gradient was computed before it left the padding out."""
+    contrib = np.empty(rows.shape + (d_x.shape[-1],))
+    for pos in range(len(bounds) - 1):
+        cols = slice(bounds[pos], bounds[pos + 1])
+        np.multiply(d_x[:, pos:pos + 1, :], weights[:, cols, None],
+                    out=contrib[:, cols, :])
+    return scatter_add_rows(rows.reshape(-1), contrib.reshape(-1, d_x.shape[-1]),
+                            num_rows)
+
+
+class TestEmbeddingGradient:
+    """model._embedding_grad scatters only the tokens with a nonzero pooling
+    weight; it must give the padded scatter's bits."""
+
+    def test_matches_the_padded_scatter_on_the_fixture(self, prepared, monkeypatch):
+        calls = []
+        real = model._embedding_grad
+
+        def spy(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(model, "_embedding_grad", spy)
+        for dropout, mode in ((0.1, "train"), (0.0, "train"), (0.0, "eval")):
+            params, cfg = small_params(prepared, seed=40, dropout_rate=dropout)
+            uids, iids = _batch(prepared, 64, seed=41)
+            trace = forward_batch(uids, iids, prepared.user_packed,
+                                  prepared.item_packed, params, cfg, mode=mode,
+                                  dropout_rng=np.random.default_rng(42))
+            grads = backward(trace, np.full(64, 3.0), params, cfg)
+            (args, got), = calls
+            calls.clear()
+            assert got is grads["embeddings"]
+            assert (trace.embed_weights == 0.0).any()
+            assert got.tobytes() == _padded_embedding_grad(*args).tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_padded_scatter_on_random_layouts(self, seed):
+        rng = np.random.default_rng(seed)
+        B, d, num_rows = int(rng.integers(1, 40)), int(rng.integers(1, 9)), 7
+        # widths of 1 are single-token fields; a field's extra columns past
+        # its longest slot are padding in every row
+        widths = rng.integers(1, 5, size=int(rng.integers(1, 6)))
+        bounds = [0] + np.cumsum(widths).tolist()
+        rows = rng.integers(0, num_rows, size=(B, bounds[-1]))
+        weights = np.zeros((B, bounds[-1]))
+        for lo, hi in zip(bounds, bounds[1:]):
+            counts = rng.integers(1, hi - lo + 1, size=B)
+            if hi - lo > 1:
+                counts = np.minimum(counts, hi - lo - 1)
+            mask = (np.arange(hi - lo) < counts[:, None]).astype(np.float64)
+            weights[:, lo:hi] = mask / counts[:, None]
+        if seed % 2:
+            rows[weights == 0.0] = 0          # as pack_features pads
+        d_x = rng.normal(size=(B, len(bounds) - 1, d))
+        d_x[rng.random(d_x.shape) < 0.2] = -0.0
+        d_x[rng.random(d_x.shape) < 0.1] = 0.0
+        got = model._embedding_grad(d_x, rows, weights, bounds, num_rows)
+        want = _padded_embedding_grad(d_x, rows, weights, bounds, num_rows)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[got == 0.0]).any()
+
+    def test_rows_whose_terms_are_all_negative_zero_stay_positive_zero(self):
+        d_x = np.full((2, 2, 3), -0.0)
+        rows = np.asarray([[1, 0, 2], [1, 2, 0]])
+        weights = np.asarray([[1.0, 0.5, 0.5], [1.0, 1.0, 0.0]])
+        got = model._embedding_grad(d_x, rows, weights, [0, 1, 3], 4)
+        want = _padded_embedding_grad(d_x, rows, weights, [0, 1, 3], 4)
+        assert got.tobytes() == want.tobytes() == np.zeros((4, 3)).tobytes()
 
 
 class TestJointLoss:

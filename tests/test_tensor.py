@@ -53,6 +53,17 @@ class TestSoftmax:
         np.testing.assert_allclose(softmax_rows(z).sum(axis=-1),
                                    np.ones((3, 4)), atol=1e-12)
 
+    def test_out_gives_the_same_bits(self):
+        rng = np.random.default_rng(3)
+        z = rng.normal(0.0, 4.0, size=(6, 4, 10, 10))
+        z[0, 0, 0] = [-0.0, 0.0, 700.0, -700.0, 1e-300, 5.0, 5.0, 5.0, -1.0, 2.0]
+        want = softmax_rows(z)
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        assert want.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+        buf = np.empty_like(z)
+        assert softmax_rows(z, out=buf) is buf and buf.tobytes() == want.tobytes()
+        assert softmax_rows(z, out=z) is z and z.tobytes() == want.tobytes()
+
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             softmax_row([])

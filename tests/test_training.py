@@ -3,6 +3,7 @@ engine, divergence detection, deterministic logs, evaluation, the top-K sweep,
 attention export, and model serialization."""
 
 import csv
+import hashlib
 import math
 import os
 import tracemalloc
@@ -604,3 +605,82 @@ class TestModelSerialization:
         result, _, _ = _quick_train(prepared)
         with pytest.raises(ValueError):
             save_model(str(tmp_path / "m.ckpt"), "mystery", result.params)
+
+
+def _sha(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+
+class TestGoldenBits:
+    """Three epochs of SAIN training on the fixture (12 steps of up to 64
+    pairs), pinned to the sha256 of every float it leaves: the parameter
+    arena, both Adam moment vectors, the batch-norm running statistics, the
+    eval-mode scores and gates of every rated pair, and their pre- and
+    post-top-K attention weights. Speed-ups must keep each stage's float
+    operations and their order, so one reordered sum or product anywhere in
+    the forward, the backward or Adam moves a last bit and fails a pin. Head
+    widths of 6, 2 and 5 make the logit scale 1/sqrt(dh) inexact, so moving
+    the scale shows too. The pins hold for the numpy and BLAS build they were recorded on; another
+    build may round a GEMM differently and move them all at once."""
+
+    CASES = {
+        "dropout-topk2-renorm-split-gates-l2-all": (
+            dict(embed_dim=12, num_heads=2, dropout_rate=0.1, top_k=2,
+                 renormalize_topk=True, gate_shared=False, l2_scope="all"),
+            dict(flat="aa8692c5e8343f3b561eb2227b7f188150d44668cb13285c324af89bd98f314a",
+                 m="73ecadcc8df7968b9b80d03f9ff19a1cd8dbda56590dfdf781dfbf7d7f2b7b4f",
+                 v="8a7669f136834b9e815e9d5f91c58c8a381f7cf5c48121f66564abf6d7632fc0",
+                 bn_mean="6b2a844724ae02aea29ff9b4c74622f1780a8b97b98a81ef579a729568a76ffe",
+                 bn_var="df3493ab4c3e8933d0a58a57370bd77f90c6959236f57f5204e4d1c606efd1ad",
+                 eval="502c0d5858a246f054fee974a3ad4138ce805a6018270ee0745465e65d6d31a1",
+                 attention="6e3e854884d1fd90641b542014bae08abdfbc1129e8309c9e3ca551897452b6b")),
+        "no-dropout-topk3-raw-shared-gate-l2-embeddings": (
+            dict(embed_dim=8, num_heads=4, dropout_rate=0.0, top_k=3,
+                 renormalize_topk=False, gate_shared=True, l2_scope="embeddings"),
+            dict(flat="a4ac028257636b49eff1b09f7e5f473fee3ee7230fcdf4ae9ceb9e09b7c2aaf3",
+                 m="cbfac708474fd2fc6dbf7a95e33ca0849cf6c6cbc94d42fccd7cc0a318df00fb",
+                 v="33017b404c9838d9af212818975b86716cac193a656ffa5e18b8351e4d474ce7",
+                 bn_mean="2b68c8171e35d1e358278245ed846e4748939f0d4f33fd16a8b1062bec6df923",
+                 bn_var="5140874aae87149137a6a3020f15b6d32a81e6318d15580065a02b847d39aa96",
+                 eval="f86e9f84551be6596f8227154fe328fc052f1de78c33b1900e8a145d51d8c9cd",
+                 attention="3a9051e706ccb31227bdf772fc5e649545eef789e54569f6f5004efcbba99f51")),
+        "dropout-topk1-raw-split-gates-l2-embeddings": (
+            dict(embed_dim=10, num_heads=2, dropout_rate=0.1, top_k=1,
+                 renormalize_topk=False, gate_shared=False, l2_scope="embeddings"),
+            dict(flat="212277871efc376c4e960f081b9427a7eb8233779d6c7dd538451c4960489002",
+                 m="9d123f5fabe72b67dc401176cefe96f88996ee2027c31d02eaf93ce67adebf68",
+                 v="6c18c5d73d219d8d8088da4fd5c1c04fbbad6d7199cfe9331ce02da69fea59d8",
+                 bn_mean="2127078fe51642c5c7d0cde885a21c6aefcfc45188a9a3cedc9524232872a520",
+                 bn_var="63c0add0fe9ec92f253c4ce2649d03ba2d4f7ec57ba69f7108dd0a015ec815b1",
+                 eval="069297fad68697964fe5db0b5c94dceca3159f011893c72ee269532e5bea82da",
+                 attention="047495e250d62f6ec5d8526039721eb8d6bbc4083d24b368ba3e3727eed68c61")),
+        "no-dropout-full-k-renorm-shared-gate-l2-all": (
+            dict(embed_dim=12, num_heads=3, dropout_rate=0.0, top_k=4,
+                 renormalize_topk=True, gate_shared=True, l2_scope="all"),
+            dict(flat="daf6c1e3723fd40306d15dd17b0498a6b1085d828c607ee227d6e6ef38484330",
+                 m="bad39dc1f7e0918e1a6c05fe51961f53d6f9d7b70530cf045172717e1d41a21c",
+                 v="9642c932c46783ea1b4753d95c9950a2d59cf911c925050e5f8179cd9b508fcb",
+                 bn_mean="7672eb8e3127e2ea33dc5925efdc6886cf0e293cec6caab60db17936c36175e6",
+                 bn_var="880ebe49df2ac787c5e6014e65712ab1e63c1416141937c9ed949537e27a88a1",
+                 eval="21c4664e08eeff01c7b344da13ba79be4eb8480914a40da96a03f5ca87bfa90b",
+                 attention="4804e9da06c265298ca3c64c8e8732d631969299bbdeecf71ff5f21c455c773b")),
+    }
+
+    @staticmethod
+    def digests(prepared, model_kwargs) -> dict[str, str]:
+        mcfg = ModelConfig(**model_kwargs)
+        tcfg = TrainConfig(max_epochs=3, patience=3, batch_size=64, seed=3)
+        final = train_sain(prepared, mcfg, tcfg).final_params
+        users, items = prepared.interactions.users, prepared.interactions.items
+        outs = training._eval_outputs(final, prepared, users, items)
+        trace = forward_batch(users, items, prepared.user_packed,
+                              prepared.item_packed, final, mcfg, mode="eval")
+        return {"flat": _sha(final.flat), "m": _sha(final.m), "v": _sha(final.v),
+                "bn_mean": _sha(final.bn_mean), "bn_var": _sha(final.bn_var),
+                "eval": _sha(np.stack([outs[k] for k in TestEvalBlocks.NAMES])),
+                "attention": _sha(np.stack([trace.alpha_full, trace.alpha_topk]))}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_training_keeps_every_bit(self, prepared, case):
+        model_kwargs, want = self.CASES[case]
+        assert self.digests(prepared, model_kwargs) == want
