@@ -14,14 +14,11 @@ from .errors import (DivergenceError, IoError, ManifestDriftError, ParseError,
                      SainError, ShapeError)
 from .gradcheck import check_biasedmf, check_sain, run_suite
 from .model import (FieldLayout, ForwardTrace, ModelConfig, SainParams,
-                    aggregate_entities, attention_head, backward, embed_pair,
-                    forward, forward_batch, integration_gate, joint_loss,
-                    multi_head_block, score_content, score_preference)
+                    backward, forward_batch, joint_loss)
 from .ml100k import convert_ml100k, find_ml100k
 from .seeding import derive_seed, stream_rng
 from .tensor import (AdamState, ParamSet, adam_step, finite_diff_gradient,
-                     relative_error, softmax_row, softmax_rows, top_k_indices,
-                     top_k_mask_rows)
+                     relative_error, softmax_rows, top_k_mask_rows)
 from .training import (EvalReport, TrainConfig, TrainResult, attention_matrices,
                        evaluate_mf, evaluate_sain, load_model, predict_mf,
                        predict_sain, rmse_mae, run_training, save_model,

@@ -251,8 +251,7 @@ def cmd_attention(args: argparse.Namespace) -> int:
     data = _prepare(rm, int(meta["seed"]))
     _check_drift(data, meta)
     uid, iid = _dense_ids(data, args.user, args.item)
-    matrices = attention_matrices(params, data.user_features[uid],
-                                  data.item_features[iid])
+    matrices = attention_matrices(params, data, uid, iid)
     os.makedirs(rm.output_dir, exist_ok=True)
     labels = params.layout.fields
     for h, matrix in enumerate(matrices):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IoError, ParseError
+from .errors import IoError, ParseError, ShapeError
 from .seeding import derive_seed
 
 OWNERS = ("user", "item")
@@ -445,6 +445,10 @@ class PackedFeatures:
 
 def pack_features(entities: list[EntityFeatures], vocab: FeatureVocab,
                   owner: str) -> PackedFeatures:
+    """Pack one side's entities. Every slot must hold at least one index, each
+    in [0, size) of its field: a ShapeError naming the field rejects any
+    other, since an empty slot would pool to a zero vector and an index
+    outside would pool another field's row, or wrap to the table's end."""
     fields = vocab.fields_of(owner)
     offsets = vocab.offsets()
     bounds = [0]
@@ -460,8 +464,15 @@ def pack_features(entities: list[EntityFeatures], vocab: FeatureVocab,
             hi = lo + len(vals)
             rows[e.entity_id, lo:hi] = np.asarray(vals, dtype=np.int64) + offsets[fname]
             weights[e.entity_id, lo:hi] = 1.0
-        block = weights[:, lo:bounds[fi + 1]]
-        block /= block.sum(axis=1)[:, None]
+        cols = slice(lo, bounds[fi + 1])
+        block = weights[:, cols]
+        counts = block.sum(axis=1)
+        if not counts.all():
+            raise ShapeError(f"empty feature slot in field {fname!r}")
+        local = rows[:, cols] - offsets[fname]
+        if ((local < 0) | (local >= vocab.field_size(fname)))[block > 0].any():
+            raise ShapeError(f"feature index out of range for field {fname!r}")
+        block /= counts[:, None]
     return PackedFeatures(fields=fields, rows=rows, weights=weights, bounds=bounds)
 
 

@@ -1,9 +1,13 @@
-"""The hybrid attention recommender: shared feature embeddings, feature-level
-multi-head self-attention with top-K filtering, batch-norm/dropout/residual/ReLU
-block, per-entity affine aggregation, collaborative-filtering latent vectors, a
-learned gate blending both signals per entity, three dot-product scoring heads,
-a jointly weighted MSE loss, and exact hand-derived reverse-mode gradients for
-every learnable tensor.
+"""The hybrid attention recommender as one batched pass, `forward_batch`,
+and its exact hand-derived reverse pass, `backward`. For a batch of (user,
+item) pairs the forward pass mean-pools each side's packed feature tokens
+into one embedding per field, runs feature-level multi-head self-attention
+with top-K filtering, then batch norm, dropout, the residual and ReLU,
+aggregates each side's positions affinely into a content vector, looks up
+the collaborative-filtering vectors, blends both per side through a learned
+gate, and scores the three dot products that the jointly weighted MSE loss
+reads. Training, evaluation, prediction and the attention export all run
+this one pass; a single pair is a batch of one.
 
 Shapes: B batch, S = m + n feature positions (m user fields then n item
 fields), d embed dim, H heads, dh = d // H. The heads run as one tensor axis:
@@ -14,13 +18,12 @@ registered as their own (d,dh) tensors `attn{h}_w{q,k,v}`.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EntityFeatures, FeatureVocab, PackedFeatures
+from .data import FeatureVocab, PackedFeatures
 from .errors import ShapeError
 from .tensor import (AdamState, ParamSet, scatter_add_rows, softmax_rows,
                      top_k_mask_rows)
@@ -48,7 +51,6 @@ class ModelConfig:
     num_heads: int = 2
     top_k: int = 8
     dropout_rate: float = 0.1
-    num_attention_layers: int = 1
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     gate_shared: bool = False
     renormalize_topk: bool = True
@@ -57,7 +59,7 @@ class ModelConfig:
     bn_momentum: float = 0.1
 
     def __post_init__(self):
-        for name in ("embed_dim", "num_heads", "top_k", "num_attention_layers"):
+        for name in ("embed_dim", "num_heads", "top_k"):
             require_int(name, getattr(self, name))
         for name in ("dropout_rate", "bn_epsilon", "bn_momentum"):
             require_real(name, getattr(self, name))
@@ -74,8 +76,6 @@ class ModelConfig:
             raise ValueError("top_k must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0,1)")
-        if self.num_attention_layers != 1:
-            raise ValueError("num_attention_layers is fixed at 1")
         if not (math.isfinite(self.bn_epsilon) and self.bn_epsilon > 0.0):
             raise ValueError(f"bn_epsilon must be finite and > 0, "
                              f"got {self.bn_epsilon!r}")
@@ -101,7 +101,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return {"embed_dim": self.embed_dim, "num_heads": self.num_heads,
                 "top_k": self.top_k, "dropout_rate": self.dropout_rate,
-                "num_attention_layers": self.num_attention_layers,
                 "loss_weights": list(self.loss_weights),
                 "gate_shared": self.gate_shared,
                 "renormalize_topk": self.renormalize_topk,
@@ -110,7 +109,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Config from a run config's or a checkpoint header's dict. There is
+        one attention layer; configs and checkpoints written while its count
+        was a key still carry `num_attention_layers`, which must be the
+        integer 1 and is dropped."""
         d = dict(d)
+        if "num_attention_layers" in d:
+            layers = d.pop("num_attention_layers")
+            if type(layers) is not int or layers != 1:
+                raise ValueError("num_attention_layers is fixed at 1")
         if "loss_weights" in d:
             d["loss_weights"] = tuple(d["loss_weights"])
         return cls(**d)
@@ -149,13 +156,6 @@ class FieldLayout:
     @property
     def seq_len(self) -> int:
         return self.m + self.n
-
-    def offsets(self) -> dict[str, int]:
-        out, acc = {}, 0
-        for fname in self.fields:
-            out[fname] = acc
-            acc += self.sizes[fname]
-        return out
 
     @property
     def total_rows(self) -> int:
@@ -283,7 +283,6 @@ class ForwardTrace:
     topk_mask: np.ndarray              # (B,H,S,S) bool
     alpha_topk: np.ndarray             # (B,H,S,S) post-top-K weights
     sel_sum: np.ndarray                # (B,H,S,1) selected-weight row sums
-    concat: np.ndarray                 # (B,S,d) pre batch norm
     bn_xhat: np.ndarray                # (B,S,d)
     bn_inv_std: np.ndarray             # (d,)
     bn_new_mean: np.ndarray            # (d,) running stats after this pass
@@ -311,28 +310,6 @@ class ForwardTrace:
         """(B,3) columns: content, preference, combined."""
         return np.stack([self.score_content, self.score_preference,
                          self.score_combined], axis=1)
-
-
-def embed_pair(user: EntityFeatures, item: EntityFeatures,
-               params: SainParams) -> np.ndarray:
-    """(S,d) sequence: one vector per field slot, user fields then item fields;
-    multi-valued slots are the arithmetic mean of their category embeddings."""
-    layout, emb = params.layout, params.tensors["embeddings"]
-    offsets = layout.offsets()
-    rows = []
-    for fname, slot in zip(layout.user_fields, user.slots):
-        rows.append(_pool_slot(emb, slot, offsets[fname], layout.sizes[fname], fname))
-    for fname, slot in zip(layout.item_fields, item.slots):
-        rows.append(_pool_slot(emb, slot, offsets[fname], layout.sizes[fname], fname))
-    return np.stack(rows, axis=0)
-
-
-def _pool_slot(emb: np.ndarray, slot: list[int], offset: int, size: int,
-               fname: str) -> np.ndarray:
-    idx = np.asarray(slot, dtype=np.int64)
-    if idx.size == 0 or idx.min() < 0 or idx.max() >= size:
-        raise ShapeError(f"feature index out of range for field {fname!r}")
-    return emb[idx + offset].mean(axis=0)
 
 
 def _embed_batch(uids, iids, user_packed: PackedFeatures, item_packed: PackedFeatures,
@@ -382,25 +359,6 @@ def _attention_heads(x: np.ndarray, params: SainParams, config: ModelConfig):
     concat = np.empty((B, S, H, dh))
     np.matmul(ahat, v, out=concat.transpose(0, 2, 1, 3))
     return q, k, v, alpha, mask, ahat, ssum, concat.reshape(B, S, d)
-
-
-def attention_head(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
-                   k: int, renormalize: bool = True):
-    """Single-sequence attention head, the per-head reference for the
-    all-heads path. Returns (outputs (S,dh), pre-top-K attention matrix,
-    post-top-K weight matrix)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    S = x.shape[0]
-    dh = wq.shape[1]
-    qh, kh, vh = x @ wq, x @ wk, x @ wv
-    logits = (qh @ kh.T) / math.sqrt(dh)
-    alpha = softmax_rows(logits)
-    mask = top_k_mask_rows(alpha, min(k, S))
-    selected = alpha * mask
-    ahat = selected / selected.sum(axis=-1, keepdims=True) if renormalize else selected
-    return ahat @ vh, alpha, ahat
 
 
 def _batch_norm_forward(z: np.ndarray, params: SainParams, config: ModelConfig,
@@ -498,7 +456,7 @@ def forward_batch(uids: np.ndarray, iids: np.ndarray, user_packed: PackedFeature
                         embed_weights=embed_weights, embed_bounds=embed_bounds,
                         q=q, k=k, v=v, alpha_full=alpha_full, topk_mask=mask,
                         alpha_topk=alpha_topk, sel_sum=sel_sum,
-                        concat=concat, bn_xhat=xhat, bn_inv_std=inv_std,
+                        bn_xhat=xhat, bn_inv_std=inv_std,
                         bn_new_mean=new_mean, bn_new_var=new_var,
                         dropout_mask=dropout_mask, resid=resid, xbar=xbar,
                         content_user=content_user, content_item=content_item,
@@ -507,97 +465,6 @@ def forward_batch(uids: np.ndarray, iids: np.ndarray, user_packed: PackedFeature
                         combined_item=combined["item"], score_content=score_content,
                         score_preference=score_preference,
                         score_combined=score_combined)
-
-
-def multi_head_block(x: np.ndarray, params: SainParams, config: ModelConfig,
-                     mode: str = "eval",
-                     dropout_rng: np.random.Generator | None = None) -> np.ndarray:
-    """Single-sequence interaction block: heads, concat, batch norm, dropout,
-    residual, ReLU. (S,d) in, (S,d) out."""
-    x3 = np.asarray(x, dtype=np.float64)[None, :, :]
-    *_, concat = _attention_heads(x3, params, config)
-    bn_out, _, _, _, _ = _batch_norm_forward(concat, params, config, mode)
-    if mode == "train" and config.dropout_rate > 0.0:
-        if dropout_rng is None:
-            raise ValueError("train mode with dropout needs a dropout rng")
-        keep = 1.0 - config.dropout_rate
-        bn_out = bn_out * ((dropout_rng.random(bn_out.shape) < keep) / keep)
-    return np.maximum(bn_out + x3, 0.0)[0]
-
-
-def aggregate_entities(xbar: np.ndarray, params: SainParams):
-    """Affine maps from the concatenated user / item positions of one sequence
-    to the two d-dim content vectors."""
-    m = params.layout.m
-    flat_u = xbar[:m, :].reshape(-1)
-    flat_i = xbar[m:, :].reshape(-1)
-    xu = flat_u @ params.tensors["agg_user_w"] + params.tensors["agg_user_b"]
-    xv = flat_i @ params.tensors["agg_item_w"] + params.tensors["agg_item_b"]
-    return xu, xv
-
-
-def score_content(xu: np.ndarray, xv: np.ndarray) -> float:
-    return float(np.dot(xu, xv))
-
-
-def score_preference(cf_u: np.ndarray, cf_v: np.ndarray) -> float:
-    return float(np.dot(cf_u, cf_v))
-
-
-def integration_gate(x_cf: np.ndarray, x_bar: np.ndarray, w: np.ndarray,
-                     b: float = 0.0):
-    """Two-logit softmax over the gated scalars of both vectors, then the convex
-    combination. Returns (blend weight, combined vector). The shared bias ``b``
-    cancels exactly in the logit difference, so the subtracted form is used."""
-    del b
-    t = float((x_cf - x_bar) @ w)
-    a = float(_stable_sigmoid(np.asarray([t]))[0])
-    return a, a * x_cf + (1.0 - a) * x_bar
-
-
-def forward(user: EntityFeatures, item: EntityFeatures, params: SainParams,
-            config: ModelConfig, mode: str = "eval",
-            dropout_rng: np.random.Generator | None = None) -> ForwardTrace:
-    """Single-pair forward pass (batch of one). entity_id on each side indexes
-    the CF tables; the feature slots carry per-field local category indices."""
-    layout = params.layout
-    offsets = layout.offsets()
-
-    def packed_for(entity, fields):
-        rows, weights, bounds = [], [], [0]
-        for fi, fname in enumerate(fields):
-            vals = np.asarray(entity.slots[fi], dtype=np.int64)
-            if vals.size == 0 or vals.min() < 0 or vals.max() >= layout.sizes[fname]:
-                raise ShapeError(f"feature index out of range for field {fname!r}")
-            rows.append(vals + offsets[fname])
-            weights.append(np.ones(vals.size) / float(vals.size))
-            bounds.append(bounds[-1] + vals.size)
-        return PackedFeatures(fields=list(fields), rows=np.concatenate(rows)[None, :],
-                              weights=np.concatenate(weights)[None, :], bounds=bounds)
-
-    packed_u = packed_for(user, layout.user_fields)
-    packed_i = packed_for(item, layout.item_fields)
-    trace = forward_batch(np.asarray([0], dtype=np.int64),
-                          np.asarray([0], dtype=np.int64),
-                          packed_u, packed_i,
-                          _with_cf_rows(params, user.entity_id, item.entity_id),
-                          config, mode=mode, dropout_rng=dropout_rng)
-    trace.uids = np.asarray([user.entity_id], dtype=np.int64)
-    trace.iids = np.asarray([item.entity_id], dtype=np.int64)
-    return trace
-
-
-def _with_cf_rows(params: SainParams, uid: int, iid: int) -> SainParams:
-    """View of params whose CF tables hold only the requested rows."""
-    if not (0 <= uid < params.layout.num_users):
-        raise ShapeError(f"user index {uid} out of range")
-    if not (0 <= iid < params.layout.num_items):
-        raise ShapeError(f"item index {iid} out of range")
-    view = copy.copy(params)
-    view.tensors = {**params.tensors,
-                    "cf_user": params.tensors["cf_user"][uid:uid + 1],
-                    "cf_item": params.tensors["cf_item"][iid:iid + 1]}
-    return view
 
 
 def joint_loss(trace: ForwardTrace, ratings: np.ndarray,

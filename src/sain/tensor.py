@@ -1,8 +1,8 @@
-"""Minimal dense numerical kernel: stable softmax, deterministic top-k selection,
-a row scatter-add, the parameter arena (ParamSet) with its in-place,
-cache-blocked Adam step with decoupled weight decay, and a central
-finite-difference oracle used to certify every analytic gradient in this
-package.
+"""Minimal dense numerical kernel: a row-wise stable softmax, a deterministic
+row-wise top-k mask, a row scatter-add, the parameter arena (ParamSet) with
+its in-place, cache-blocked Adam step with decoupled weight decay, and a
+central finite-difference oracle used to certify every analytic gradient in
+this package.
 
 All arithmetic is float64; gradient certification at 1e-4 relative tolerance is
 not reliable in float32.
@@ -19,29 +19,6 @@ import numpy as np
 from .errors import ShapeError
 
 
-def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce to a float64 2-D array, optionally checking the shape."""
-    a = np.asarray(data, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    if rows is not None and a.shape[0] != rows:
-        raise ValueError(f"shape mismatch: expected {rows} rows, got {a.shape[0]}")
-    if cols is not None and a.shape[1] != cols:
-        raise ValueError(f"shape mismatch: expected {cols} cols, got {a.shape[1]}")
-    return a
-
-
-def softmax_row(logits) -> np.ndarray:
-    """Softmax of a single logit vector, max-subtracted for overflow safety."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.size == 0:
-        raise ValueError("empty logits")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite logit")
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
 def softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise stable softmax over the last axis of an n-d array, written
     into `out` when given (which may be `logits` itself). The float
@@ -52,20 +29,6 @@ def softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
-
-
-def top_k_indices(scores, k: int) -> np.ndarray:
-    """Indices of the k largest scores, ties broken by the smaller index,
-    returned in ascending index order. k larger than the length clamps."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    s = np.asarray(scores, dtype=np.float64)
-    if s.size == 0:
-        raise ValueError("empty scores")
-    k = min(k, s.size)
-    # Stable sort on negated scores: equal scores keep ascending index order.
-    order = np.argsort(-s, kind="stable")[:k]
-    return np.sort(order)
 
 
 def top_k_mask_rows(weights: np.ndarray, k: int) -> np.ndarray:

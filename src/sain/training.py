@@ -19,10 +19,10 @@ import numpy as np
 from .baseline import MfParams, mf_backward, mf_loss, mf_scores
 from .checkpoint import (Checkpoint, adam_states_from_header,
                          adam_states_to_header, load_checkpoint, save_checkpoint)
-from .data import EntityFeatures, PreparedData, interactions_to_arrays
+from .data import PreparedData, interactions_to_arrays
 from .errors import DivergenceError, ParseError, ShapeError
 from .model import (FieldLayout, ModelConfig, SainParams, backward,
-                    decayed_names, forward, forward_batch, joint_loss,
+                    decayed_names, forward_batch, joint_loss,
                     require_int, require_real)
 from .seeding import derive_seed, stream_rng
 from .tensor import AdamState, ParamSet, adam_step
@@ -414,11 +414,15 @@ def sweep_top_k(data: PreparedData, mcfg: ModelConfig, tcfg: TrainConfig,
     return rows
 
 
-def attention_matrices(params: SainParams, user: EntityFeatures,
-                       item: EntityFeatures) -> list[np.ndarray]:
-    """Eval-mode pre-top-K attention, one (m+n, m+n) matrix per head, rows =
-    query positions in field order (user fields then item fields)."""
-    trace = forward(user, item, params, params.config, mode="eval")
+def attention_matrices(params: SainParams, data: PreparedData, uid: int,
+                       iid: int) -> list[np.ndarray]:
+    """Eval-mode pre-top-K attention of the pair (dense user uid, dense item
+    iid), one (m+n, m+n) matrix per head, rows = query positions in field
+    order (user fields then item fields). It is the eval pass predict_sain
+    runs, on a batch of one."""
+    trace = forward_batch(np.asarray([uid], dtype=np.int64),
+                          np.asarray([iid], dtype=np.int64), data.user_packed,
+                          data.item_packed, params, params.config, mode="eval")
     return [trace.alpha_full[0, h] for h in range(params.config.num_heads)]
 
 

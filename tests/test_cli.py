@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import sain
+from sain.checkpoint import load_checkpoint, save_checkpoint
 from sain.cli import RunManifest, main
 
 from conftest import write_synthetic_dataset
@@ -167,7 +168,8 @@ class TestTrainCommand:
         ("train_config", "batch_size", 64.0), ("train_config", "max_epochs", 2.0),
         ("model_config", "bn_epsilon", -1.0), ("model_config", "bn_momentum", 2.0),
         ("model_config", "loss_weights", [0.0, 0.0, 0.0]),
-        ("model_config", "loss_weights", [1.0, -1.0, 1.0])])
+        ("model_config", "loss_weights", [1.0, -1.0, 1.0]),
+        ("model_config", "num_attention_layers", 2)])
     def test_bad_run_config_values_exit_1_before_training(
             self, tmp_path, synthetic_manifest, capsys, scope, key, value):
         base = {"model_config": {"embed_dim": 8, "num_heads": 2, "top_k": 2,
@@ -180,6 +182,18 @@ class TestTrainCommand:
         assert err.startswith(f"error category=error: {key}")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_layer_count_1_from_old_configs_is_dropped(self, tmp_path,
+                                                       synthetic_manifest):
+        path = _write_config(tmp_path, synthetic_manifest,
+                             model_config={"embed_dim": 8, "num_heads": 2,
+                                           "top_k": 2, "num_attention_layers": 1},
+                             train_config={"max_epochs": 1, "seed": 3})
+        assert main(["train", "--config", path]) == 0
+        with open(tmp_path / "out" / "resolved.json") as f:
+            resolved = json.load(f)
+        assert resolved["model_config"]["top_k"] == 2
+        assert "num_attention_layers" not in resolved["model_config"]
 
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         """embed_dim 64 and batch 256 make the Q/K/V and weight-gradient GEMMs
@@ -386,6 +400,35 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", run_config]) == 0
         assert capsys.readouterr().out == first
 
+    @staticmethod
+    def _set_layer_count(path, value):
+        """Re-save a checkpoint with `num_attention_layers` in its header
+        config, as checkpoints were written while it was a config key."""
+        ckpt = load_checkpoint(path)
+        ckpt.config["num_attention_layers"] = value
+        save_checkpoint(path, ckpt)
+
+    def test_checkpoints_with_the_layer_count_1_still_load(self, trained, capsys):
+        run_config, tmp_path = trained
+        capsys.readouterr()
+        assert main(["evaluate", "--config", run_config]) == 0
+        before = capsys.readouterr().out
+        path = str(tmp_path / "out" / "model.ckpt")
+        self._set_layer_count(path, 1)
+        assert load_checkpoint(path).config["num_attention_layers"] == 1
+        assert main(["evaluate", "--config", run_config]) == 0
+        assert capsys.readouterr().out == before
+
+    @pytest.mark.parametrize("value", [2, 1.0, True])
+    def test_other_layer_counts_in_a_checkpoint_exit_4(self, trained, capsys, value):
+        run_config, tmp_path = trained
+        self._set_layer_count(str(tmp_path / "out" / "model.ckpt"), value)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", run_config]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error category=parse") and err.count("\n") == 1
+        assert "num_attention_layers is fixed at 1" in err
+
     def test_missing_checkpoint_exits_3(self, run_config, capsys):
         assert main(["evaluate", "--config", run_config,
                      "--checkpoint", "/nonexistent/model.ckpt"]) == 3
@@ -447,6 +490,16 @@ class TestAttentionCommand:
             assert len(rows) == 5
             weights = [float(v) for v in rows[1][1:]]
             assert abs(sum(weights) - 1.0) < 1e-9
+
+    def test_unknown_user_exits_5(self, trained, capsys):
+        run_config, tmp_path = trained
+        capsys.readouterr()
+        assert main(["attention", "--config", run_config, "--output-dir", "att",
+                     "--checkpoint", str(tmp_path / "out" / "model.ckpt"),
+                     "--user", "nobody", "--item", "i1"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error category=shape") and err.count("\n") == 1
+        assert not (tmp_path / "att").exists()
 
     def test_requires_attention_model(self, run_config, tmp_path, capsys):
         assert main(["train", "--config", run_config, "--model", "biasedmf",

@@ -17,7 +17,8 @@ from sain.data import (DatasetManifest, EntityFeatures, FieldSpec, Interactions,
                        encode_entity_features, interactions_to_arrays,
                        load_ratings, pack_features, parse_feature_file,
                        split_dataset)
-from sain.errors import IoError, ParseError
+from sain.errors import IoError, ParseError, ShapeError
+from sain.gradcheck import _toy_vocab
 
 from conftest import write_feature_file, write_rating_file
 
@@ -388,6 +389,23 @@ class TestPack:
                 ids = np.arange(len(entities))[::-1]
                 assert (packed.weights[ids][:, packed.bounds[fi]:packed.bounds[fi + 1]]
                         .tobytes() == (mask[ids] / counts[ids][:, None]).tobytes())
+
+    # The toy vocab has four fields of 3 rows each, 12 rows in all: uf0 and
+    # uf1 on the user side (rows 0-5), if0 and if1 on the item side (6-11).
+    @pytest.mark.parametrize("owner, slots, field", [
+        ("item", [[[999], [0]]], "if0"),           # far past the table's end
+        ("item", [[[3], [0]]], "if0"),             # the size: if1's row 0
+        ("item", [[[0], [0, 1]], [[1], [2, 3]]], "if1"),  # in a later entity
+        ("user", [[[-1], [0]]], "uf0"),            # wraps to the last row
+        ("user", [[[0], [1]], [[2], [0, -2]]], "uf1"),
+        ("item", [[[0], []]], "if1"),              # empty in every entity
+        ("item", [[[0], [1, 2]], [[], [0]]], "if0")],  # empty in one entity
+        ids=["999", "size", "size-later-entity", "-1", "negative-later-token",
+             "empty-field", "empty-slot"])
+    def test_bad_slots_are_rejected_naming_the_field(self, owner, slots, field):
+        entities = [EntityFeatures(j, s) for j, s in enumerate(slots)]
+        with pytest.raises(ShapeError, match=f"field '{field}'"):
+            pack_features(entities, _toy_vocab(), owner)
 
     def test_a_side_without_fields_has_empty_tables(self, tmp_path):
         g = str(tmp_path / "g.tsv")

@@ -1,6 +1,8 @@
 """Model tests: configuration validation, embedding lookup, the attention head
-against hand-computed values, the interaction block, aggregation, gating,
-scoring, and full forward-pass invariants."""
+oracle against hand-computed values, the interaction block, aggregation,
+gating, scoring, and full forward-pass invariants. Every stage is read off
+the trace of the batched pass, forward_batch; hand examples set the
+parameter tensors that the stage reads."""
 
 import math
 
@@ -8,16 +10,15 @@ import numpy as np
 import pytest
 
 from sain import model
-from sain.data import EntityFeatures
+from sain.data import EntityFeatures, pack_features
 from sain.errors import ShapeError
-from sain.model import (FieldLayout, ModelConfig, SainParams, attention_head,
-                        aggregate_entities, backward, decayed_names, embed_pair,
-                        forward, forward_batch, integration_gate, joint_loss,
-                        multi_head_block, score_content, score_preference)
+from sain.model import (FieldLayout, ModelConfig, SainParams, backward,
+                        decayed_names, forward_batch, joint_loss)
 from sain.seeding import stream_rng
 from sain.tensor import scatter_add_rows
 
 from conftest import small_params
+from oracles import attention_head, head_outputs
 
 E = math.e
 
@@ -45,8 +46,8 @@ class TestModelConfig:
             ModelConfig(top_k=0)
         with pytest.raises(ValueError):
             ModelConfig(dropout_rate=1.0)
-        with pytest.raises(ValueError):
-            ModelConfig(num_attention_layers=2)
+        with pytest.raises(ValueError, match="num_attention_layers is fixed at 1"):
+            ModelConfig.from_dict({"num_attention_layers": 2})
         with pytest.raises(ValueError):
             ModelConfig(loss_weights=(1.0, 1.0))
         with pytest.raises(ValueError):
@@ -56,8 +57,17 @@ class TestModelConfig:
                                        "num_attention_layers"])
     @pytest.mark.parametrize("value", [8.0, 1.0, True])
     def test_integer_fields_reject_floats_and_bools(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            ModelConfig(**{field: value})
+        # num_attention_layers is no longer a field: from_dict, which reads
+        # run configs and checkpoint headers, accepts only the integer 1.
+        want = ("is fixed at 1" if field == "num_attention_layers"
+                else "must be an integer")
+        with pytest.raises(ValueError, match=f"{field} {want}"):
+            ModelConfig.from_dict({field: value})
+
+    def test_layer_count_1_is_dropped(self):
+        cfg = ModelConfig.from_dict({"num_attention_layers": 1, "top_k": 3})
+        assert cfg == ModelConfig(top_k=3)
+        assert "num_attention_layers" not in cfg.to_dict()
 
     @pytest.mark.parametrize("field, value", [
         ("dropout_rate", "0.1"), ("dropout_rate", True), ("bn_epsilon", None),
@@ -96,7 +106,10 @@ class TestFieldLayout:
         assert layout.m == 2 and layout.n == 2 and layout.seq_len == 4
         assert layout.fields == ["gender", "age", "genre", "tag"]
         assert layout.total_rows == prepared.vocab.total_rows
-        assert layout.offsets() == prepared.vocab.offsets()
+        # The layout's fields, in order, tile the vocab's embedding rows.
+        sizes = [layout.sizes[f] for f in layout.fields]
+        offsets = prepared.vocab.offsets()
+        assert [offsets[f] for f in layout.fields] == np.cumsum([0] + sizes[:-1]).tolist()
         assert FieldLayout.from_dict(layout.to_dict()).to_dict() == layout.to_dict()
 
 
@@ -158,14 +171,19 @@ class TestParams:
         assert proj == every - emb
 
 
+def _one_pair(prepared, user_slots, item_slots):
+    """Packed tables holding one user and one item with the given slots."""
+    return (pack_features([EntityFeatures(0, user_slots)], prepared.vocab, "user"),
+            pack_features([EntityFeatures(0, item_slots)], prepared.vocab, "item"))
+
+
 class TestEmbedPair:
     def test_rows_and_mean_pooling(self, prepared):
-        params, _ = small_params(prepared, seed=7)
+        params, cfg = small_params(prepared, seed=7)
         emb = params.tensors["embeddings"]
-        offsets = params.layout.offsets()
-        user = EntityFeatures(0, [[1], [0]])
-        item = EntityFeatures(0, [[0, 2], [1]])
-        x = embed_pair(user, item, params)
+        offsets = prepared.vocab.offsets()
+        users, items = _one_pair(prepared, [[1], [0]], [[0, 2], [1]])
+        x = forward_batch([0], [0], users, items, params, cfg).x[0]
         assert x.shape == (4, 8)
         np.testing.assert_array_equal(x[0], emb[offsets["gender"] + 1])
         np.testing.assert_allclose(
@@ -173,11 +191,8 @@ class TestEmbedPair:
             atol=1e-15)
 
     def test_out_of_range_index_rejected(self, prepared):
-        params, _ = small_params(prepared, seed=7)
-        bad = EntityFeatures(0, [[999], [0]])
-        ok_item = EntityFeatures(0, [[0], [0]])
         with pytest.raises(ShapeError, match="gender"):
-            embed_pair(bad, ok_item, params)
+            _one_pair(prepared, [[999], [0]], [[0], [0]])
 
 
 class TestAttentionHead:
@@ -255,111 +270,152 @@ class TestAttentionHead:
             attention_head(self.X, self.WQ, self.WK, self.WV, k=0)
 
 
+def _batch(prepared, size, seed):
+    rng = np.random.default_rng(seed)
+    uids = rng.integers(0, prepared.num_users, size=size)
+    iids = rng.integers(0, prepared.num_items, size=size)
+    return uids, iids
+
+
+def _run(prepared, params, cfg, uids=(3,), iids=(2,), **kwargs):
+    return forward_batch(np.asarray(uids), np.asarray(iids), prepared.user_packed,
+                         prepared.item_packed, params, cfg, **kwargs)
+
+
 class TestInteractionBlock:
+    """Attention, batch norm, dropout, the residual and ReLU, from x to xbar."""
+
     def test_zero_value_projection_reduces_to_relu_identity(self, prepared):
         # With W_V = 0 the heads emit zeros; fresh batch-norm state maps zeros
         # to zeros, so the block is ReLU(x).
         params, cfg = small_params(prepared, seed=15)
         for h in range(cfg.num_heads):
             params.tensors[f"attn{h}_wv"][:] = 0.0
-        rng = np.random.default_rng(16)
-        x = rng.normal(size=(4, cfg.embed_dim))
-        out = multi_head_block(x, params, cfg, mode="eval")
-        np.testing.assert_allclose(out, np.maximum(x, 0.0), atol=1e-9)
+        trace = _run(prepared, params, cfg, *_batch(prepared, 4, seed=16))
+        np.testing.assert_allclose(trace.xbar, np.maximum(trace.x, 0.0), atol=1e-9)
 
     def test_train_dropout_requires_rng(self, prepared):
         params, cfg = small_params(prepared, seed=17, dropout_rate=0.5)
-        x = np.ones((4, cfg.embed_dim))
         with pytest.raises(ValueError, match="rng"):
-            multi_head_block(x, params, cfg, mode="train")
+            _run(prepared, params, cfg, mode="train")
 
     def test_eval_ignores_dropout(self, prepared):
         params, cfg = small_params(prepared, seed=18, dropout_rate=0.5)
-        x = np.ones((4, cfg.embed_dim))
-        a = multi_head_block(x, params, cfg, mode="eval")
-        b = multi_head_block(x, params, cfg, mode="eval")
-        np.testing.assert_array_equal(a, b)
+        a = _run(prepared, params, cfg, *_batch(prepared, 4, seed=18))
+        b = _run(prepared, params, cfg, *_batch(prepared, 4, seed=18))
+        assert a.dropout_mask is None
+        np.testing.assert_array_equal(a.xbar, b.xbar)
 
     def test_train_dropout_zeroes_and_rescales(self, prepared):
         params, cfg = small_params(prepared, seed=19, dropout_rate=0.4)
-        x = np.ones((6, cfg.embed_dim))
-        rng_a = stream_rng(0, "dropout")
-        rng_b = stream_rng(0, "dropout")
-        a = multi_head_block(x, params, cfg, mode="train", dropout_rng=rng_a)
-        b = multi_head_block(x, params, cfg, mode="train", dropout_rng=rng_b)
-        np.testing.assert_array_equal(a, b)
-        c = multi_head_block(x, params, cfg, mode="train",
-                             dropout_rng=stream_rng(1, "dropout"))
-        assert not np.array_equal(a, c)
+        pairs = _batch(prepared, 6, seed=19)
+        a = _run(prepared, params, cfg, *pairs, mode="train",
+                 dropout_rng=stream_rng(0, "dropout"))
+        b = _run(prepared, params, cfg, *pairs, mode="train",
+                 dropout_rng=stream_rng(0, "dropout"))
+        np.testing.assert_array_equal(a.xbar, b.xbar)
+        c = _run(prepared, params, cfg, *pairs, mode="train",
+                 dropout_rng=stream_rng(1, "dropout"))
+        assert not np.array_equal(a.xbar, c.xbar)
+
+
+def _padded(v, d):
+    return np.concatenate([np.asarray(v, dtype=np.float64), np.zeros(d - len(v))])
+
+
+def _set_vectors(params, cfg, side="user", cf=(), content=(), uid=3, iid=2):
+    """Make one side's CF vector (the row of uid or iid) and content vector
+    the given ones, zero-padded to d. The content vector is the aggregation
+    bias, under zero aggregation weights."""
+    d, t = cfg.embed_dim, params.tensors
+    t[f"agg_{side}_w"] = np.zeros(t[f"agg_{side}_w"].shape)
+    t[f"agg_{side}_b"] = _padded(content, d)
+    t[f"cf_{side}"][uid if side == "user" else iid] = _padded(cf, d)
 
 
 class TestAggregationAndScores:
     def test_affine_aggregation_hand_example(self, prepared):
         params, cfg = small_params(prepared, seed=20)
-        d = cfg.embed_dim
-        params.tensors["agg_user_w"][:] = 0.0
+        d, t = cfg.embed_dim, params.tensors
+        for h in range(cfg.num_heads):     # xbar = relu(x), as above
+            t[f"attn{h}_wv"][:] = 0.0
+        # Channel 0 of the user's gender and age positions: 3 and 4.
+        gender_row, age_row = prepared.user_packed.rows[3, :2]
+        t["embeddings"][gender_row, 0] = 3.0
+        t["embeddings"][age_row, 0] = 4.0
+        t["agg_user_w"][:] = 0.0
         # First output channel sums channel 0 of both user positions: 3 + 4.
-        params.tensors["agg_user_w"][0, 0] = 1.0
-        params.tensors["agg_user_w"][d, 0] = 1.0
-        params.tensors["agg_user_b"][:] = 0.0
-        params.tensors["agg_user_b"][1] = 0.25
-        xbar = np.zeros((4, d))
-        xbar[0, 0] = 3.0
-        xbar[1, 0] = 4.0
-        xu, _ = aggregate_entities(xbar, params)
+        t["agg_user_w"][0, 0] = 1.0
+        t["agg_user_w"][d, 0] = 1.0
+        t["agg_user_b"][:] = 0.0
+        t["agg_user_b"][1] = 0.25
+        trace = _run(prepared, params, cfg)
+        assert (trace.xbar[0, 0, 0], trace.xbar[0, 1, 0]) == (3.0, 4.0)
+        xu = trace.content_user[0]
         assert math.isclose(xu[0], 7.0, abs_tol=1e-15)
         assert math.isclose(xu[1], 0.25, abs_tol=1e-15)
 
-    def test_scores_are_dot_products(self):
-        a = np.asarray([1.0, 2.0, -1.0])
-        b = np.asarray([0.5, 0.25, 2.0])
-        assert math.isclose(score_content(a, b), -1.0, abs_tol=1e-15)
-        assert math.isclose(score_preference(a, b), np.dot(a, b), abs_tol=1e-15)
+    def test_scores_are_dot_products(self, prepared):
+        a = [1.0, 2.0, -1.0]
+        b = [0.5, 0.25, 2.0]
+        params, cfg = small_params(prepared, seed=20)
+        _set_vectors(params, cfg, "user", cf=a, content=a)
+        _set_vectors(params, cfg, "item", cf=b, content=b)
+        trace = _run(prepared, params, cfg)
+        assert math.isclose(trace.score_content[0], -1.0, abs_tol=1e-15)
+        assert math.isclose(trace.score_preference[0], np.dot(a, b), abs_tol=1e-15)
+
+
+def integration_gate(prepared, x_cf, x_bar, w, b=0.0):
+    """The user side's gate on one pair whose CF vector is x_cf and content
+    vector x_bar, under gate weight w and bias b. Returns (blend weight,
+    combined vector), cut back to the given length."""
+    params, cfg = small_params(prepared, seed=21)
+    _set_vectors(params, cfg, "user", cf=x_cf, content=x_bar)
+    params.tensors["gate_user_w"] = _padded(w, cfg.embed_dim)
+    params.tensors["gate_user_b"] = [b]
+    trace = _run(prepared, params, cfg)
+    return trace.gate_alpha["user"][0], trace.combined_user[0, :len(x_cf)]
 
 
 class TestIntegrationGate:
-    def test_zero_weight_is_even_blend(self):
-        a, combined = integration_gate(np.asarray([2.0, 0.0]),
+    def test_zero_weight_is_even_blend(self, prepared):
+        a, combined = integration_gate(prepared, np.asarray([2.0, 0.0]),
                                        np.asarray([0.0, 2.0]), np.zeros(2))
         assert a == 0.5
         np.testing.assert_allclose(combined, [1.0, 1.0], atol=1e-15)
 
-    def test_log3_logit_gives_three_quarters(self):
+    def test_log3_logit_gives_three_quarters(self, prepared):
         x_cf = np.asarray([1.0, 0.0])
         x_bar = np.asarray([0.0, 0.0])
-        a, combined = integration_gate(x_cf, x_bar, np.asarray([math.log(3.0), 0.0]))
+        a, combined = integration_gate(prepared, x_cf, x_bar,
+                                       np.asarray([math.log(3.0), 0.0]))
         assert math.isclose(a, 0.75, abs_tol=1e-15)
         np.testing.assert_allclose(combined, [0.75, 0.0], atol=1e-15)
 
-    def test_bias_cancels_in_the_logit_difference(self):
+    def test_bias_cancels_in_the_logit_difference(self, prepared):
         x_cf = np.asarray([1.0, 2.0])
         x_bar = np.asarray([0.5, -1.0])
         w = np.asarray([0.3, -0.7])
-        a0, _ = integration_gate(x_cf, x_bar, w, b=0.0)
-        a9, _ = integration_gate(x_cf, x_bar, w, b=9.0)
+        a0, _ = integration_gate(prepared, x_cf, x_bar, w, b=0.0)
+        a9, _ = integration_gate(prepared, x_cf, x_bar, w, b=9.0)
         assert a0 == a9
 
-    def test_equal_vectors_blend_to_themselves(self):
+    def test_equal_vectors_blend_to_themselves(self, prepared):
         v = np.asarray([1.5, -0.5])
-        a, combined = integration_gate(v, v.copy(), np.asarray([2.0, 1.0]))
+        a, combined = integration_gate(prepared, v, v.copy(), np.asarray([2.0, 1.0]))
         assert a == 0.5
         np.testing.assert_allclose(combined, v, atol=1e-15)
 
-    def test_extreme_logits_saturate_without_overflow(self):
+    def test_extreme_logits_saturate_without_overflow(self, prepared):
         x_cf = np.asarray([1.0])
         x_bar = np.asarray([0.0])
-        a_hi, c_hi = integration_gate(x_cf, x_bar, np.asarray([800.0]))
-        a_lo, c_lo = integration_gate(x_cf, x_bar, np.asarray([-800.0]))
+        with np.errstate(over="raise"):
+            a_hi, c_hi = integration_gate(prepared, x_cf, x_bar, np.asarray([800.0]))
+            a_lo, c_lo = integration_gate(prepared, x_cf, x_bar, np.asarray([-800.0]))
         assert a_hi == 1.0 and a_lo == 0.0
         np.testing.assert_allclose(c_hi, x_cf, atol=1e-15)
         np.testing.assert_allclose(c_lo, x_bar, atol=1e-15)
-
-
-def _batch(prepared, size, seed):
-    rng = np.random.default_rng(seed)
-    uids = rng.integers(0, prepared.num_users, size=size)
-    iids = rng.integers(0, prepared.num_items, size=size)
-    return uids, iids
 
 
 class TestForward:
@@ -409,7 +465,7 @@ class TestForward:
                 np.testing.assert_array_equal(trace.topk_mask[b, h], ahat > 0)
                 np.testing.assert_allclose(trace.q[b, h], trace.x[b] @ wq,
                                            rtol=0, atol=1e-12)
-                np.testing.assert_allclose(trace.concat[b, :, h * dh:(h + 1) * dh],
+                np.testing.assert_allclose(head_outputs(trace)[b, :, h * dh:(h + 1) * dh],
                                            out, rtol=0, atol=1e-12)
 
     def test_gates_in_open_interval_and_combined_between_endpoints(self, prepared):
@@ -449,7 +505,7 @@ class TestForward:
         uids, iids = _batch(prepared, 5, seed=30)
         trace = forward_batch(uids, iids, prepared.user_packed,
                               prepared.item_packed, params, cfg, mode="train")
-        flat = trace.concat.reshape(-1, cfg.embed_dim)
+        flat = head_outputs(trace).reshape(-1, cfg.embed_dim)
         np.testing.assert_allclose(
             trace.bn_new_mean, 0.9 * params.bn_mean + 0.1 * flat.mean(axis=0),
             atol=1e-12)
@@ -458,13 +514,13 @@ class TestForward:
             atol=1e-12)
 
     def test_single_pair_matches_batched_path(self, prepared):
+        # Pair (3, 2) alone and as row 4 of a batch of 9.
         params, cfg = small_params(prepared, seed=31)
-        trace_b = forward_batch(np.asarray([3]), np.asarray([2]),
-                                prepared.user_packed, prepared.item_packed,
-                                params, cfg)
-        trace_1 = forward(prepared.user_features[3], prepared.item_features[2],
-                          params, cfg)
-        np.testing.assert_allclose(trace_1.scores(), trace_b.scores(), atol=1e-12)
+        uids, iids = _batch(prepared, 9, seed=31)
+        uids[4], iids[4] = 3, 2
+        trace_b = _run(prepared, params, cfg, uids, iids)
+        trace_1 = _run(prepared, params, cfg)
+        np.testing.assert_allclose(trace_1.scores(), trace_b.scores()[4:5], atol=1e-12)
         assert trace_1.uids[0] == 3 and trace_1.iids[0] == 2
 
     def test_mode_and_batch_validation(self, prepared):
@@ -476,12 +532,6 @@ class TestForward:
             forward_batch(np.asarray([], dtype=np.int64),
                           np.asarray([], dtype=np.int64), prepared.user_packed,
                           prepared.item_packed, params, cfg)
-
-    def test_entity_id_out_of_range(self, prepared):
-        params, cfg = small_params(prepared, seed=33)
-        user = EntityFeatures(prepared.num_users + 5, [[0], [0]])
-        with pytest.raises(ShapeError, match="out of range"):
-            forward(user, prepared.item_features[0], params, cfg)
 
 
 def _padded_embedding_grad(d_x, rows, weights, bounds, num_rows):

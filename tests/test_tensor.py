@@ -1,6 +1,7 @@
 """Unit tests for the dense numerical kernel: softmax, top-k selection, the
 row scatter-add, the parameter arena and its in-place Adam step, and the
-finite-difference oracle itself."""
+finite-difference oracle itself. The single-row softmax and top-k index
+oracles in oracles.py are pinned here to hand values too."""
 
 import math
 
@@ -8,11 +9,12 @@ import numpy as np
 import pytest
 
 from sain.errors import ShapeError
-from sain.tensor import (ADAM_BLOCK, AdamState, ParamSet, adam_step, as_matrix,
+from sain.tensor import (ADAM_BLOCK, AdamState, ParamSet, adam_step,
                          finite_diff_gradient, relative_error, scatter_add_rows,
-                         softmax_row, softmax_rows, top_k_indices,
-                         top_k_mask_rows)
+                         softmax_rows, top_k_mask_rows)
 from sain.training import TrainConfig, adam_update
+
+from oracles import softmax_row, top_k_indices
 
 
 class TestSoftmax:
@@ -427,16 +429,3 @@ class TestRelativeError:
         err = relative_error([1.0, 0.0], [1.0, 0.5])
         assert math.isclose(err, 0.5, rel_tol=1e-12)
 
-
-class TestAsMatrix:
-    def test_accepts_nested_lists(self):
-        m = as_matrix([[1, 2], [3, 4]], rows=2, cols=2)
-        assert m.dtype == np.float64
-
-    def test_rejects_wrong_rank_and_shape(self):
-        with pytest.raises(ValueError):
-            as_matrix([1.0, 2.0])
-        with pytest.raises(ValueError):
-            as_matrix([[1.0, 2.0]], rows=2)
-        with pytest.raises(ValueError):
-            as_matrix([[1.0, 2.0]], cols=3)

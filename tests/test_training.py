@@ -501,8 +501,7 @@ class TestSweep:
 class TestAttentionExport:
     def test_one_square_matrix_per_head(self, prepared):
         params, cfg = small_params(prepared, seed=50, num_heads=2)
-        mats = attention_matrices(params, prepared.user_features[0],
-                                  prepared.item_features[0])
+        mats = attention_matrices(params, prepared, 0, 0)
         S = params.layout.seq_len
         assert len(mats) == 2
         for mat in mats:
@@ -512,8 +511,7 @@ class TestAttentionExport:
     def test_matrices_are_pre_filter(self, prepared):
         # Even with top-K at 1 the export keeps full dense rows.
         params, cfg = small_params(prepared, seed=51, top_k=1)
-        mats = attention_matrices(params, prepared.user_features[1],
-                                  prepared.item_features[1])
+        mats = attention_matrices(params, prepared, 1, 1)
         assert all((mat > 0.0).all() for mat in mats)
 
 
@@ -684,3 +682,34 @@ class TestGoldenBits:
     def test_training_keeps_every_bit(self, prepared, case):
         model_kwargs, want = self.CASES[case]
         assert self.digests(prepared, model_kwargs) == want
+
+
+class TestAttentionGoldenBits:
+    """sha256 of the exported attention matrices of five fixture pairs (the
+    last user and item among them; most items pool several tokens) under
+    four configs: top-K of 1 and of S, with 2 and 4 heads. The export is the
+    pre-top-K softmax, so K must not reach it. Like TestGoldenBits, the pins
+    hold for the numpy and BLAS build they were recorded on."""
+
+    PAIRS = [(0, 0), (1, 1), (3, 2), (7, 11), (29, 19)]
+    CASES = {
+        "d8-h2-top1": (dict(embed_dim=8, num_heads=2, top_k=1),
+                       "195a764c93af8b52b511203071fa1df499ffe0cd1d40ba1359ba88a62ffc8151"),
+        "d8-h4-topS": (dict(embed_dim=8, num_heads=4, top_k=4),
+                       "7a52f45f16dbbb18daecfcd6b9082562f50c1f8641128ab149046cf88478e0bb"),
+        "d12-h4-top1": (dict(embed_dim=12, num_heads=4, top_k=1),
+                        "62bafd5c7cf75633078db58468f067f15b413cf160026f85097b8f93ef1c0fbd"),
+        "d12-h2-topS": (dict(embed_dim=12, num_heads=2, top_k=4),
+                        "a4eb33727fe0d843f2811c4dbea36c2c7c0cc8df3ea84cb2b23c4ce46307e1ae"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_export_keeps_every_bit(self, prepared, case):
+        model_kwargs, want = self.CASES[case]
+        params, _ = small_params(prepared, seed=60, **model_kwargs)
+        assert (prepared.num_users, prepared.num_items) == (30, 20)
+        h = hashlib.sha256()
+        for u, i in self.PAIRS:
+            mats = attention_matrices(params, prepared, u, i)
+            h.update(np.stack(mats).astype("<f8").tobytes())
+        assert h.hexdigest() == want
