@@ -13,7 +13,10 @@ and lone-CR line ends count as line ends; blank lines are skipped but keep
 their place in the line numbers of error messages. The ratings are held as
 columns (`Interactions`): the rating and timestamp columns are converted and
 validated in bulk, and a bad file is reported at the first line that a
-line-by-line parse would reject, with the same message.
+line-by-line parse would reject, with the same message. The features are
+columnar too: the vocabulary is counted, and each side encoded
+(`EncodedFeatures`) and packed (`PackedFeatures`), a field at a time on
+arrays, with no object per entity.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -180,12 +183,16 @@ class FeatureVocab:
 
 
 @dataclass
-class EntityFeatures:
-    """Per-field category indices for one entity: exactly one slot per owned
-    field, never empty (missing values fall back to the unknown index)."""
+class EncodedFeatures:
+    """One side's encoded features, field by field in the vocabulary's order.
+    Entity e's slot in field f holds sizes[f][e] indices, and the slots lie
+    one after another in dense-id order in indices[f]. A slot encoded from
+    files is sorted, de-duplicated and never empty: it holds the field's
+    unknown index when none of the entity's tokens is known."""
 
-    entity_id: int
-    slots: list[list[int]]
+    num_entities: int
+    sizes: list[np.ndarray]    # per field, (num_entities,) int64
+    indices: list[np.ndarray]  # per field, (sizes[f].sum(),) int64
 
 
 @dataclass
@@ -281,6 +288,16 @@ def _codes(keys: list[str]) -> tuple[list[str], np.ndarray]:
     among them."""
     index = {key: j for j, key in enumerate(dict.fromkeys(keys))}
     return list(index), np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array, as np.unique gives
+    them, by one sort and a comparison of neighbours; np.unique's hash path
+    is many times slower on large int64 arrays."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def _dense_ids(names: list[str], code: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
@@ -385,49 +402,66 @@ def build_feature_vocab(specs: list[FieldSpec], tag_top_t: int,
     """Index each field's tokens. Closed fields are indexed exhaustively in
     first-appearance order. Open fields keep only the tag_top_t most frequent
     tokens (frequency = number of distinct entities using the token, counted
-    over the filtered population when given; ties broken lexicographically)."""
+    over the filtered population when given; ties broken lexicographically).
+    The counting runs on the file's tokens as one array: each (entity,
+    token) pair is counted once, after one sort of their keys."""
     tokens: dict[str, dict[str, int]] = {}
     for spec in specs:
         raw = parse_feature_file(spec.path)
-        if spec.open_vocab:
-            counts: Counter = Counter()
-            for entity, toks in raw.items():
-                if population is not None and entity not in population[spec.owner]:
-                    continue
-                counts.update(set(toks))
-            ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-            tokens[spec.name] = {tok: i for i, (tok, _) in enumerate(ranked[:tag_top_t])}
-        else:
-            index: dict[str, int] = {}
-            for toks in raw.values():
-                for tok in toks:
-                    index.setdefault(tok, len(index))
-            tokens[spec.name] = index
+        flat = chain.from_iterable(raw.values())
+        if not spec.open_vocab:
+            tokens[spec.name] = {tok: i for i, tok in enumerate(dict.fromkeys(flat))}
+            continue
+        lengths = np.fromiter(map(len, raw.values()), np.int64, len(raw))
+        entity = np.repeat(np.arange(len(raw)), lengths)
+        if population is not None:
+            member = np.fromiter(map(population[spec.owner].__contains__, raw),
+                                 bool, len(raw))[entity]
+            flat, entity = compress(flat, member.tolist()), entity[member]
+        names, code = _codes(list(flat))
+        # one key per distinct (entity, token) pair, so an entity counts once
+        pairs = _distinct(entity * len(names) + code)
+        users = np.bincount(pairs % max(len(names), 1), minlength=len(names))
+        ranked = sorted(range(len(names)), key=lambda j: (-users[j], names[j]))
+        tokens[spec.name] = {names[j]: i for i, j in enumerate(ranked[:tag_top_t])}
     return FeatureVocab(specs, tokens)
 
 
 def encode_entity_features(raw_by_field: dict[str, dict[str, list[str]]],
                            vocab: FeatureVocab, id_map: dict[str, int],
-                           owner: str) -> list[EntityFeatures]:
-    """One EntityFeatures per entity with exactly one slot per owned field.
-    Tokens outside a field's vocabulary are dropped; a slot with nothing
-    retained (including entities absent from the file) holds the unknown
-    index."""
-    fields = vocab.fields_of(owner)
-    table: list[EntityFeatures] = [None] * len(id_map)  # type: ignore[list-item]
-    for raw_id, dense in id_map.items():
-        slots = []
-        for fname in fields:
-            toks = raw_by_field.get(fname, {}).get(raw_id, [])
-            kept = sorted({vocab.tokens[fname][t] for t in toks if t in vocab.tokens[fname]})
-            slots.append(kept if kept else [vocab.unknown_index(fname)])
-        table[dense] = EntityFeatures(entity_id=dense, slots=slots)
-    return table
+                           owner: str) -> EncodedFeatures:
+    """Encode the entities of `id_map` (raw id -> dense id) field by field.
+    Tokens outside a field's vocabulary and entities outside `id_map` are
+    dropped; a slot with nothing retained (including entities absent from
+    the file) holds the unknown index. Each field is one sort of the keys
+    entity * size + index of its known tokens and its empty slots' unknown
+    index, which orders and de-duplicates every slot at once."""
+    n = len(id_map)
+    sizes, indices = [], []
+    for fname in vocab.fields_of(owner):
+        raw = raw_by_field.get(fname, {})
+        size, unknown = vocab.field_size(fname), vocab.unknown_index(fname)
+        lengths = np.fromiter(map(len, raw.values()), np.int64, len(raw))
+        dense = np.fromiter(map(id_map.get, raw, repeat(-1)), np.int64, len(raw))
+        index = np.fromiter(map(vocab.tokens[fname].get,
+                                chain.from_iterable(raw.values()), repeat(unknown)),
+                            np.int64, int(lengths.sum()))
+        entity = np.repeat(dense, lengths)
+        known = (entity >= 0) & (index != unknown)
+        entity, index = entity[known], index[known]
+        empty = np.ones(n, dtype=bool)
+        empty[entity] = False
+        keys = _distinct(np.concatenate([entity * size + index,
+                                         np.flatnonzero(empty) * size + unknown]))
+        entity, index = np.divmod(keys, size)
+        sizes.append(np.bincount(entity, minlength=n))
+        indices.append(index)
+    return EncodedFeatures(num_entities=n, sizes=sizes, indices=indices)
 
 
 @dataclass
 class PackedFeatures:
-    """Vectorized view of one side's EntityFeatures for batched mean pooling:
+    """Vectorized view of one side's EncodedFeatures for batched mean pooling:
     two (num_entities, T) tables, one column block per field in field order.
     Field f owns columns bounds[f]:bounds[f+1], as many as its widest slot.
     `rows` holds the global embedding row of each token (0 on padding), and
@@ -443,27 +477,35 @@ class PackedFeatures:
     bounds: list[int]    # (F+1,) field column bounds
 
 
-def pack_features(entities: list[EntityFeatures], vocab: FeatureVocab,
+def pack_features(features: EncodedFeatures, vocab: FeatureVocab,
                   owner: str) -> PackedFeatures:
-    """Pack one side's entities. Every slot must hold at least one index, each
-    in [0, size) of its field: a ShapeError naming the field rejects any
-    other, since an empty slot would pool to a zero vector and an index
-    outside would pool another field's row, or wrap to the table's end."""
+    """Pack one side's encoded features, one fancy assignment per table and
+    field: a slot's k-th index goes to its entity's row, k columns into the
+    field's block. Every slot must hold at least one index, each in
+    [0, size) of its field: a ShapeError naming the field rejects any other,
+    since an empty slot would pool to a zero vector and an index outside
+    would pool another field's row, or wrap to the table's end."""
     fields = vocab.fields_of(owner)
     offsets = vocab.offsets()
+    n = features.num_entities
+    if len(features.sizes) != len(fields) or len(features.indices) != len(fields):
+        raise ShapeError(f"encoded features hold {len(features.sizes)} fields, "
+                         f"the {owner} side has {len(fields)}")
     bounds = [0]
-    for fi in range(len(fields)):
-        bounds.append(bounds[-1] + max((len(e.slots[fi]) for e in entities), default=1))
-    n = len(entities)
+    for sizes in features.sizes:
+        bounds.append(bounds[-1] + (int(sizes.max()) if n else 1))
     rows = np.zeros((n, bounds[-1]), dtype=np.int64)
     weights = np.zeros((n, bounds[-1]), dtype=np.float64)
     for fi, fname in enumerate(fields):
+        sizes, index = features.sizes[fi], features.indices[fi]
+        if sizes.shape != (n,) or index.shape != (int(sizes.sum()),):
+            raise ShapeError(f"encoded slots of field {fname!r} do not match "
+                             f"{n} entities")
         lo = bounds[fi]
-        for e in entities:
-            vals = e.slots[fi]
-            hi = lo + len(vals)
-            rows[e.entity_id, lo:hi] = np.asarray(vals, dtype=np.int64) + offsets[fname]
-            weights[e.entity_id, lo:hi] = 1.0
+        entity = np.repeat(np.arange(n), sizes)
+        column = np.arange(lo, lo + index.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        rows[entity, column] = index + offsets[fname]
+        weights[entity, column] = 1.0
         cols = slice(lo, bounds[fi + 1])
         block = weights[:, cols]
         counts = block.sum(axis=1)
@@ -478,8 +520,8 @@ def pack_features(entities: list[EntityFeatures], vocab: FeatureVocab,
 
 @dataclass
 class PreparedData:
-    """Everything downstream of ingestion: vocabularies, encoded features,
-    dense interactions, and the seeded split."""
+    """Everything downstream of ingestion: vocabularies, each side's encoded
+    and packed features, dense interactions, and the seeded split."""
 
     manifest: DatasetManifest
     vocab: FeatureVocab
@@ -487,8 +529,8 @@ class PreparedData:
     split: DatasetSplit
     user_ids: dict[str, int]
     item_ids: dict[str, int]
-    user_features: list[EntityFeatures]
-    item_features: list[EntityFeatures]
+    user_features: EncodedFeatures
+    item_features: EncodedFeatures
     user_packed: PackedFeatures
     item_packed: PackedFeatures
 

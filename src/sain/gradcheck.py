@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import MfParams, mf_backward, mf_loss, mf_scores
-from .data import EntityFeatures, FeatureVocab, FieldSpec, pack_features
+from .data import EncodedFeatures, FeatureVocab, FieldSpec, pack_features
 from .model import (FieldLayout, ModelConfig, SainParams, backward,
                     forward_batch, joint_loss)
 from .tensor import finite_diff_gradient, relative_error
@@ -55,14 +55,18 @@ def _toy_vocab() -> FeatureVocab:
     return FeatureVocab(specs, tokens)
 
 
-def _toy_entities(rng: np.random.Generator, count: int) -> list[EntityFeatures]:
-    out = []
-    for eid in range(count):
-        single = [int(rng.integers(0, 3))]
-        multi = sorted(rng.choice(3, size=int(rng.integers(1, 3)),
-                                  replace=False).tolist())
-        out.append(EntityFeatures(entity_id=eid, slots=[single, multi]))
-    return out
+def _toy_entities(rng: np.random.Generator, count: int) -> EncodedFeatures:
+    """`count` entities of the toy vocab: one index in field 0, one or two
+    sorted distinct indices in field 1, drawn entity by entity."""
+    single, multi = [], []
+    for _ in range(count):
+        single.append(int(rng.integers(0, 3)))
+        multi.append(np.sort(rng.choice(3, size=int(rng.integers(1, 3)), replace=False)))
+    return EncodedFeatures(
+        num_entities=count,
+        sizes=[np.ones(count, dtype=np.int64),
+               np.array([m.size for m in multi], dtype=np.int64)],
+        indices=[np.array(single, dtype=np.int64), np.concatenate(multi)])
 
 
 @dataclass

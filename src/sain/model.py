@@ -365,12 +365,13 @@ def _batch_norm_forward(z: np.ndarray, params: SainParams, config: ModelConfig,
                         mode: str):
     """Channel-wise batch norm over the batch x feature-position axis. Train
     mode normalizes with batch statistics (biased variance) and returns updated
-    running stats; eval mode uses the stored running stats."""
+    running stats; eval mode uses the stored running stats. The normalized
+    input xhat is computed in z's buffer, so z is consumed."""
     gamma, beta = params.tensors["bn_gamma"], params.tensors["bn_beta"]
     flat = z.reshape(-1, z.shape[-1])
     if mode == "train":
         mean = flat.mean(axis=0)
-        xhat = flat - mean
+        xhat = np.subtract(flat, mean, out=flat)
         # np.var's own steps: the centered squares summed, over the count
         var = (xhat * xhat).sum(axis=0) / flat.shape[0]
         mom = config.bn_momentum
@@ -379,7 +380,7 @@ def _batch_norm_forward(z: np.ndarray, params: SainParams, config: ModelConfig,
     else:
         mean, var = params.bn_mean, params.bn_var
         new_mean, new_var = params.bn_mean.copy(), params.bn_var.copy()
-        xhat = flat - mean
+        xhat = np.subtract(flat, mean, out=flat)
     inv_std = 1.0 / np.sqrt(var + config.bn_epsilon)
     xhat *= inv_std
     out = gamma * xhat
@@ -401,12 +402,19 @@ def forward_batch(uids: np.ndarray, iids: np.ndarray, user_packed: PackedFeature
     iids = np.asarray(iids, dtype=np.int64)
     if uids.size == 0:
         raise ValueError("empty batch")
+    for side, ids, packed in (("user", uids, user_packed), ("item", iids, item_packed)):
+        # An id indexes both the side's packed tables and its CF table.
+        n = min(packed.rows.shape[0], params.tensors[f"cf_{side}"].shape[0])
+        if ids.min() < 0 or ids.max() >= n:
+            raise ShapeError(f"{side} id outside [0, {n}): "
+                             f"{int(ids[(ids < 0) | (ids >= n)][0])}")
 
     x, embed_rows, embed_weights, embed_bounds = _embed_batch(
         uids, iids, user_packed, item_packed, params)
     q, k, v, alpha_full, mask, alpha_topk, sel_sum, concat = _attention_heads(
         x, params, config)
 
+    # batch norm centers in concat's buffer, which becomes xhat
     bn_out, xhat, inv_std, new_mean, new_var = _batch_norm_forward(
         concat, params, config, mode)
 

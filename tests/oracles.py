@@ -1,12 +1,15 @@
 """Reference implementations that the tests compare the package against: one
-attention head on one sequence, a single-row softmax, and top-k selection by
-a stable sort. The package itself runs the batched forms (all heads as one
-tensor axis, softmax_rows, top_k_mask_rows)."""
+attention head on one sequence, a single-row softmax, top-k selection by a
+stable sort, and the feature pipeline entity by entity (vocabulary, slots and
+packed tables). The package itself runs the batched forms (all heads as one
+tensor axis, softmax_rows, top_k_mask_rows, per-field column arrays)."""
 
 import math
+from collections import Counter
 
 import numpy as np
 
+from sain.data import EncodedFeatures, FeatureVocab, parse_feature_file
 from sain.tensor import softmax_rows, top_k_mask_rows
 
 
@@ -60,3 +63,84 @@ def head_outputs(trace) -> np.ndarray:
     out = trace.alpha_topk @ trace.v                 # (B,H,S,dh)
     B, H, S, dh = out.shape
     return out.transpose(0, 2, 1, 3).reshape(B, S, H * dh)
+
+
+def feature_vocab(specs, tag_top_t: int, population=None) -> FeatureVocab:
+    """build_feature_vocab token by token: closed fields index every token in
+    first-appearance order; open fields keep the tag_top_t tokens used by
+    the most distinct (population) entities, ties broken by the token."""
+    tokens = {}
+    for spec in specs:
+        raw = parse_feature_file(spec.path)
+        if spec.open_vocab:
+            counts = Counter()
+            for entity, toks in raw.items():
+                if population is not None and entity not in population[spec.owner]:
+                    continue
+                counts.update(set(toks))
+            ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+            tokens[spec.name] = {tok: i for i, (tok, _) in enumerate(ranked[:tag_top_t])}
+        else:
+            index = {}
+            for toks in raw.values():
+                for tok in toks:
+                    index.setdefault(tok, len(index))
+            tokens[spec.name] = index
+    return FeatureVocab(specs, tokens)
+
+
+def entity_slots(raw_by_field, vocab: FeatureVocab, id_map, owner: str) -> list:
+    """encode_entity_features entity by entity: per dense id, one slot per
+    owned field holding the sorted, de-duplicated known indices of its
+    tokens, or the unknown index when none is known."""
+    slots = [None] * len(id_map)
+    for raw_id, dense in id_map.items():
+        entity = []
+        for fname in vocab.fields_of(owner):
+            toks = raw_by_field.get(fname, {}).get(raw_id, [])
+            kept = sorted({vocab.tokens[fname][t] for t in toks if t in vocab.tokens[fname]})
+            entity.append(kept if kept else [vocab.unknown_index(fname)])
+        slots[dense] = entity
+    return slots
+
+
+def packed_tables(slots, vocab: FeatureVocab, owner: str):
+    """pack_features slot by slot, for well-formed slots: the (n, T) rows and
+    weights tables and the field column bounds."""
+    fields = vocab.fields_of(owner)
+    offsets = vocab.offsets()
+    bounds = [0]
+    for fi in range(len(fields)):
+        bounds.append(bounds[-1] + max((len(e[fi]) for e in slots), default=1))
+    rows = np.zeros((len(slots), bounds[-1]), dtype=np.int64)
+    weights = np.zeros((len(slots), bounds[-1]), dtype=np.float64)
+    for fi, fname in enumerate(fields):
+        lo = bounds[fi]
+        for eid, entity in enumerate(slots):
+            hi = lo + len(entity[fi])
+            rows[eid, lo:hi] = np.asarray(entity[fi], dtype=np.int64) + offsets[fname]
+            weights[eid, lo:hi] = 1.0
+        block = weights[:, lo:bounds[fi + 1]]
+        block /= block.sum(axis=1)[:, None]
+    return rows, weights, bounds
+
+
+def encoded(slots, num_fields: int | None = None) -> EncodedFeatures:
+    """The per-side record of per-entity slots (per entity, one index list
+    per field); num_fields is needed only when there are no entities."""
+    if num_fields is None:
+        num_fields = len(slots[0])
+    return EncodedFeatures(
+        num_entities=len(slots),
+        sizes=[np.array([len(e[f]) for e in slots], dtype=np.int64)
+               for f in range(num_fields)],
+        indices=[np.array([i for e in slots for i in e[f]], dtype=np.int64)
+                 for f in range(num_fields)])
+
+
+def slots_of(features: EncodedFeatures) -> list:
+    """The per-entity slots of a per-side record, as entity_slots lists them."""
+    per_field = [np.split(index, np.cumsum(sizes)[:-1]) if sizes.size else []
+                 for sizes, index in zip(features.sizes, features.indices)]
+    return [[per_field[f][e].tolist() for f in range(len(per_field))]
+            for e in range(features.num_entities)]

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sain.data import (DatasetManifest, EntityFeatures, FieldSpec, Interactions,
+from sain.data import (DatasetManifest, FieldSpec, Interactions,
                        build_dataset, build_feature_vocab,
                        encode_entity_features, interactions_to_arrays,
                        load_ratings, pack_features, parse_feature_file,
@@ -21,6 +21,7 @@ from sain.errors import IoError, ParseError, ShapeError
 from sain.gradcheck import _toy_vocab
 
 from conftest import write_feature_file, write_rating_file
+from oracles import encoded, slots_of
 
 
 def _ratings(tmp_path, rows, name="r.tsv"):
@@ -325,19 +326,30 @@ class TestEncode:
         g, vocab = self._vocab(tmp_path)
         raw = {"genre": parse_feature_file(g)}
         feats = encode_entity_features(raw, vocab, {"i1": 0, "i2": 1}, "item")
-        assert feats[0].slots == [[0, 1]]
-        assert feats[1].slots == [[2]]
+        assert feats.num_entities == 2
+        assert feats.sizes[0].dtype == feats.indices[0].dtype == np.int64
+        assert feats.sizes[0].tolist() == [2, 1]
+        assert feats.indices[0].tolist() == [0, 1, 2]
+        assert slots_of(feats) == [[[0, 1]], [[2]]]
+
+    def test_repeated_and_reordered_tokens_are_sorted_dedup(self, tmp_path):
+        g, vocab = self._vocab(tmp_path)
+        raw = {"genre": {"i1": ["comedy", "action", "comedy", "western"],
+                         "i2": ["drama"]}}
+        feats = encode_entity_features(raw, vocab, {"i2": 0, "i1": 1}, "item")
+        assert slots_of(feats) == [[[2]], [[0, 1]]]
 
     def test_unknown_tokens_dropped_and_empty_falls_back(self, tmp_path):
         g, vocab = self._vocab(tmp_path)
         raw = {"genre": {"i3": ["western"]}}
         feats = encode_entity_features(raw, vocab, {"i3": 0}, "item")
-        assert feats[0].slots == [[vocab.unknown_index("genre")]]
+        assert slots_of(feats) == [[[vocab.unknown_index("genre")]]]
 
     def test_entity_missing_from_file_gets_unknown(self, tmp_path):
         g, vocab = self._vocab(tmp_path)
         feats = encode_entity_features({"genre": {}}, vocab, {"i9": 0}, "item")
-        assert feats[0].slots == [[3]]
+        assert slots_of(feats) == [[[3]]]
+        assert feats.sizes[0].tolist() == [1] and feats.indices[0].tolist() == [3]
 
 
 def _field_columns(packed):
@@ -355,8 +367,7 @@ class TestPack:
         write_feature_file(t, {"i1": ["x", "y"], "i2": ["x"]})
         vocab = build_feature_vocab([FieldSpec("genre", "item", g),
                                      FieldSpec("tag", "item", t)], tag_top_t=50)
-        entities = [EntityFeatures(0, [[0], [0, 1]]), EntityFeatures(1, [[1], [0]])]
-        packed = pack_features(entities, vocab, "item")
+        packed = pack_features(encoded([[[0], [0, 1]], [[1], [0]]]), vocab, "item")
         assert packed.fields == ["genre", "tag"]
         assert packed.bounds == [0, 1, 3]
         assert packed.rows.dtype == np.int64 and packed.weights.dtype == np.float64
@@ -369,15 +380,16 @@ class TestPack:
         np.testing.assert_array_equal(weights[0], [[1.0], [1.0]])
 
     def test_weights_are_mask_over_count_bit_for_bit(self, prepared):
-        for owner, entities, packed in (
+        for owner, features, packed in (
                 ("user", prepared.user_features, prepared.user_packed),
                 ("item", prepared.item_features, prepared.item_packed)):
+            n = features.num_entities
             assert packed.weights.dtype == np.float64
             assert packed.rows.shape == packed.weights.shape
-            assert packed.weights.shape == (len(entities), packed.bounds[-1])
+            assert packed.weights.shape == (n, packed.bounds[-1])
             _, weights = _field_columns(packed)
             for fi in range(len(packed.fields)):
-                lengths = np.asarray([len(e.slots[fi]) for e in entities])
+                lengths = features.sizes[fi]
                 width = weights[fi].shape[1]
                 assert width == lengths.max()
                 mask = (np.arange(width) < lengths[:, None]).astype(np.float64)
@@ -386,7 +398,7 @@ class TestPack:
                 assert weights[fi].tobytes() == want.tobytes(), (owner, fi)
                 # The gathered weights of a batch are what the per-batch
                 # division of gathered masks and counts gave.
-                ids = np.arange(len(entities))[::-1]
+                ids = np.arange(n)[::-1]
                 assert (packed.weights[ids][:, packed.bounds[fi]:packed.bounds[fi + 1]]
                         .tobytes() == (mask[ids] / counts[ids][:, None]).tobytes())
 
@@ -403,16 +415,26 @@ class TestPack:
         ids=["999", "size", "size-later-entity", "-1", "negative-later-token",
              "empty-field", "empty-slot"])
     def test_bad_slots_are_rejected_naming_the_field(self, owner, slots, field):
-        entities = [EntityFeatures(j, s) for j, s in enumerate(slots)]
         with pytest.raises(ShapeError, match=f"field '{field}'"):
-            pack_features(entities, _toy_vocab(), owner)
+            pack_features(encoded(slots), _toy_vocab(), owner)
+
+    def test_records_that_do_not_fit_the_side_are_rejected(self):
+        vocab = _toy_vocab()
+        good = encoded([[[0], [0, 1]], [[1], [2]]])
+        with pytest.raises(ShapeError, match="hold 1 fields, the item side has 2"):
+            pack_features(dataclasses.replace(good, sizes=good.sizes[:1],
+                                              indices=good.indices[:1]), vocab, "item")
+        short = dataclasses.replace(good, indices=[good.indices[0], good.indices[1][:2]])
+        with pytest.raises(ShapeError, match="field 'if1'"):
+            pack_features(short, vocab, "item")
+        with pytest.raises(ShapeError, match="field 'if0'"):
+            pack_features(dataclasses.replace(good, num_entities=3), vocab, "item")
 
     def test_a_side_without_fields_has_empty_tables(self, tmp_path):
         g = str(tmp_path / "g.tsv")
         write_feature_file(g, {"i1": ["a"]})
         vocab = build_feature_vocab([FieldSpec("genre", "item", g)], tag_top_t=50)
-        packed = pack_features([EntityFeatures(j, []) for j in range(3)], vocab,
-                               "user")
+        packed = pack_features(encoded([[] for _ in range(3)]), vocab, "user")
         assert packed.fields == [] and packed.bounds == [0]
         assert packed.rows.shape == packed.weights.shape == (3, 0)
         assert packed.rows.dtype == np.int64 and packed.weights.dtype == np.float64
@@ -424,8 +446,14 @@ class TestBuildDataset:
         split = prepared.split
         assert len(split.validation) == len(split.test) == n // 10
         assert len(split.train) == n - 2 * (n // 10)
-        assert len(prepared.user_features) == prepared.num_users
-        assert len(prepared.item_features) == prepared.num_items
+        assert prepared.user_features.num_entities == prepared.num_users
+        assert prepared.item_features.num_entities == prepared.num_items
+        for features, owner in ((prepared.user_features, "user"),
+                                (prepared.item_features, "item")):
+            assert len(features.sizes) == len(prepared.vocab.fields_of(owner))
+            for sizes, index in zip(features.sizes, features.indices):
+                assert sizes.shape == (features.num_entities,)
+                assert sizes.min() >= 1 and index.shape == (sizes.sum(),)
         users, items, ratings = interactions_to_arrays(prepared.interactions)
         assert users.max() < prepared.num_users
         assert items.max() < prepared.num_items

@@ -4,9 +4,26 @@ variants, plus structural gradient properties that the oracle cannot see."""
 import numpy as np
 import pytest
 
-from sain.gradcheck import (TOLERANCE, build_sain_fixture, check_biasedmf,
-                            check_sain, run_suite)
+from sain.gradcheck import (TOLERANCE, _toy_entities, build_sain_fixture,
+                            check_biasedmf, check_sain, run_suite)
 from sain.model import backward, forward_batch, joint_loss
+
+from oracles import slots_of
+
+
+def test_toy_entities_keep_the_per_entity_draws():
+    """The toy record holds what one draw per entity gave, and leaves the
+    generator where those draws left it."""
+    for seed in range(5):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = []
+        for _ in range(6):
+            single = [int(ref.integers(0, 3))]
+            multi = sorted(ref.choice(3, size=int(ref.integers(1, 3)),
+                                      replace=False).tolist())
+            want.append([single, multi])
+        assert slots_of(_toy_entities(rng, 6)) == want
+        assert rng.random() == ref.random()
 
 
 class TestSainGradients:

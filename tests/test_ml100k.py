@@ -9,6 +9,8 @@ from sain.data import DatasetManifest, build_dataset, parse_feature_file
 from sain.errors import IoError, ParseError
 from sain.ml100k import age_bucket, convert_ml100k, find_ml100k
 
+from oracles import slots_of
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 FLAG_COUNT = 19
@@ -89,8 +91,8 @@ class TestConverter:
         assert set(data.vocab.tokens["gender"]) == {"M", "F"}
         assert "unknown" not in data.vocab.tokens["genre"]
         # The all-unknown item falls back to the reserved slot.
-        flagless = data.item_features[data.item_ids["2"]]
-        assert flagless.slots[0] == [data.vocab.unknown_index("genre")]
+        flagless = slots_of(data.item_features)[data.item_ids["2"]]
+        assert flagless[0] == [data.vocab.unknown_index("genre")]
 
     def test_missing_archive_file(self, tmp_path):
         with pytest.raises(IoError):

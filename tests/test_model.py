@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sain import model
-from sain.data import EntityFeatures, pack_features
+from sain.data import pack_features
 from sain.errors import ShapeError
 from sain.model import (FieldLayout, ModelConfig, SainParams, backward,
                         decayed_names, forward_batch, joint_loss)
@@ -18,7 +18,7 @@ from sain.seeding import stream_rng
 from sain.tensor import scatter_add_rows
 
 from conftest import small_params
-from oracles import attention_head, head_outputs
+from oracles import attention_head, encoded, head_outputs
 
 E = math.e
 
@@ -173,8 +173,8 @@ class TestParams:
 
 def _one_pair(prepared, user_slots, item_slots):
     """Packed tables holding one user and one item with the given slots."""
-    return (pack_features([EntityFeatures(0, user_slots)], prepared.vocab, "user"),
-            pack_features([EntityFeatures(0, item_slots)], prepared.vocab, "item"))
+    return (pack_features(encoded([user_slots]), prepared.vocab, "user"),
+            pack_features(encoded([item_slots]), prepared.vocab, "item"))
 
 
 class TestEmbedPair:

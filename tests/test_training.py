@@ -3,6 +3,7 @@ engine, divergence detection, deterministic logs, evaluation, the top-K sweep,
 attention export, and model serialization."""
 
 import csv
+import dataclasses
 import hashlib
 import math
 import os
@@ -513,6 +514,54 @@ class TestAttentionExport:
         params, cfg = small_params(prepared, seed=51, top_k=1)
         mats = attention_matrices(params, prepared, 1, 1)
         assert all((mat > 0.0).all() for mat in mats)
+
+
+class TestDenseIdRange:
+    """Dense ids outside [0, n) are rejected, naming the side, by every entry
+    point built on forward_batch; before, -1 wrapped to the last entity and n
+    ended in a bare IndexError."""
+
+    @staticmethod
+    def _bad_pair(prepared, side, bad):
+        n = prepared.num_users if side == "user" else prepared.num_items
+        uid = (n if bad == "n" else -1) if side == "user" else 0
+        iid = (n if bad == "n" else -1) if side == "item" else 0
+        return uid, iid
+
+    @pytest.mark.parametrize("side", ["user", "item"])
+    @pytest.mark.parametrize("bad", ["-1", "n"])
+    def test_predict(self, prepared, side, bad):
+        params, _ = small_params(prepared, seed=52)
+        uid, iid = self._bad_pair(prepared, side, bad)
+        with pytest.raises(ShapeError, match=f"{side} id outside"):
+            predict_sain(params, prepared, np.asarray([1, uid]), np.asarray([1, iid]))
+
+    @pytest.mark.parametrize("side", ["user", "item"])
+    @pytest.mark.parametrize("bad", ["-1", "n"])
+    def test_attention(self, prepared, side, bad):
+        params, _ = small_params(prepared, seed=53)
+        uid, iid = self._bad_pair(prepared, side, bad)
+        with pytest.raises(ShapeError, match=f"{side} id outside"):
+            attention_matrices(params, prepared, uid, iid)
+
+    @pytest.mark.parametrize("side", ["user", "item"])
+    @pytest.mark.parametrize("bad", ["-1", "n"])
+    def test_evaluate(self, prepared, side, bad):
+        params, _ = small_params(prepared, seed=54)
+        uid, iid = self._bad_pair(prepared, side, bad)
+        test = prepared.split.test
+        users, items = test.users.copy(), test.items.copy()
+        users[-1], items[-1] = uid, iid
+        broken = dataclasses.replace(prepared, split=dataclasses.replace(
+            prepared.split, test=dataclasses.replace(test, users=users, items=items)))
+        with pytest.raises(ShapeError, match=f"{side} id outside"):
+            evaluate_sain(params, broken, "test")
+
+    def test_the_last_ids_are_accepted(self, prepared):
+        params, _ = small_params(prepared, seed=55)
+        last = predict_sain(params, prepared, np.asarray([prepared.num_users - 1]),
+                            np.asarray([prepared.num_items - 1]))
+        assert len(last) == 1
 
 
 class TestModelSerialization:
