@@ -17,7 +17,7 @@ from .model import (FieldLayout, ForwardTrace, ModelConfig, SainParams,
                     backward, forward_batch, joint_loss)
 from .ml100k import convert_ml100k, find_ml100k
 from .seeding import derive_seed, stream_rng
-from .tensor import (AdamState, ParamSet, adam_step, finite_diff_gradient,
+from .tensor import (ParamSet, adam_step, finite_diff_gradient,
                      relative_error, softmax_rows, top_k_mask_rows)
 from .training import (EvalReport, TrainConfig, TrainResult, attention_matrices,
                        evaluate_mf, evaluate_sain, load_model, predict_mf,

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import AdamState, ParamSet, scatter_add_rows
+from .tensor import ParamSet, scatter_add_rows
 
 
 class MfParams(ParamSet):
@@ -22,7 +22,7 @@ class MfParams(ParamSet):
 
     def __init__(self, tensors: dict[str, np.ndarray], mu: float,
                  num_users: int, num_items: int, dim: int,
-                 adam: dict[str, AdamState] | None = None):
+                 adam: dict | None = None):
         super().__init__(tensors, adam)
         self.mu = float(mu)
         self.num_users = num_users

@@ -6,6 +6,12 @@ header-declared order, and a trailing sha256 of everything before it. The
 format contains no timestamps and no environment data, so saving the same
 state twice yields identical bytes, and save -> load -> save round-trips
 byte-exactly. The trailing digest turns silent corruption into a parse error.
+
+The optimizer state travels in one form: the `adam` dict that
+ParamSet.optimizer_state() returns and the ParamSet constructor takes. Its
+step counts go into the header (as a name -> int map, which the canonical
+JSON writes in sorted-key order) and its moments into the payload, after the
+tensors and statistics.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IoError, ParseError
-from .tensor import AdamState
 
 MAGIC = b"SAINCKP1"
 
@@ -28,7 +33,7 @@ MAGIC = b"SAINCKP1"
 class Checkpoint:
     """Decoded checkpoint: model kind, config/layout dictionaries, named arrays
     (tensors in registry order, then auxiliary stats), optional optimizer
-    moments, and free-form metadata (seed, dataset digest, epoch, ...)."""
+    state, and a metadata object (seed, dataset digest, epoch, ...)."""
 
     kind: str
     config: dict
@@ -157,21 +162,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         except (KeyError, TypeError, ValueError, AttributeError) as e:
             raise ParseError(f"checkpoint optimizer header malformed: {path}: "
                              f"{e!r}") from e
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ParseError(f"checkpoint meta is not a JSON object: {path}")
     return Checkpoint(kind=header["kind"], config=header["config"],
                       layout=header["layout"], tensors=tensors, stats=stats,
-                      adam=adam, meta=header.get("meta", {}))
+                      adam=adam, meta=meta)
 
-
-def adam_states_to_header(states: dict[str, AdamState]) -> dict:
-    """Flatten per-tensor AdamState objects into the checkpoint representation."""
-    any_state = next(iter(states.values()))
-    return {"beta1": any_state.beta1, "beta2": any_state.beta2, "eps": any_state.eps,
-            "t": {k: s.t for k, s in states.items()},
-            "m": {k: s.m for k, s in states.items()},
-            "v": {k: s.v for k, s in states.items()}}
-
-
-def adam_states_from_header(adam: dict) -> dict[str, AdamState]:
-    return {k: AdamState(m=adam["m"][k], v=adam["v"][k], t=adam["t"][k],
-                         beta1=adam["beta1"], beta2=adam["beta2"], eps=adam["eps"])
-            for k in adam["m"]}

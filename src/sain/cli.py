@@ -24,7 +24,7 @@ from .data import (DatasetManifest, PreparedData, _json_flag, _read_text,
                    build_dataset)
 from .errors import IoError, ManifestDriftError, ParseError, SainError, ShapeError
 from .gradcheck import TOLERANCE, run_suite
-from .model import ModelConfig
+from .model import L2_SCOPES, ModelConfig
 from .training import (TrainConfig, attention_matrices, evaluate_mf, evaluate_sain,
                        fmt, load_model, predict_mf, predict_sain, save_model,
                        sweep_top_k, train_biasedmf, train_sain,
@@ -95,49 +95,38 @@ class RunManifest:
                 "train_config": self.train_config.to_dict()}
 
 
+# Config key -> argparse options of the flag that overrides it. The flag is
+# the key's last part with dashes (--learning-rate), and a boolean flag also
+# takes its --no- form; argparse stores each under that last part.
+_FLAG = {"action": argparse.BooleanOptionalAction, "default": None}
+OVERRIDES = {
+    "train_config.seed": {"type": int},
+    "train_config.learning_rate": {"type": float},
+    "train_config.weight_decay": {"type": float},
+    "train_config.batch_size": {"type": int},
+    "train_config.max_epochs": {"type": int},
+    "train_config.patience": {"type": int},
+    "model_config.embed_dim": {"type": int},
+    "model_config.num_heads": {"type": int},
+    "model_config.top_k": {"type": int},
+    "model_config.dropout_rate": {"type": float},
+    "model_config.l2_scope": {"choices": L2_SCOPES},
+    "model_config.renormalize_topk": _FLAG,
+    "model_config.gate_shared": _FLAG,
+    "top.model": {"choices": MODEL_KINDS},
+    "top.output_dir": {},
+    "top.split_by_time": _FLAG,
+}
+
+
 def _overrides(args: argparse.Namespace) -> dict:
-    pairs = {
-        "train_config.seed": args.seed,
-        "train_config.learning_rate": args.learning_rate,
-        "train_config.weight_decay": args.weight_decay,
-        "train_config.batch_size": args.batch_size,
-        "train_config.max_epochs": args.max_epochs,
-        "train_config.patience": args.patience,
-        "model_config.embed_dim": args.embed_dim,
-        "model_config.num_heads": args.num_heads,
-        "model_config.top_k": args.top_k,
-        "model_config.dropout_rate": args.dropout_rate,
-        "model_config.l2_scope": args.l2_scope,
-        "model_config.renormalize_topk": args.renormalize_topk,
-        "model_config.gate_shared": args.gate_shared,
-        "top.model": args.model,
-        "top.output_dir": args.output_dir,
-        "top.split_by_time": args.split_by_time,
-    }
-    return pairs
+    return {key: getattr(args, key.split(".")[1]) for key in OVERRIDES}
 
 
 def _add_override_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="run config JSON")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--num-heads", type=int)
-    p.add_argument("--top-k", type=int)
-    p.add_argument("--dropout-rate", type=float)
-    p.add_argument("--l2-scope", choices=("all", "embeddings", "projections"))
-    p.add_argument("--renormalize-topk", action=argparse.BooleanOptionalAction,
-                   default=None)
-    p.add_argument("--gate-shared", action=argparse.BooleanOptionalAction,
-                   default=None)
-    p.add_argument("--model", choices=MODEL_KINDS)
-    p.add_argument("--output-dir")
-    p.add_argument("--split-by-time", action=argparse.BooleanOptionalAction,
-                   default=None)
+    for key, options in OVERRIDES.items():
+        p.add_argument("--" + key.split(".")[1].replace("_", "-"), **options)
 
 
 def _write_timing(out_dir: str, command: str, seconds: float) -> None:
@@ -158,8 +147,13 @@ def _prepare(rm: RunManifest, seed: int) -> PreparedData:
 
 
 def _load_checkpoint_for(rm: RunManifest, args) -> tuple:
+    """(kind, params, meta) of the checkpoint, whose meta must hold the
+    integer seed that the data split is rebuilt with."""
     path = args.checkpoint or os.path.join(rm.output_dir, CHECKPOINT_NAME)
-    return load_model(path)
+    kind, params, _, meta = load_model(path)
+    if type(meta.get("seed")) is not int:
+        raise ParseError(f"checkpoint meta has no integer seed: {path}")
+    return kind, params, meta
 
 
 def _check_drift(data: PreparedData, meta: dict) -> None:
@@ -201,8 +195,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     rm = RunManifest.load(args.config, _overrides(args))
-    kind, params, _, meta = _load_checkpoint_for(rm, args)
-    data = _prepare(rm, int(meta["seed"]))
+    kind, params, meta = _load_checkpoint_for(rm, args)
+    data = _prepare(rm, meta["seed"])
     _check_drift(data, meta)
     report = (evaluate_sain(params, data, args.split) if kind == "sain"
               else evaluate_mf(params, data, args.split))
@@ -226,8 +220,8 @@ def _dense_ids(data: PreparedData, user: str, item: str) -> tuple[int, int]:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     rm = RunManifest.load(args.config, _overrides(args))
-    kind, params, _, meta = _load_checkpoint_for(rm, args)
-    data = _prepare(rm, int(meta["seed"]))
+    kind, params, meta = _load_checkpoint_for(rm, args)
+    data = _prepare(rm, meta["seed"])
     _check_drift(data, meta)
     uid, iid = _dense_ids(data, args.user, args.item)
     if kind == "sain":
@@ -245,10 +239,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_attention(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     rm = RunManifest.load(args.config, _overrides(args))
-    kind, params, _, meta = _load_checkpoint_for(rm, args)
+    kind, params, meta = _load_checkpoint_for(rm, args)
     if kind != "sain":
         raise ShapeError("attention export requires an attention-model checkpoint")
-    data = _prepare(rm, int(meta["seed"]))
+    data = _prepare(rm, meta["seed"])
     _check_drift(data, meta)
     uid, iid = _dense_ids(data, args.user, args.item)
     matrices = attention_matrices(params, data, uid, iid)

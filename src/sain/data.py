@@ -172,9 +172,6 @@ class FeatureVocab:
     def total_rows(self) -> int:
         return sum(self.field_size(f) for f in self.fields)
 
-    def encode_token(self, fname: str, token: str) -> int:
-        return self.tokens[fname].get(token, self.unknown_index(fname))
-
     def to_dict(self) -> dict:
         return {"user_fields": list(self.user_fields),
                 "item_fields": list(self.item_fields),

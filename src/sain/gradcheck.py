@@ -129,6 +129,20 @@ def build_sain_fixture(seed: int, top_k: int = 3, mode: str = "eval",
     raise RuntimeError(f"no boundary-safe fixture found for seed {seed}")
 
 
+def _worst_tensor(params, grads: dict[str, np.ndarray],
+                  numeric: np.ndarray) -> tuple[float, str]:
+    """The largest relative error between a tensor's analytic gradient and its
+    slice of the flat numeric gradient, and that tensor's name."""
+    worst, worst_name = 0.0, ""
+    pos = 0
+    for name, tensor in params.tensors.items():
+        err = relative_error(grads[name], numeric[pos:pos + tensor.size])
+        if err > worst:
+            worst, worst_name = err, name
+        pos += tensor.size
+    return worst, worst_name
+
+
 def check_sain(seed: int, top_k: int = 3, mode: str = "eval",
                loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
                renormalize_topk: bool = True, gate_shared: bool = False,
@@ -152,13 +166,7 @@ def check_sain(seed: int, top_k: int = 3, mode: str = "eval",
         return loss
 
     numeric = finite_diff_gradient(loss_at, fx.params.flatten(), eps=eps)
-    worst, worst_name = 0.0, ""
-    pos = 0
-    for name, tensor in fx.params.tensors.items():
-        err = relative_error(grads[name], numeric[pos:pos + tensor.size])
-        if err > worst:
-            worst, worst_name = err, name
-        pos += tensor.size
+    worst, worst_name = _worst_tensor(fx.params, grads, numeric)
     return CaseReport(model="sain", seed=seed, top_k=top_k,
                       max_rel_err=worst, worst_tensor=worst_name)
 
@@ -181,13 +189,7 @@ def check_biasedmf(seed: int, eps: float = FD_EPS) -> CaseReport:
         return mf_loss(mf_scores(uids, iids, probe), ratings)
 
     numeric = finite_diff_gradient(loss_at, params.flatten(), eps=eps)
-    worst, worst_name = 0.0, ""
-    pos = 0
-    for name, tensor in params.tensors.items():
-        err = relative_error(grads[name], numeric[pos:pos + tensor.size])
-        if err > worst:
-            worst, worst_name = err, name
-        pos += tensor.size
+    worst, worst_name = _worst_tensor(params, grads, numeric)
     return CaseReport(model="biasedmf", seed=seed, top_k=None,
                       max_rel_err=worst, worst_tensor=worst_name)
 

@@ -25,8 +25,7 @@ import numpy as np
 
 from .data import FeatureVocab, PackedFeatures
 from .errors import ShapeError
-from .tensor import (AdamState, ParamSet, scatter_add_rows, softmax_rows,
-                     top_k_mask_rows)
+from .tensor import ParamSet, scatter_add_rows, softmax_rows, top_k_mask_rows
 
 L2_SCOPES = ("all", "embeddings", "projections")
 EMBEDDING_TENSORS = ("embeddings", "cf_user", "cf_item")
@@ -183,7 +182,7 @@ class SainParams(ParamSet):
 
     def __init__(self, layout: FieldLayout, config: ModelConfig,
                  tensors: dict[str, np.ndarray], bn_mean: np.ndarray,
-                 bn_var: np.ndarray, adam: dict[str, AdamState] | None = None):
+                 bn_var: np.ndarray, adam: dict | None = None):
         super().__init__(tensors, adam)
         self.layout = layout
         self.config = config
@@ -294,7 +293,6 @@ class ForwardTrace:
     content_item: np.ndarray
     cf_user: np.ndarray                # (B,d)
     cf_item: np.ndarray
-    gate_t: dict                       # side -> (B,) logit difference
     gate_alpha: dict                   # side -> (B,) blend weight in (0,1)
     combined_user: np.ndarray          # (B,d)
     combined_item: np.ndarray
@@ -305,11 +303,6 @@ class ForwardTrace:
     @property
     def batch_size(self) -> int:
         return self.x.shape[0]
-
-    def scores(self) -> np.ndarray:
-        """(B,3) columns: content, preference, combined."""
-        return np.stack([self.score_content, self.score_preference,
-                         self.score_combined], axis=1)
 
 
 def _embed_batch(uids, iids, user_packed: PackedFeatures, item_packed: PackedFeatures,
@@ -442,7 +435,7 @@ def forward_batch(uids: np.ndarray, iids: np.ndarray, user_packed: PackedFeature
     cf_user = params.tensors["cf_user"][uids]
     cf_item = params.tensors["cf_item"][iids]
 
-    gate_t, gate_alpha = {}, {}
+    gate_alpha = {}
     combined = {}
     for side, cf_vec, ct_vec in (("user", cf_user, content_user),
                                  ("item", cf_item, content_item)):
@@ -450,9 +443,7 @@ def forward_batch(uids: np.ndarray, iids: np.ndarray, user_packed: PackedFeature
         # Both affine logits carry the same bias, so it cancels exactly in the
         # difference; computing the subtracted form keeps that identity in
         # floating point too.
-        t = (cf_vec - ct_vec) @ w
-        a = _stable_sigmoid(t)
-        gate_t[side] = t
+        a = _stable_sigmoid((cf_vec - ct_vec) @ w)
         gate_alpha[side] = a
         combined[side] = a[:, None] * cf_vec + (1.0 - a)[:, None] * ct_vec
 
@@ -468,8 +459,8 @@ def forward_batch(uids: np.ndarray, iids: np.ndarray, user_packed: PackedFeature
                         bn_new_mean=new_mean, bn_new_var=new_var,
                         dropout_mask=dropout_mask, resid=resid, xbar=xbar,
                         content_user=content_user, content_item=content_item,
-                        cf_user=cf_user, cf_item=cf_item, gate_t=gate_t,
-                        gate_alpha=gate_alpha, combined_user=combined["user"],
+                        cf_user=cf_user, cf_item=cf_item, gate_alpha=gate_alpha,
+                        combined_user=combined["user"],
                         combined_item=combined["item"], score_content=score_content,
                         score_preference=score_preference,
                         score_combined=score_combined)

@@ -4,6 +4,10 @@ its in-place, cache-blocked Adam step with decoupled weight decay, and a
 central finite-difference oracle used to certify every analytic gradient in
 this package.
 
+A ParamSet is the one holder of a model's tensors and Adam state; its
+optimizer_state() is the form a checkpoint stores, and its constructor takes
+that form back.
+
 All arithmetic is float64; gradient certification at 1e-4 relative tolerance is
 not reliable in float32.
 """
@@ -12,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,18 +69,6 @@ def scatter_add_rows(rows: np.ndarray, values: np.ndarray, num_rows: int) -> np.
 
 
 ADAM_BLOCK = 16384   # elements per block: the six 128 KiB slices it touches fit in L2
-
-
-@dataclass
-class AdamState:
-    """One tensor's Adam moments and step count, as a checkpoint stores them."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -148,18 +139,19 @@ class ParamSet:
     `flat`; `tensors[name]` is a view into it, so `flat` is also the order of
     flatten() and set_flat(). Adam's moments live in vectors `m` and `v` of
     the same layout (`moments[name]` gives the two views), with one step
-    counter `t` for the whole set."""
+    counter `t` for the whole set.
 
-    def __init__(self, tensors: dict[str, np.ndarray],
-                 adam: dict[str, AdamState] | None = None):
+    `adam`, when given, is an optimizer state in the form optimizer_state()
+    returns; it is copied into `m` and `v`."""
+
+    def __init__(self, tensors: dict[str, np.ndarray], adam: dict | None = None):
         arrays = {k: np.asarray(a, dtype=np.float64) for k, a in tensors.items()}
         self._shapes = {k: a.shape for k, a in arrays.items()}
         self.flat = np.concatenate([a.reshape(-1) for a in arrays.values()])
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.t = 0
-        self.beta1, self.beta2 = AdamState.beta1, AdamState.beta2
-        self.eps = AdamState.eps
+        self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self._bind()
         if adam is not None:
             self._set_adam(adam)
@@ -178,28 +170,35 @@ class ParamSet:
         self.moments = {name: (m[name], v[name]) for name in self._shapes}
         self.scratch = np.empty((2, min(self.flat.size, ADAM_BLOCK)))
 
-    def _set_adam(self, states: dict[str, AdamState]) -> None:
-        if list(states) != list(self._shapes):
+    def _set_adam(self, adam: dict) -> None:
+        """Copy in a checkpoint-form optimizer state. Its moments must name
+        the tensors in order; its step counts, which a checkpoint header
+        keeps in sorted-key order, must name the same tensors and agree."""
+        names = list(self._shapes)
+        if (list(adam["m"]) != names or list(adam["v"]) != names
+                or set(adam["t"]) != set(names)):
             raise ShapeError("optimizer state names do not match the tensors")
-        first = next(iter(states.values()))
-        for name, s in states.items():
-            if (s.t, s.beta1, s.beta2, s.eps) != (first.t, first.beta1,
-                                                  first.beta2, first.eps):
+        t = adam["t"][names[0]]
+        for name in names:
+            if adam["t"][name] != t:
                 raise ShapeError(f"optimizer state of {name!r} is out of step "
                                  "with the other tensors")
             m, v = self.moments[name]
-            if np.shape(s.m) != m.shape or np.shape(s.v) != v.shape:
+            if (np.shape(adam["m"][name]) != m.shape
+                    or np.shape(adam["v"][name]) != v.shape):
                 raise ShapeError(f"optimizer state of {name!r} has the wrong shape")
-            m[...] = s.m
-            v[...] = s.v
-        self.t = int(first.t)
-        self.beta1, self.beta2, self.eps = first.beta1, first.beta2, first.eps
+            m[...] = adam["m"][name]
+            v[...] = adam["v"][name]
+        self.t = int(t)
+        self.beta1, self.beta2, self.eps = adam["beta1"], adam["beta2"], adam["eps"]
 
-    def adam_states(self) -> dict[str, AdamState]:
-        """Per-tensor views of the optimizer state, in tensor order."""
-        return {name: AdamState(m=m, v=v, t=self.t, beta1=self.beta1,
-                                beta2=self.beta2, eps=self.eps)
-                for name, (m, v) in self.moments.items()}
+    def optimizer_state(self) -> dict:
+        """The optimizer state as a checkpoint stores it: beta1, beta2, eps,
+        the step count `t` of every tensor, and per-tensor views `m` and `v`
+        of the moment vectors, in tensor order."""
+        return {"beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
+                "t": dict.fromkeys(self._shapes, self.t),
+                "m": self._views(self.m), "v": self._views(self.v)}
 
     def clone(self):
         """Independent copy: new vectors, other attributes shared."""

@@ -17,15 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import MfParams, mf_backward, mf_loss, mf_scores
-from .checkpoint import (Checkpoint, adam_states_from_header,
-                         adam_states_to_header, load_checkpoint, save_checkpoint)
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import PreparedData, interactions_to_arrays
 from .errors import DivergenceError, ParseError, ShapeError
 from .model import (FieldLayout, ModelConfig, SainParams, backward,
                     decayed_names, forward_batch, joint_loss,
                     require_int, require_real)
 from .seeding import derive_seed, stream_rng
-from .tensor import AdamState, ParamSet, adam_step
+from .tensor import ParamSet, adam_step
 
 RATING_MIN, RATING_MAX = 1.0, 5.0
 # Pairs per eval-mode forward pass. A block's trace (q/k/v, four (B,H,S,S)
@@ -113,12 +112,13 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
-    """params/adam are the best-validation-epoch snapshot (what gets served
-    and checkpointed; adam holds views of its moment vectors); final_params
-    is the state after the last epoch run."""
+    """params is the best-validation-epoch snapshot (what gets served and
+    checkpointed) and adam its optimizer state in checkpoint form, with views
+    of the snapshot's moment vectors. final_params is the live engine's
+    params after the last epoch run, not a copy."""
 
     params: object
-    adam: dict[str, AdamState]
+    adam: dict
     history: list[EpochLog]
     best_epoch: int
     best_val_rmse: float
@@ -158,11 +158,6 @@ def adam_update(params: ParamSet, grads: dict[str, np.ndarray], tcfg: TrainConfi
                   params.beta1, params.beta2, params.eps, params.scratch)
 
 
-def _snapshot(params: ParamSet):
-    snap = params.clone()
-    return snap, snap.adam_states()
-
-
 class SainEngine:
     """Attention-model steps: joint three-score loss, full backward, the
     shared in-place Adam update with scoped decoupled decay, and batch-norm
@@ -200,7 +195,7 @@ class SainEngine:
         return evaluate_sain(self.params, self.data, split)
 
     def snapshot(self):
-        return _snapshot(self.params)
+        return self.params.clone()
 
 
 class MfEngine:
@@ -234,20 +229,20 @@ class MfEngine:
         return evaluate_mf(self.params, self.data, split)
 
     def snapshot(self):
-        return _snapshot(self.params)
+        return self.params.clone()
 
 
 def run_training(engine, tcfg: TrainConfig) -> TrainResult:
     """Generic epoch loop: seeded shuffle, mini-batch steps, validation after
     every epoch, early stop after `patience` epochs without improvement, abort
-    on a non-finite or runaway loss. The returned params/optimizer state are the
-    snapshot from the best validation epoch."""
+    on a non-finite or runaway loss. The returned params and optimizer state
+    are the snapshot from the best validation epoch."""
     shuffle_rng = stream_rng(tcfg.seed, "shuffle")
     n = engine.n_train
     history: list[EpochLog] = []
     best_rmse = float("inf")
     best_epoch = 0
-    best_params, best_adam = engine.snapshot()
+    best_params = engine.snapshot()
     bad = 0
     stopped_early = False
     for epoch in range(1, tcfg.max_epochs + 1):
@@ -274,17 +269,17 @@ def run_training(engine, tcfg: TrainConfig) -> TrainResult:
         if val.rmse < best_rmse - tcfg.min_delta:
             best_rmse = val.rmse
             best_epoch = epoch
-            best_params, best_adam = engine.snapshot()
+            best_params = engine.snapshot()
             bad = 0
         else:
             bad += 1
             if bad >= tcfg.patience:
                 stopped_early = True
                 break
-    return TrainResult(params=best_params, adam=best_adam, history=history,
-                       best_epoch=best_epoch, best_val_rmse=best_rmse,
-                       stopped_early=stopped_early, seed=tcfg.seed,
-                       final_params=engine.params.clone())
+    return TrainResult(params=best_params, adam=best_params.optimizer_state(),
+                       history=history, best_epoch=best_epoch,
+                       best_val_rmse=best_rmse, stopped_early=stopped_early,
+                       seed=tcfg.seed, final_params=engine.params)
 
 
 def train_sain(data: PreparedData, mcfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:
@@ -456,23 +451,22 @@ def write_attention_csv(path: str, matrix: np.ndarray, labels: list[str]) -> Non
             w.writerow([qname] + [fmt(v) for v in row])
 
 
-def save_model(path: str, kind: str, params, adam: dict[str, AdamState] | None = None,
+def save_model(path: str, kind: str, params, adam: dict | None = None,
                meta: dict | None = None) -> None:
-    """Serialize either model kind (plus optional optimizer state) into the
-    binary checkpoint container."""
+    """Serialize either model kind into the binary checkpoint container, with
+    `adam`, an optimizer state in the form ParamSet.optimizer_state() returns,
+    when given."""
     if kind == "sain":
         ckpt = Checkpoint(kind=kind, config=params.config.to_dict(),
                           layout=params.layout.to_dict(), tensors=params.tensors,
                           stats={"bn_mean": params.bn_mean, "bn_var": params.bn_var},
-                          adam=adam_states_to_header(adam) if adam else None,
-                          meta=meta or {})
+                          adam=adam, meta=meta or {})
     elif kind == "biasedmf":
         layout = {"num_users": params.num_users, "num_items": params.num_items,
                   "dim": params.dim, "mu": params.mu}
         ckpt = Checkpoint(kind=kind, config={}, layout=layout,
                           tensors=params.tensors, stats={},
-                          adam=adam_states_to_header(adam) if adam else None,
-                          meta=meta or {})
+                          adam=adam, meta=meta or {})
     else:
         raise ValueError(f"unknown model kind {kind!r}")
     save_checkpoint(path, ckpt)
@@ -492,8 +486,8 @@ def load_model(path: str):
     """Inverse of save_model: (kind, params, adam or None, meta). Every tensor
     must have the name, order and shape that the stored layout and config
     imply, and the optimizer moments those of the tensors. They are packed
-    into the params' arena once; the returned adam states are views of its
-    moment vectors."""
+    into the params' arena once; the returned adam is its optimizer_state(),
+    with views of its moment vectors."""
     ckpt = load_checkpoint(path)
     try:
         if ckpt.kind == "sain":
@@ -508,7 +502,6 @@ def load_model(path: str):
             expected = MfParams.shapes(*sizes)
         else:
             raise ParseError(f"unknown model kind in checkpoint: {ckpt.kind!r}")
-        adam = adam_states_from_header(ckpt.adam) if ckpt.adam else None
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"checkpoint layout, config or optimizer state "
                          f"malformed: {path}: {e!r}") from e
@@ -517,9 +510,10 @@ def load_model(path: str):
         if ckpt.kind == "sain":
             params = SainParams(layout, config, ckpt.tensors,
                                 ckpt.stats["bn_mean"].copy(),
-                                ckpt.stats["bn_var"].copy(), adam=adam)
+                                ckpt.stats["bn_var"].copy(), adam=ckpt.adam)
         else:
-            params = MfParams(ckpt.tensors, mu, *sizes, adam=adam)
+            params = MfParams(ckpt.tensors, mu, *sizes, adam=ckpt.adam)
     except ShapeError as e:
         raise ParseError(f"checkpoint optimizer state unusable: {path}: {e}") from e
-    return ckpt.kind, params, params.adam_states() if adam else None, ckpt.meta
+    adam = None if ckpt.adam is None else params.optimizer_state()
+    return ckpt.kind, params, adam, ckpt.meta

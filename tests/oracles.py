@@ -65,6 +65,12 @@ def head_outputs(trace) -> np.ndarray:
     return out.transpose(0, 2, 1, 3).reshape(B, S, H * dh)
 
 
+def scores(trace) -> np.ndarray:
+    """(B,3) columns of a trace's scores: content, preference, combined."""
+    return np.stack([trace.score_content, trace.score_preference,
+                     trace.score_combined], axis=1)
+
+
 def feature_vocab(specs, tag_top_t: int, population=None) -> FeatureVocab:
     """build_feature_vocab token by token: closed fields index every token in
     first-appearance order; open fields keep the tag_top_t tokens used by

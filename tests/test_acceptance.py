@@ -22,7 +22,7 @@ from sain.training import (TrainConfig, evaluate_mf, evaluate_sain, load_model,
                            rmse_mae, save_model, train_biasedmf, train_sain)
 
 from conftest import write_synthetic_dataset
-from oracles import head_outputs
+from oracles import head_outputs, scores
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -132,11 +132,11 @@ def test_criterion_03_full_k_equals_unfiltered_attention():
         t_big = forward_batch(*args, cfg_big)
         out_full, out_plain = head_outputs(t_full), head_outputs(t_plain)
         worst = max(worst,
-                    float(np.max(np.abs(t_full.scores() - t_plain.scores()))),
+                    float(np.max(np.abs(scores(t_full) - scores(t_plain)))),
                     float(np.max(np.abs(out_full - out_plain))))
-        np.testing.assert_allclose(t_full.scores(), t_plain.scores(), atol=1e-12)
+        np.testing.assert_allclose(scores(t_full), scores(t_plain), atol=1e-12)
         np.testing.assert_allclose(out_full, out_plain, atol=1e-12)
-        np.testing.assert_array_equal(t_full.scores(), t_big.scores())
+        np.testing.assert_array_equal(scores(t_full), scores(t_big))
     print(f"criterion 3: max deviation from unfiltered attention {worst:.3e}")
 
 

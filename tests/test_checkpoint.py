@@ -11,12 +11,9 @@ import numpy as np
 import pytest
 
 from sain import training
-from sain.checkpoint import (MAGIC, Checkpoint, adam_states_from_header,
-                             adam_states_to_header, load_checkpoint,
-                             save_checkpoint)
+from sain.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
 from sain.errors import IoError, ParseError
 from sain.model import ModelConfig
-from sain.tensor import AdamState
 
 
 def _encode(ckpt: Checkpoint) -> bytes:
@@ -59,10 +56,11 @@ def _sample(with_adam=True):
     tensors = {"alpha": rng.normal(size=(3, 4)), "beta": rng.normal(size=5)}
     adam = None
     if with_adam:
-        states = {k: AdamState(m=rng.normal(size=v.shape),
-                               v=np.abs(rng.normal(size=v.shape)), t=7)
-                  for k, v in tensors.items()}
-        adam = adam_states_to_header(states)
+        adam = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+                "t": dict.fromkeys(tensors, 7), "m": {}, "v": {}}
+        for k, v in tensors.items():
+            adam["m"][k] = rng.normal(size=v.shape)
+            adam["v"][k] = np.abs(rng.normal(size=v.shape))
     return Checkpoint(kind="sain", config={"embed_dim": 4},
                       layout={"num_users": 3}, tensors=tensors,
                       stats={"bn_mean": rng.normal(size=4)}, adam=adam,
@@ -105,12 +103,11 @@ class TestRoundTrip:
         path = str(tmp_path / "d.ckpt")
         original = _sample(with_adam=True)
         save_checkpoint(path, original)
-        loaded = load_checkpoint(path)
-        states = adam_states_from_header(loaded.adam)
-        assert states["alpha"].t == 7
-        assert states["alpha"].beta1 == 0.9 and states["alpha"].eps == 1e-8
-        np.testing.assert_array_equal(states["beta"].m, original.adam["m"]["beta"])
-        np.testing.assert_array_equal(states["beta"].v, original.adam["v"]["beta"])
+        adam = load_checkpoint(path).adam
+        assert adam["t"]["alpha"] == 7
+        assert adam["beta1"] == 0.9 and adam["eps"] == 1e-8
+        np.testing.assert_array_equal(adam["m"]["beta"], original.adam["m"]["beta"])
+        np.testing.assert_array_equal(adam["v"]["beta"], original.adam["v"]["beta"])
 
     def test_no_adam_round_trips_as_none(self, tmp_path):
         path = str(tmp_path / "e.ckpt")
@@ -310,9 +307,10 @@ class TestStreamedWriter:
         # three times that.
         rng = np.random.default_rng(62)
         tensors = {"table": rng.normal(size=(1024, 256)), "bias": rng.normal(size=256)}
-        adam = adam_states_to_header({k: AdamState(m=np.zeros_like(v),
-                                                   v=np.ones_like(v), t=3)
-                                      for k, v in tensors.items()})
+        adam = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+                "t": dict.fromkeys(tensors, 3),
+                "m": {k: np.zeros_like(v) for k, v in tensors.items()},
+                "v": {k: np.ones_like(v) for k, v in tensors.items()}}
         ckpt = Checkpoint(kind="biasedmf", config={}, layout={}, tensors=tensors,
                           adam=adam)
         tracemalloc.start()

@@ -107,6 +107,46 @@ class TestTrainCommand:
         assert resolved["model_config"]["top_k"] == 3
         assert resolved["train_config"]["seed"] == 17
 
+    # Every override flag, each set to a value that neither the run config
+    # nor the defaults hold; the second case takes the other form of each
+    # boolean flag and the other model kind.
+    @pytest.mark.parametrize("file_values, flags, want", [
+        ({}, ["--seed", "5", "--learning-rate", "0.002", "--weight-decay", "0.0005",
+              "--batch-size", "32", "--max-epochs", "1", "--patience", "4",
+              "--embed-dim", "12", "--num-heads", "3", "--top-k", "3",
+              "--dropout-rate", "0.2", "--l2-scope", "embeddings",
+              "--no-renormalize-topk", "--gate-shared", "--model", "sain",
+              "--output-dir", "flags", "--split-by-time"],
+         {"train_config": {"seed": 5, "learning_rate": 0.002, "weight_decay": 0.0005,
+                           "batch_size": 32, "max_epochs": 1, "patience": 4},
+          "model_config": {"embed_dim": 12, "num_heads": 3, "top_k": 3,
+                           "dropout_rate": 0.2, "l2_scope": "embeddings",
+                           "renormalize_topk": False, "gate_shared": True},
+          "model": "sain", "output_dir": "flags", "split_by_time": True}),
+        ({"model_config": {"embed_dim": 8, "num_heads": 2, "top_k": 2,
+                           "renormalize_topk": False, "gate_shared": True},
+          "split_by_time": True},
+         ["--renormalize-topk", "--no-gate-shared", "--no-split-by-time",
+          "--l2-scope", "projections", "--model", "biasedmf", "--max-epochs", "1",
+          "--output-dir", "flags"],
+         {"model_config": {"renormalize_topk": True, "gate_shared": False,
+                           "l2_scope": "projections"},
+          "train_config": {"max_epochs": 1},
+          "model": "biasedmf", "output_dir": "flags", "split_by_time": False})],
+        ids=["values", "other-forms"])
+    def test_every_override_flag_reaches_resolved_json(
+            self, tmp_path, synthetic_manifest, file_values, flags, want):
+        path = _write_config(tmp_path, synthetic_manifest, **file_values)
+        assert main(["train", "--config", path] + flags) == 0
+        with open(tmp_path / "flags" / "resolved.json") as f:
+            resolved = json.load(f)
+        for scope in ("train_config", "model_config"):
+            for key, value in want[scope].items():
+                assert resolved[scope][key] == value, key
+        assert resolved["model"] == want["model"]
+        assert resolved["output_dir"] == str(tmp_path / want["output_dir"])
+        assert resolved["split_by_time"] is want["split_by_time"]
+
     def test_reruns_are_byte_identical(self, run_config, tmp_path):
         assert main(["train", "--config", run_config, "--output-dir", "a"]) == 0
         assert main(["train", "--config", run_config, "--output-dir", "b"]) == 0
@@ -444,6 +484,33 @@ class TestEvaluateCommand:
             f.write("u0\ti1\t5\t9999\n")
         assert main(["evaluate", "--config", config]) == 7
         assert "category=manifest-drift" in capsys.readouterr().err
+
+
+class TestCheckpointMeta:
+    """evaluate, predict and attention rebuild the split from the seed in the
+    checkpoint's meta; a meta that is not a JSON object, or has no integer
+    seed, is a parse error naming the file."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: {}, lambda meta: {k: v for k, v in meta.items() if k != "seed"},
+        lambda meta: [], lambda meta: {**meta, "seed": "x"},
+        lambda meta: {**meta, "seed": 1.5}, lambda meta: {**meta, "seed": True},
+        lambda meta: {**meta, "seed": None}],
+        ids=["empty", "no-seed", "list", "string-seed", "float-seed", "bool-seed",
+             "null-seed"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "attention"])
+    def test_exits_4_with_one_line(self, trained, capsys, command, edit):
+        run_config, tmp_path = trained
+        path = str(tmp_path / "out" / "model.ckpt")
+        ckpt = load_checkpoint(path)
+        ckpt.meta = edit(ckpt.meta)
+        save_checkpoint(path, ckpt)
+        pair = [] if command == "evaluate" else ["--user", "u0", "--item", "i1"]
+        capsys.readouterr()
+        assert main([command, "--config", run_config] + pair) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error category=parse: ") and err.count("\n") == 1
+        assert path in err
 
 
 class TestPredictCommand:

@@ -18,7 +18,7 @@ from sain.seeding import stream_rng
 from sain.tensor import scatter_add_rows
 
 from conftest import small_params
-from oracles import attention_head, encoded, head_outputs
+from oracles import attention_head, encoded, head_outputs, scores
 
 E = math.e
 
@@ -426,7 +426,7 @@ class TestForward:
                               prepared.item_packed, params, cfg)
         S = params.layout.seq_len
         assert trace.x.shape == (6, S, cfg.embed_dim)
-        assert trace.scores().shape == (6, 3)
+        assert scores(trace).shape == (6, 3)
         for h in range(cfg.num_heads):
             sums = trace.alpha_full[:, h].sum(axis=-1)
             np.testing.assert_allclose(sums, np.ones((6, S)), atol=1e-9)
@@ -490,7 +490,7 @@ class TestForward:
                           params, cfg)
         b = forward_batch(uids, iids, prepared.user_packed, prepared.item_packed,
                           params, cfg)
-        np.testing.assert_array_equal(a.scores(), b.scores())
+        np.testing.assert_array_equal(scores(a), scores(b))
 
     def test_eval_mode_leaves_running_stats_alone(self, prepared):
         params, cfg = small_params(prepared, seed=27)
@@ -520,7 +520,7 @@ class TestForward:
         uids[4], iids[4] = 3, 2
         trace_b = _run(prepared, params, cfg, uids, iids)
         trace_1 = _run(prepared, params, cfg)
-        np.testing.assert_allclose(trace_1.scores(), trace_b.scores()[4:5], atol=1e-12)
+        np.testing.assert_allclose(scores(trace_1), scores(trace_b)[4:5], atol=1e-12)
         assert trace_1.uids[0] == 3 and trace_1.iids[0] == 2
 
     def test_mode_and_batch_validation(self, prepared):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sain.errors import ShapeError
-from sain.tensor import (ADAM_BLOCK, AdamState, ParamSet, adam_step,
+from sain.tensor import (ADAM_BLOCK, ParamSet, adam_step,
                          finite_diff_gradient, relative_error, scatter_add_rows,
                          softmax_rows, top_k_mask_rows)
 from sain.training import TrainConfig, adam_update
@@ -369,16 +369,18 @@ class TestParamSet:
         ps.m[:] = rng.normal(size=18)
         ps.v[:] = rng.random(18)
         ps.t = 7
-        states = ps.adam_states()
-        assert all(s.t == 7 for s in states.values())
-        assert np.shares_memory(states["b"].m, ps.m)
-        again = ParamSet(ps.tensors, adam=states)
+        state = ps.optimizer_state()
+        assert state["t"] == {"w": 7, "b": 7, "one": 7}
+        assert np.shares_memory(state["m"]["b"], ps.m)
+        again = ParamSet(ps.tensors, adam=state)
         np.testing.assert_array_equal(again.m, ps.m)
         np.testing.assert_array_equal(again.v, ps.v)
         assert again.t == 7
-        states["one"] = AdamState(m=states["one"].m, v=states["one"].v, t=6)
+        state["t"] = dict(sorted(state["t"].items()))   # a header's key order
+        assert ParamSet(ps.tensors, adam=state).t == 7
+        state["t"]["one"] = 6
         with pytest.raises(ShapeError):
-            ParamSet(ps.tensors, adam=states)
+            ParamSet(ps.tensors, adam=state)
 
 
 class TestFiniteDifference:

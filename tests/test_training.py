@@ -116,6 +116,9 @@ class _Marker:
     def clone(self):
         return _Marker(self.tag)
 
+    def optimizer_state(self):
+        return {"tag": self.tag}
+
 
 class ScriptedEngine:
     """Engine double that replays a fixed validation-RMSE sequence, for exact
@@ -145,7 +148,7 @@ class ScriptedEngine:
         return EvalReport(rmse=rmse, mae=rmse / 2.0, count=4)
 
     def snapshot(self):
-        return _Marker(("snap", self.epoch)), {}
+        return _Marker(("snap", self.epoch))
 
 
 class TestEarlyStopping:
@@ -192,7 +195,9 @@ class TestEarlyStopping:
         result = run_training(engine, TrainConfig(max_epochs=2, patience=5,
                                                   batch_size=2))
         assert result.params.tag == ("snap", 2)
+        assert result.adam == {"tag": ("snap", 2)}
         assert result.final_params.tag == ("live", None)
+        assert result.final_params is engine.params
 
     def test_batches_cover_the_training_set(self):
         engine = ScriptedEngine([1.0, 0.9])
@@ -574,10 +579,11 @@ class TestModelSerialization:
         np.testing.assert_array_equal(params.flatten(), result.params.flatten())
         np.testing.assert_array_equal(params.bn_mean, result.params.bn_mean)
         np.testing.assert_array_equal(params.bn_var, result.params.bn_var)
-        for name, state in result.adam.items():
-            assert adam[name].t == state.t
-            np.testing.assert_array_equal(adam[name].m, state.m)
-            np.testing.assert_array_equal(adam[name].v, state.v)
+        assert set(adam["t"]) == set(result.adam["t"])
+        for name, t in result.adam["t"].items():
+            assert adam["t"][name] == t
+            np.testing.assert_array_equal(adam["m"][name], result.adam["m"][name])
+            np.testing.assert_array_equal(adam["v"][name], result.adam["v"][name])
 
     def test_biasedmf_round_trip(self, prepared, tmp_path):
         from sain.training import train_biasedmf
@@ -601,7 +607,7 @@ class TestModelSerialization:
         assert params.t == result.params.t > 0
         np.testing.assert_array_equal(params.m, result.params.m)
         np.testing.assert_array_equal(params.v, result.params.v)
-        assert all(np.shares_memory(s.m, params.m) for s in adam.values())
+        assert all(np.shares_memory(m, params.m) for m in adam["m"].values())
 
     @staticmethod
     def _edited(path, edit):
@@ -652,6 +658,51 @@ class TestModelSerialization:
         result, _, _ = _quick_train(prepared)
         with pytest.raises(ValueError):
             save_model(str(tmp_path / "m.ckpt"), "mystery", result.params)
+
+
+class TestCheckpointBits:
+    """sha256 of model.ckpt as save_model writes it after two epochs of each
+    model kind on the fixture, with and without the optimizer state. The
+    files in tests/data are the with-state checkpoints of these runs, kept as
+    written, so a checkpoint of an earlier build must load and save again to
+    the same bytes. Like TestGoldenBits, the pins hold for the numpy and BLAS
+    build they were recorded on."""
+
+    DATA = os.path.join(os.path.dirname(__file__), "data")
+    PINS = {("sain", True): "a723d93efb4c38f18f930d791d2c0f44a4a9784a800d9bbb4df31664f8445d9c",
+            ("sain", False): "4c4eea183b1427410198f7e6c039513f6455adf08cc18f59519d61a010b819d1",
+            ("biasedmf", True): "5f1e61019e64830af1b396fb36ad5ea831568c9f94ba63cd50aa6cd7701d2810",
+            ("biasedmf", False): "70418e935823855934e5fdd092e393ac550b60cf9a8f770c8f708f58a1475c7c"}
+
+    @staticmethod
+    def _file_sha(path) -> str:
+        with open(path, "rb") as f:
+            return hashlib.sha256(f.read()).hexdigest()
+
+    @pytest.mark.parametrize("kind", ["sain", "biasedmf"])
+    @pytest.mark.parametrize("with_adam", [True, False], ids=["adam", "no-adam"])
+    def test_save_model_writes_the_pinned_bytes(self, prepared, tmp_path, kind,
+                                                with_adam):
+        from sain.training import train_biasedmf
+        tcfg = TrainConfig(max_epochs=2, batch_size=64, seed=4)
+        result = (train_sain(prepared, ModelConfig(embed_dim=8, num_heads=2, top_k=2,
+                                                   dropout_rate=0.1), tcfg)
+                  if kind == "sain" else train_biasedmf(prepared, 4, tcfg))
+        path = str(tmp_path / "model.ckpt")
+        save_model(path, kind, result.params, result.adam if with_adam else None,
+                   {"seed": 4})
+        assert self._file_sha(path) == self.PINS[kind, with_adam]
+
+    @pytest.mark.parametrize("kind", ["sain", "biasedmf"])
+    def test_a_stored_checkpoint_saves_again_byte_for_byte(self, tmp_path, kind):
+        stored = os.path.join(self.DATA, f"{kind}.ckpt")
+        assert self._file_sha(stored) == self.PINS[kind, True]
+        loaded_kind, params, adam, meta = load_model(stored)
+        assert loaded_kind == kind and meta == {"seed": 4}
+        for with_adam in (True, False):
+            path = str(tmp_path / f"{with_adam}.ckpt")
+            save_model(path, kind, params, adam if with_adam else None, meta)
+            assert self._file_sha(path) == self.PINS[kind, with_adam]
 
 
 def _sha(a) -> str:
