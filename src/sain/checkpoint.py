@@ -152,16 +152,22 @@ def load_checkpoint(path: str) -> Checkpoint:
     if header.get("adam") is not None:
         try:
             ah = header["adam"]
-            adam = {"beta1": float(ah["beta1"]), "beta2": float(ah["beta2"]),
-                    "eps": float(ah["eps"]),
-                    "t": {k: int(v) for k, v in ah["t"].items()},
-                    "m": {n[len("adam_m/"):]: a for n, a in arrays.items()
-                          if n.startswith("adam_m/")},
-                    "v": {n[len("adam_v/"):]: a for n, a in arrays.items()
-                          if n.startswith("adam_v/")}}
-        except (KeyError, TypeError, ValueError, AttributeError) as e:
+            numbers = [ah["beta1"], ah["beta2"], ah["eps"]]
+            steps = ah["t"].values()
+        except (KeyError, TypeError, AttributeError) as e:
             raise ParseError(f"checkpoint optimizer header malformed: {path}: "
                              f"{e!r}") from e
+        # Exact JSON types: int() and float() would read 3.7 as step 3 and
+        # "0.9" or true as a number (a bool's type is not int).
+        if not (all(type(x) in (int, float) for x in numbers)
+                and all(type(t) is int for t in steps)):
+            raise ParseError(f"checkpoint optimizer header malformed: {path}")
+        adam = {"beta1": float(ah["beta1"]), "beta2": float(ah["beta2"]),
+                "eps": float(ah["eps"]), "t": dict(ah["t"]),
+                "m": {n[len("adam_m/"):]: a for n, a in arrays.items()
+                      if n.startswith("adam_m/")},
+                "v": {n[len("adam_v/"):]: a for n, a in arrays.items()
+                      if n.startswith("adam_v/")}}
     meta = header.get("meta", {})
     if not isinstance(meta, dict):
         raise ParseError(f"checkpoint meta is not a JSON object: {path}")

@@ -13,10 +13,12 @@ and lone-CR line ends count as line ends; blank lines are skipped but keep
 their place in the line numbers of error messages. The ratings are held as
 columns (`Interactions`): the rating and timestamp columns are converted and
 validated in bulk, and a bad file is reported at the first line that a
-line-by-line parse would reject, with the same message. The features are
-columnar too: the vocabulary is counted, and each side encoded
-(`EncodedFeatures`) and packed (`PackedFeatures`), a field at a time on
-arrays, with no object per entity.
+line-by-line parse would reject, with the same message. Users and items get
+dense ids in order of first appearance, found in one pass over the codes.
+The features are columnar too: each feature file parses into one record
+(`FeatureColumns`: entities, token counts, flat tokens), and from it the
+vocabulary is counted, and each side encoded (`EncodedFeatures`) and packed
+(`PackedFeatures`), a field at a time on arrays, with no object per entity.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -299,9 +301,15 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 def _dense_ids(names: list[str], code: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
     """Renumber the codes of `names` 0, 1, ... in order of first appearance
-    in `code`: the new id of each name that appears, and the new codes."""
-    old, first = np.unique(code, return_index=True)
-    order = old[np.argsort(first)]
+    in `code`: the new id of each name that appears, and the new codes.
+    One np.minimum.at pass finds each code's first position, and marking
+    those positions lists the codes in that order, with no sort."""
+    n = code.size
+    first = np.full(len(names), n, dtype=np.int64)
+    np.minimum.at(first, code, np.arange(n))
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first[first < n]] = True
+    order = code[is_first]
     new = np.empty(len(names), dtype=np.int64)
     new[order] = np.arange(order.size)
     return {names[c]: j for j, c in enumerate(order.tolist())}, new[code]
@@ -379,19 +387,46 @@ def split_dataset(interactions: Interactions, seed: int,
                         seed=seed)
 
 
-def parse_feature_file(path: str) -> dict[str, list[str]]:
-    """entity<TAB>token1|token2|... per line; the token list may be empty.
-    Later lines for the same entity extend its token list."""
+@dataclass(frozen=True, eq=False)
+class FeatureColumns:
+    """One feature file as columns: the distinct entities in order of first
+    appearance, each one's count of non-empty tokens, and those tokens in
+    one flat list, entity after entity. An entity's tokens are those of all
+    its lines, in file order."""
+
+    entities: list[str]
+    lengths: np.ndarray  # (len(entities),) int64
+    tokens: list[str]    # (lengths.sum(),)
+
+
+def parse_feature_file(path: str) -> FeatureColumns:
+    """entity<TAB>token1|token2|... per line; the token list may be empty,
+    and empty tokens (as in "a||b") are dropped. An entity on several lines
+    gets the tokens of all of them, in file order, at the place of its first
+    line. The token column is parsed in bulk: its lines are joined by tabs
+    into one string, which is split once, and the entity of each non-empty
+    token comes from the byte offsets of the tabs and pipes (one byte each
+    in UTF-8)."""
     table = _read_table(path)
     j = _first(table.width != 2, len(table))
     if j < len(table):
         raise ParseError(f"{path} line {table.line[j]}: expected 2 tab-separated "
                          f"fields, got {table.width[j]}")
-    out: dict[str, list[str]] = {}
-    for entity, blob in zip(table.column(0), table.column(1)):
-        tokens = [t for t in blob.split("|") if t != ""]
-        out.setdefault(entity, []).extend(tokens)
-    return out
+    entities, code = _codes(table.column(0))
+    joined = "\t".join(table.column(1))
+    raw = np.frombuffer(joined.encode("utf-8"), np.uint8)
+    sep = np.flatnonzero((raw == 9) | (raw == 124))  # the byte after each piece but the last
+    kept = np.append(sep, raw.size) > np.concatenate(([0], sep + 1))  # the non-empty pieces
+    line = np.concatenate(([0], np.cumsum(raw[sep] == 9)))  # the line of each piece
+    entity = code[line[kept]]  # the entity of each token
+    lengths = np.bincount(entity, minlength=len(entities))
+    tokens = list(filter(None, joined.replace("\t", "|").split("|")))
+    if len(entities) < code.size:
+        # Some entity is on several lines: a stable sort by entity gathers
+        # its tokens, in file order, to the place of its first line.
+        tokens = list(map(tokens.__getitem__,
+                          np.argsort(entity, kind="stable").tolist()))
+    return FeatureColumns(entities, lengths, tokens)
 
 
 def build_feature_vocab(specs: list[FieldSpec], tag_top_t: int,
@@ -404,18 +439,18 @@ def build_feature_vocab(specs: list[FieldSpec], tag_top_t: int,
     token) pair is counted once, after one sort of their keys."""
     tokens: dict[str, dict[str, int]] = {}
     for spec in specs:
-        raw = parse_feature_file(spec.path)
-        flat = chain.from_iterable(raw.values())
+        columns = parse_feature_file(spec.path)
+        flat = columns.tokens
         if not spec.open_vocab:
             tokens[spec.name] = {tok: i for i, tok in enumerate(dict.fromkeys(flat))}
             continue
-        lengths = np.fromiter(map(len, raw.values()), np.int64, len(raw))
-        entity = np.repeat(np.arange(len(raw)), lengths)
+        n = len(columns.entities)
+        entity = np.repeat(np.arange(n), columns.lengths)
         if population is not None:
-            member = np.fromiter(map(population[spec.owner].__contains__, raw),
-                                 bool, len(raw))[entity]
-            flat, entity = compress(flat, member.tolist()), entity[member]
-        names, code = _codes(list(flat))
+            member = np.fromiter(map(population[spec.owner].__contains__,
+                                     columns.entities), bool, n)[entity]
+            flat, entity = list(compress(flat, member.tolist())), entity[member]
+        names, code = _codes(flat)
         # one key per distinct (entity, token) pair, so an entity counts once
         pairs = _distinct(entity * len(names) + code)
         users = np.bincount(pairs % max(len(names), 1), minlength=len(names))
@@ -424,26 +459,28 @@ def build_feature_vocab(specs: list[FieldSpec], tag_top_t: int,
     return FeatureVocab(specs, tokens)
 
 
-def encode_entity_features(raw_by_field: dict[str, dict[str, list[str]]],
+def encode_entity_features(columns_by_field: dict[str, FeatureColumns],
                            vocab: FeatureVocab, id_map: dict[str, int],
                            owner: str) -> EncodedFeatures:
-    """Encode the entities of `id_map` (raw id -> dense id) field by field.
-    Tokens outside a field's vocabulary and entities outside `id_map` are
-    dropped; a slot with nothing retained (including entities absent from
-    the file) holds the unknown index. Each field is one sort of the keys
-    entity * size + index of its known tokens and its empty slots' unknown
-    index, which orders and de-duplicates every slot at once."""
+    """Encode the entities of `id_map` (raw id -> dense id) field by field,
+    from each field's parsed file (a field without one reads as an empty
+    file). Tokens outside a field's vocabulary and entities outside `id_map`
+    are dropped; a slot with nothing retained (including entities absent
+    from the file) holds the unknown index. Each field is one sort of the
+    keys entity * size + index of its known tokens and its empty slots'
+    unknown index, which orders and de-duplicates every slot at once."""
     n = len(id_map)
     sizes, indices = [], []
     for fname in vocab.fields_of(owner):
-        raw = raw_by_field.get(fname, {})
+        columns = columns_by_field.get(fname)
+        if columns is None:
+            columns = FeatureColumns([], np.zeros(0, dtype=np.int64), [])
         size, unknown = vocab.field_size(fname), vocab.unknown_index(fname)
-        lengths = np.fromiter(map(len, raw.values()), np.int64, len(raw))
-        dense = np.fromiter(map(id_map.get, raw, repeat(-1)), np.int64, len(raw))
-        index = np.fromiter(map(vocab.tokens[fname].get,
-                                chain.from_iterable(raw.values()), repeat(unknown)),
-                            np.int64, int(lengths.sum()))
-        entity = np.repeat(dense, lengths)
+        dense = np.fromiter(map(id_map.get, columns.entities, repeat(-1)), np.int64,
+                            len(columns.entities))
+        index = np.fromiter(map(vocab.tokens[fname].get, columns.tokens, repeat(unknown)),
+                            np.int64, len(columns.tokens))
+        entity = np.repeat(dense, columns.lengths)
         known = (entity >= 0) & (index != unknown)
         entity, index = entity[known], index[known]
         empty = np.ones(n, dtype=bool)
@@ -575,10 +612,10 @@ def build_dataset(manifest: DatasetManifest, seed: int,
                                                     manifest.min_ratings)
     population = {"user": set(user_ids), "item": set(item_ids)}
     vocab = build_feature_vocab(manifest.features, manifest.tag_top_t, population)
-    raw_user = {s.name: parse_feature_file(s.path) for s in manifest.fields_for("user")}
-    raw_item = {s.name: parse_feature_file(s.path) for s in manifest.fields_for("item")}
-    user_feats = encode_entity_features(raw_user, vocab, user_ids, "user")
-    item_feats = encode_entity_features(raw_item, vocab, item_ids, "item")
+    user_columns = {s.name: parse_feature_file(s.path) for s in manifest.fields_for("user")}
+    item_columns = {s.name: parse_feature_file(s.path) for s in manifest.fields_for("item")}
+    user_feats = encode_entity_features(user_columns, vocab, user_ids, "user")
+    item_feats = encode_entity_features(item_columns, vocab, item_ids, "item")
     split = split_dataset(interactions, derive_seed(seed, "split"), by_time=by_time)
     return PreparedData(manifest=manifest, vocab=vocab, interactions=interactions,
                         split=split, user_ids=user_ids, item_ids=item_ids,

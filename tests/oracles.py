@@ -1,15 +1,18 @@
 """Reference implementations that the tests compare the package against: one
 attention head on one sequence, a single-row softmax, top-k selection by a
-stable sort, and the feature pipeline entity by entity (vocabulary, slots and
-packed tables). The package itself runs the batched forms (all heads as one
-tensor axis, softmax_rows, top_k_mask_rows, per-field column arrays)."""
+stable sort, dense ids by np.unique, and the feature pipeline entity by
+entity (a line-by-line parse into a dict, vocabulary, slots and packed
+tables). The package itself runs the batched forms (all heads as one tensor
+axis, softmax_rows, top_k_mask_rows, a minimum.at pass over the codes,
+columnar feature records and per-field column arrays)."""
 
 import math
 from collections import Counter
 
 import numpy as np
 
-from sain.data import EncodedFeatures, FeatureVocab, parse_feature_file
+from sain.data import EncodedFeatures, FeatureColumns, FeatureVocab
+from sain.errors import ParseError
 from sain.tensor import softmax_rows, top_k_mask_rows
 
 
@@ -71,13 +74,58 @@ def scores(trace) -> np.ndarray:
                      trace.score_combined], axis=1)
 
 
+def dense_ids(names, code):
+    """data._dense_ids by np.unique, which sorts every code: the names whose
+    codes appear renumbered 0, 1, ... in order of first appearance, and the
+    new codes."""
+    old, first = np.unique(code, return_index=True)
+    order = old[np.argsort(first)]
+    new = np.empty(len(names), dtype=np.int64)
+    new[order] = np.arange(order.size)
+    return {names[c]: j for j, c in enumerate(order.tolist())}, new[code]
+
+
+def feature_dict(path) -> dict:
+    """parse_feature_file line by line, as a dict from each entity, in order
+    of first appearance, to its non-empty tokens in file order; a line
+    without exactly two tab-separated fields raises the same ParseError."""
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().split("\n")
+    out = {}
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"{path} line {lineno}: expected 2 tab-separated "
+                             f"fields, got {len(parts)}")
+        out.setdefault(parts[0], []).extend(t for t in parts[1].split("|") if t != "")
+    return out
+
+
+def feature_columns(mapping) -> FeatureColumns:
+    """The record parse_feature_file gives for a file whose entities, in
+    order, have the token lists of `mapping`."""
+    return FeatureColumns(list(mapping),
+                          np.array([len(t) for t in mapping.values()], dtype=np.int64),
+                          [t for tokens in mapping.values() for t in tokens])
+
+
+def columns_dict(columns: FeatureColumns) -> dict:
+    """A parse_feature_file record as feature_dict gives it: each entity, in
+    order, with its tokens."""
+    ends = np.cumsum(columns.lengths).tolist()
+    return {entity: columns.tokens[end - n:end] for entity, n, end
+            in zip(columns.entities, columns.lengths.tolist(), ends)}
+
+
 def feature_vocab(specs, tag_top_t: int, population=None) -> FeatureVocab:
     """build_feature_vocab token by token: closed fields index every token in
     first-appearance order; open fields keep the tag_top_t tokens used by
     the most distinct (population) entities, ties broken by the token."""
     tokens = {}
     for spec in specs:
-        raw = parse_feature_file(spec.path)
+        raw = feature_dict(spec.path)
         if spec.open_vocab:
             counts = Counter()
             for entity, toks in raw.items():

@@ -249,6 +249,53 @@ class TestMalformedHeader:
             load_checkpoint(path)
 
 
+
+def _set_adam(key, value):
+    def edit(h):
+        h["adam"][key] = value
+    return edit
+
+
+def _set_steps(value, only=None):
+    """Set every `t` entry to `value`, or only the entry named `only`."""
+    def edit(h):
+        for name in h["adam"]["t"]:
+            if only in (None, name):
+                h["adam"]["t"][name] = value
+    return edit
+
+
+class TestOptimizerHeaderTypes:
+    """Step counts must be JSON integers and beta1, beta2 and eps JSON
+    numbers: int() and float() would read 3.7 as step 3 and "0.9" or true as
+    a number, and the model would then save to other bytes than the file."""
+
+    @pytest.mark.parametrize("edit", [
+        _set_steps(3.7), _set_steps(1.5, only="beta"), _set_steps(True),
+        _set_steps("7"), _set_steps(None, only="alpha"),
+        _set_adam("beta1", True), _set_adam("beta1", "0.9"),
+        _set_adam("beta2", "0.999"), _set_adam("beta2", False),
+        _set_adam("eps", "1e-8"), _set_adam("eps", None), _set_adam("eps", [1e-8])],
+        ids=["t-float", "t-one-float", "t-bool", "t-text", "t-one-null",
+             "beta1-bool", "beta1-text", "beta2-text", "beta2-bool", "eps-text",
+             "eps-null", "eps-list"])
+    def test_is_a_parse_error(self, tmp_path, edit):
+        path = str(tmp_path / "k.ckpt")
+        _with_header(path, edit)
+        with pytest.raises(ParseError) as got:
+            load_checkpoint(path)
+        assert str(got.value) == f"checkpoint optimizer header malformed: {path}"
+
+    @pytest.mark.parametrize("edit", [_set_adam("beta1", 1), _set_steps(0)],
+                             ids=["beta1-integer", "t-zero"])
+    def test_json_numbers_and_integers_load(self, tmp_path, edit):
+        path = str(tmp_path / "n.ckpt")
+        _with_header(path, edit)
+        adam = load_checkpoint(path).adam
+        assert type(adam["beta1"]) is float
+        assert all(type(t) is int for t in adam["t"].values())
+
+
 @pytest.fixture(scope="module")
 def trained_models(prepared):
     """One short SAIN run and one short BiasedMF run on the fixture."""

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sain.data import (DatasetManifest, FieldSpec, Interactions,
+from sain.data import (DatasetManifest, FieldSpec, Interactions, _dense_ids,
                        build_dataset, build_feature_vocab,
                        encode_entity_features, interactions_to_arrays,
                        load_ratings, pack_features, parse_feature_file,
@@ -21,7 +21,7 @@ from sain.errors import IoError, ParseError, ShapeError
 from sain.gradcheck import _toy_vocab
 
 from conftest import write_feature_file, write_rating_file
-from oracles import encoded, slots_of
+from oracles import columns_dict, dense_ids, encoded, feature_columns, slots_of
 
 
 def _ratings(tmp_path, rows, name="r.tsv"):
@@ -170,6 +170,54 @@ class TestLoadRatings:
         with pytest.raises(IoError):
             load_ratings(str(tmp_path / "absent.tsv"))
 
+    def test_items_are_indexed_by_their_first_kept_appearance(self, tmp_path):
+        # "b" first appears on the dropped user's line, so "a" comes first.
+        rows = [("light", "b", 1, 1)]
+        rows += [("heavy", item, 3, j) for j, item in enumerate("abcba")]
+        inter, users, items = load_ratings(_ratings(tmp_path, rows), min_ratings=5)
+        assert list(items.items()) == [("a", 0), ("b", 1), ("c", 2)]
+        assert inter.items.tolist() == [0, 1, 2, 1, 0]
+
+
+def _assert_same_dense_ids(names, code):
+    got_ids, got_codes = _dense_ids(names, code)
+    want_ids, want_codes = dense_ids(names, code)
+    assert list(got_ids.items()) == list(want_ids.items())
+    assert got_codes.dtype == np.int64
+    assert got_codes.tolist() == want_codes.tolist()
+    return got_ids, got_codes
+
+
+class TestDenseIds:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_unique_form_on_random_codes(self, seed):
+        rng = np.random.default_rng([seed, 47])
+        names = [f"n{j}" for j in range(int(rng.integers(1, 40)))]
+        # Codes drawn from a random subset of the names, so some are absent.
+        pool = rng.choice(len(names), size=int(rng.integers(1, len(names) + 1)),
+                          replace=False)
+        code = rng.choice(pool, size=int(rng.integers(0, 200))).astype(np.int64)
+        _assert_same_dense_ids(names, code)
+
+    def test_absent_codes_get_no_id(self):
+        ids, codes = _assert_same_dense_ids(["a", "b", "c", "d"],
+                                            np.array([3, 1, 3, 1], dtype=np.int64))
+        assert list(ids.items()) == [("d", 0), ("b", 1)]
+        assert codes.tolist() == [0, 1, 0, 1]
+
+    def test_empty_input(self):
+        for names in ([], ["a", "b"]):
+            ids, codes = _assert_same_dense_ids(names, np.zeros(0, dtype=np.int64))
+            assert ids == {} and codes.shape == (0,)
+
+    def test_filtered_codes_match_the_unique_form(self):
+        # load_ratings renumbers the item codes of the kept rows only.
+        rng = np.random.default_rng(5)
+        names = [f"i{j}" for j in range(50)]
+        code = rng.integers(0, 50, size=400).astype(np.int64)
+        keep = rng.random(400) < 0.3
+        _assert_same_dense_ids(names, code[keep])
+
 
 def _interactions(n):
     rng = np.random.default_rng(9)
@@ -232,17 +280,26 @@ class TestSplit:
             split.select("holdout")
 
 
+def _assert_columns(columns, want):
+    """`columns` holds the entities, lengths and tokens of the dict `want`."""
+    assert columns.entities == list(want)
+    assert columns.lengths.dtype == np.int64
+    assert columns.lengths.tolist() == [len(t) for t in want.values()]
+    assert columns.tokens == [t for tokens in want.values() for t in tokens]
+    assert list(columns_dict(columns).items()) == list(want.items())
+
+
 class TestFeatureFiles:
     def test_parse_pipe_separated_tokens(self, tmp_path):
         path = str(tmp_path / "f.tsv")
         write_feature_file(path, {"e1": ["a", "b"], "e2": []})
-        assert parse_feature_file(path) == {"e1": ["a", "b"], "e2": []}
+        _assert_columns(parse_feature_file(path), {"e1": ["a", "b"], "e2": []})
 
     def test_repeated_entity_lines_extend(self, tmp_path):
         path = str(tmp_path / "f.tsv")
         with open(path, "w") as f:
             f.write("e1\ta\ne1\tb|c\n")
-        assert parse_feature_file(path) == {"e1": ["a", "b", "c"]}
+        _assert_columns(parse_feature_file(path), {"e1": ["a", "b", "c"]})
 
     def test_wrong_columns_report_line(self, tmp_path):
         path = str(tmp_path / "f.tsv")
@@ -260,6 +317,11 @@ class TestVocab:
         assert vocab.tokens["gender"] == {"M": 0, "F": 1}
         assert vocab.field_size("gender") == 3
         assert vocab.unknown_index("gender") == 2
+
+    def test_closed_field_entity_on_non_adjacent_lines(self, tmp_path):
+        path = _write_text(tmp_path, "e1\ta\ne2\tb\ne1\tc\n", name="g.tsv")
+        vocab = build_feature_vocab([FieldSpec("g", "user", path)], tag_top_t=50)
+        assert list(vocab.tokens["g"].items()) == [("a", 0), ("c", 1), ("b", 2)]
 
     def test_open_field_keeps_top_t_by_entity_count(self, tmp_path):
         path = str(tmp_path / "t.tsv")
@@ -334,22 +396,32 @@ class TestEncode:
 
     def test_repeated_and_reordered_tokens_are_sorted_dedup(self, tmp_path):
         g, vocab = self._vocab(tmp_path)
-        raw = {"genre": {"i1": ["comedy", "action", "comedy", "western"],
-                         "i2": ["drama"]}}
+        raw = {"genre": feature_columns({"i1": ["comedy", "action", "comedy", "western"],
+                                         "i2": ["drama"]})}
         feats = encode_entity_features(raw, vocab, {"i2": 0, "i1": 1}, "item")
         assert slots_of(feats) == [[[2]], [[0, 1]]]
 
     def test_unknown_tokens_dropped_and_empty_falls_back(self, tmp_path):
         g, vocab = self._vocab(tmp_path)
-        raw = {"genre": {"i3": ["western"]}}
+        raw = {"genre": feature_columns({"i3": ["western"]})}
         feats = encode_entity_features(raw, vocab, {"i3": 0}, "item")
         assert slots_of(feats) == [[[vocab.unknown_index("genre")]]]
 
+    def test_entity_on_non_adjacent_lines(self, tmp_path):
+        path = _write_text(tmp_path, "e1\ta\ne2\tb\ne1\tc\n", name="g.tsv")
+        vocab = build_feature_vocab([FieldSpec("g", "user", path)], tag_top_t=50)
+        feats = encode_entity_features({"g": parse_feature_file(path)}, vocab,
+                                       {"e2": 0, "e1": 1}, "user")
+        assert feats.sizes[0].tolist() == [1, 2]
+        assert feats.indices[0].tolist() == [2, 0, 1]
+        assert slots_of(feats) == [[[2]], [[0, 1]]]
+
     def test_entity_missing_from_file_gets_unknown(self, tmp_path):
         g, vocab = self._vocab(tmp_path)
-        feats = encode_entity_features({"genre": {}}, vocab, {"i9": 0}, "item")
-        assert slots_of(feats) == [[[3]]]
-        assert feats.sizes[0].tolist() == [1] and feats.indices[0].tolist() == [3]
+        for columns in ({"genre": feature_columns({})}, {}):
+            feats = encode_entity_features(columns, vocab, {"i9": 0}, "item")
+            assert slots_of(feats) == [[[3]]]
+            assert feats.sizes[0].tolist() == [1] and feats.indices[0].tolist() == [3]
 
 
 def _field_columns(packed):
@@ -717,7 +789,7 @@ class TestReadErrors:
 
     def test_feature_file_line_ends_and_empty_token_lists(self, tmp_path):
         path = _write_text(tmp_path, "e1\ta|b\r\ne2\t\re1\t|c|\n", name="f.tsv")
-        assert parse_feature_file(path) == {"e1": ["a", "b", "c"], "e2": []}
+        _assert_columns(parse_feature_file(path), {"e1": ["a", "b", "c"], "e2": []})
 
     def test_manifest_directory_and_non_object(self, tmp_path):
         (tmp_path / "dir.json").mkdir()

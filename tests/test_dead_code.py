@@ -1,9 +1,10 @@
 """A guard against dead code in the package: every top-level function and
 class in src/sain/*.py (but __init__.py) must be referenced from src/sain
-outside its own definition, and every class member (method, property or
-dataclass field) must be read as an attribute somewhere in src/sain. Tests
-do not count, so a helper that only the tests call belongs in the tests.
-The README's documented entry points and the members listed in
+outside its own definition, every class member (method, property or
+dataclass field) must be read as an attribute somewhere in src/sain, and
+every name that a module-level import binds there must be used in its own
+module. Tests do not count, so a helper that only the tests call belongs in
+the tests. The README's documented entry points and the members listed in
 EXEMPT_MEMBERS, each with its reason, are the only exceptions.
 
 The match is by name: a reference is any ast.Name or ast.Attribute carrying
@@ -82,12 +83,34 @@ def unread_members(src: pathlib.Path = SRC) -> list[str]:
             and f"{module}.{cls.name}.{name}" not in EXEMPT_MEMBERS]
 
 
+def unused_imports(src: pathlib.Path = SRC) -> list[str]:
+    """module.name of each name that a module-level import in `src` (but in
+    __init__.py, which re-exports) binds and no ast.Name in that module
+    reads, in file and line order. `from __future__` imports bind nothing."""
+    out = []
+    for module, tree in _trees(src).items():
+        if module == "__init__":
+            continue
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                out += [f"{module}.{bound}" for alias in node.names
+                        if (bound := alias.asname or alias.name.split(".")[0]) not in names]
+    return out
+
+
 def test_every_definition_is_referenced_in_the_package():
     assert unreferenced() == []
 
 
 def test_every_class_member_is_read_in_the_package():
     assert unread_members() == []
+
+
+def test_every_module_level_import_is_used():
+    assert unused_imports() == []
 
 
 def test_the_entry_points_exist():
@@ -130,3 +153,18 @@ def test_a_method_only_the_tests_call_is_flagged(tmp_path):
         "    return box.grow()\n")
     # `label` is only written, and `shrink` only defined.
     assert unread_members(tmp_path) == ["a.Box.label", "a.Box.shrink"]
+
+
+def test_an_unused_import_is_flagged(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import size\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from itertools import chain, compress, repeat\n\n\n"
+        "def size(path):\n"
+        "    return os.path.getsize(path), list(repeat(js, 2))\n\n\n"
+        "def other(x):\n"
+        "    return x.compress\n")
+    # `compress` is only an attribute name, and `chain` is never read.
+    assert unused_imports(tmp_path) == ["a.chain", "a.compress"]

@@ -1,6 +1,7 @@
-"""The feature pipeline (vocabulary, encoding, packing) against the entity by
-entity references in tests/oracles.py, bit for bit: on the conftest datasets,
-whose results are also pinned by hash, and on seeded random feature files."""
+"""The feature pipeline (parsing, vocabulary, encoding, packing) against the
+line by line and entity by entity references in tests/oracles.py, bit for
+bit: on the conftest datasets, whose results are also pinned by hash, and on
+seeded random feature files, where a bad line gives the same error."""
 
 import hashlib
 import json
@@ -9,9 +10,11 @@ import os
 import numpy as np
 import pytest
 
-from oracles import entity_slots, feature_vocab, packed_tables
+from oracles import (columns_dict, entity_slots, feature_dict, feature_vocab,
+                     packed_tables)
 from sain.data import (OWNERS, FieldSpec, build_feature_vocab,
                        encode_entity_features, pack_features, parse_feature_file)
+from sain.errors import ParseError
 
 
 def package_tables(specs, tag_top_t, ids):
@@ -32,7 +35,7 @@ def reference_tables(specs, tag_top_t, ids):
     vocab = feature_vocab(specs, tag_top_t, population)
     tables = {}
     for owner in OWNERS:
-        raw = {s.name: parse_feature_file(s.path) for s in specs if s.owner == owner}
+        raw = {s.name: feature_dict(s.path) for s in specs if s.owner == owner}
         tables[owner] = packed_tables(entity_slots(raw, vocab, ids[owner], owner),
                                       vocab, owner)
     return vocab, tables
@@ -43,6 +46,11 @@ def _vocab_json(vocab) -> str:
 
 
 def assert_matches_reference(vocab, packed, specs, tag_top_t, ids):
+    for spec in specs:
+        columns = parse_feature_file(spec.path)
+        assert columns.lengths.dtype == np.int64
+        assert len(columns.tokens) == int(columns.lengths.sum())
+        assert list(columns_dict(columns).items()) == list(feature_dict(spec.path).items())
     ref_vocab, ref_tables = reference_tables(specs, tag_top_t, ids)
     assert _vocab_json(vocab) == _vocab_json(ref_vocab)
     for owner in OWNERS:
@@ -183,3 +191,22 @@ def test_ties_at_the_cut_break_by_token(tmp_path):
     vocab, _ = package_tables(specs, 2, {"user": {}, "item": {"i0": 0, "i1": 1, "i2": 2}})
     # a, b and c are each used by two items; d and e by one.
     assert vocab.tokens["t"] == {"a": 0, "b": 1}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_bad_feature_files_give_the_reference_error(tmp_path, seed):
+    rng = np.random.default_rng([seed, 53])
+    lines = [f"e{rng.integers(0, 4)}\t{'|'.join(rng.choice(['a', 'b', ''], 3))}"
+             for _ in range(int(rng.integers(1, 12)))]
+    for _ in range(int(rng.integers(1, 3))):
+        at = int(rng.integers(0, len(lines)))
+        lines[at] = str(rng.choice(["e0", "e1\ta\tb", "\t\t", "e2\ta|\t"]))
+    ends = rng.choice(["\n", "\r\n", "\r"], len(lines) + 1)
+    path = tmp_path / "f.tsv"
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write("".join(line + end for line, end in zip(["", *lines], ends)))
+    with pytest.raises(ParseError) as want:
+        feature_dict(str(path))
+    with pytest.raises(ParseError) as got:
+        parse_feature_file(str(path))
+    assert str(got.value) == str(want.value)

@@ -1,7 +1,11 @@
 """Property test: on generated feature files, the package's vocabulary and
 packed tables equal the entity by entity references bit for bit. Skipped
-when hypothesis is not installed."""
+when hypothesis is not installed. Also checks that a failing hypothesis test
+under the repo's pytest config fails alone, without ending the session."""
 
+import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -33,3 +37,28 @@ def test_generated_feature_files_match_the_reference(fields, n_users, n_items,
                                     for k, (owner, open_vocab, lines) in enumerate(fields)])
         vocab, packed = package_tables(specs, tag_top_t, ids)
         assert_matches_reference(vocab, packed, specs, tag_top_t, ids)
+
+
+FAILING_AND_PASSING = {
+    "test_a_fails.py": ("import hypothesis\n"
+                        "import hypothesis.strategies as st\n\n\n"
+                        "@hypothesis.given(st.integers())\n"
+                        "def test_fails(x):\n"
+                        "    assert x < 5\n"),
+    "test_b_passes.py": "def test_passes():\n    pass\n",
+}
+
+
+def test_a_failing_property_test_does_not_end_the_session(tmp_path):
+    # Reporting a failing example imports libcst, whose import warning the
+    # config's error::DeprecationWarning once turned into an INTERNALERROR
+    # (exit 3) that skipped every later test file.
+    for name, text in FAILING_AND_PASSING.items():
+        (tmp_path / name).write_text(text)
+    config = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(config), "--rootdir", str(tmp_path), *FAILING_AND_PASSING],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout

@@ -9,7 +9,7 @@ from sain.data import DatasetManifest, build_dataset, parse_feature_file
 from sain.errors import IoError, ParseError
 from sain.ml100k import age_bucket, convert_ml100k, find_ml100k
 
-from oracles import slots_of
+from oracles import columns_dict, slots_of
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -70,13 +70,13 @@ class TestConverter:
             lines = f.read().splitlines()
         assert len(lines) == 30
         assert all(len(line.split("\t")) == 4 for line in lines)
-        ages = parse_feature_file(os.path.join(out, "user_age.tsv"))
+        ages = columns_dict(parse_feature_file(os.path.join(out, "user_age.tsv")))
         assert ages["1"] == ["20s"] and ages["4"] == ["60s"]
-        genders = parse_feature_file(os.path.join(out, "user_gender.tsv"))
+        genders = columns_dict(parse_feature_file(os.path.join(out, "user_gender.tsv")))
         assert genders["2"] == ["F"]
-        jobs = parse_feature_file(os.path.join(out, "user_occupation.tsv"))
+        jobs = columns_dict(parse_feature_file(os.path.join(out, "user_occupation.tsv")))
         assert jobs["5"] == ["engineer"]
-        genres = parse_feature_file(os.path.join(out, "item_genre.tsv"))
+        genres = columns_dict(parse_feature_file(os.path.join(out, "item_genre.tsv")))
         assert genres["1"] == ["Action", "Comedy"]
         assert genres["3"] == ["Drama"]
         # The literal "unknown" flag emits no token at all.
