@@ -256,8 +256,14 @@ def cmd_attention(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ParseError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_sweep_k(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    _require_positive("--repeats", args.repeats)
     rm = RunManifest.load(args.config, _overrides(args))
     if rm.model != "sain":
         raise ShapeError("sweep-k requires the attention model")
@@ -285,6 +291,7 @@ def cmd_sweep_k(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    _require_positive("--seeds", args.seeds)
     report = run_suite(num_seeds=args.seeds)
     for c in report.cases:
         k = "-" if c.top_k is None else c.top_k

@@ -170,10 +170,6 @@ class FeatureVocab:
             acc += self.field_size(fname)
         return out
 
-    @property
-    def total_rows(self) -> int:
-        return sum(self.field_size(f) for f in self.fields)
-
     def to_dict(self) -> dict:
         return {"user_fields": list(self.user_fields),
                 "item_fields": list(self.item_fields),
@@ -505,7 +501,6 @@ class PackedFeatures:
     per side; the zero weights mark the padding that the embedding gradient
     leaves out (see scatter_add_rows for why that keeps its bits)."""
 
-    fields: list[str]
     rows: np.ndarray     # (num_entities, T) int64
     weights: np.ndarray  # (num_entities, T) float64
     bounds: list[int]    # (F+1,) field column bounds
@@ -549,7 +544,7 @@ def pack_features(features: EncodedFeatures, vocab: FeatureVocab,
         if ((local < 0) | (local >= vocab.field_size(fname)))[block > 0].any():
             raise ShapeError(f"feature index out of range for field {fname!r}")
         block /= counts[:, None]
-    return PackedFeatures(fields=fields, rows=rows, weights=weights, bounds=bounds)
+    return PackedFeatures(rows=rows, weights=weights, bounds=bounds)
 
 
 @dataclass

@@ -1,13 +1,22 @@
 """The hybrid attention recommender as one batched pass, `forward_batch`,
-and its exact hand-derived reverse pass, `backward`. For a batch of (user,
-item) pairs the forward pass mean-pools each side's packed feature tokens
-into one embedding per field, runs feature-level multi-head self-attention
-with top-K filtering, then batch norm, dropout, the residual and ReLU,
-aggregates each side's positions affinely into a content vector, looks up
-the collaborative-filtering vectors, blends both per side through a learned
-gate, and scores the three dot products that the jointly weighted MSE loss
-reads. Training, evaluation, prediction and the attention export all run
-this one pass; a single pair is a batch of one.
+and its exact hand-derived reverse pass, `backward`. Both call six stages,
+each a pair of adjacent functions: `_<stage>_forward` records the trace
+fields its backward reads and returns its output; `_<stage>_backward` takes
+the gradient of that output, adds its tensors' gradients to `grads` and
+returns the gradient of its input.
+
+1. embed: mean-pool each side's packed feature tokens per field, giving x;
+2. attention: feature-level multi-head self-attention with top-K filtering;
+3. batch norm, then dropout in train mode;
+4. residual and ReLU: xbar = ReLU(x + the stage 3 output);
+5. sides, user then item: aggregate the side's positions into a content
+   vector and blend it with the side's CF vector through the side's gate;
+6. scores: the three dot products that the jointly weighted MSE loss reads.
+
+Stages 5 and 6 leave their outputs in the trace, whose per-side fields
+`content`, `cf`, `gate_alpha` and `combined` are dicts keyed by side.
+Training, evaluation, prediction and the attention export all run this one
+pass; a single pair is a batch of one.
 
 Shapes: B batch, S = m + n feature positions (m user fields then n item
 fields), d embed dim, H heads, dh = d // H. The heads run as one tensor axis:
@@ -19,7 +28,7 @@ registered as their own (d,dh) tensors `attn{h}_w{q,k,v}`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,6 +38,7 @@ from .tensor import ParamSet, scatter_add_rows, softmax_rows, top_k_mask_rows
 
 L2_SCOPES = ("all", "embeddings", "projections")
 EMBEDDING_TENSORS = ("embeddings", "cf_user", "cf_item")
+SIDES = ("user", "item")
 
 
 def require_int(name: str, value) -> None:
@@ -98,13 +108,7 @@ class ModelConfig:
         return self.embed_dim // self.num_heads
 
     def to_dict(self) -> dict:
-        return {"embed_dim": self.embed_dim, "num_heads": self.num_heads,
-                "top_k": self.top_k, "dropout_rate": self.dropout_rate,
-                "loss_weights": list(self.loss_weights),
-                "gate_shared": self.gate_shared,
-                "renormalize_topk": self.renormalize_topk,
-                "l2_scope": self.l2_scope, "bn_epsilon": self.bn_epsilon,
-                "bn_momentum": self.bn_momentum}
+        return {**asdict(self), "loss_weights": list(self.loss_weights)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -161,10 +165,7 @@ class FieldLayout:
         return sum(self.sizes[f] for f in self.fields)
 
     def to_dict(self) -> dict:
-        return {"user_fields": list(self.user_fields),
-                "item_fields": list(self.item_fields),
-                "sizes": dict(self.sizes),
-                "num_users": self.num_users, "num_items": self.num_items}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FieldLayout":
@@ -227,12 +228,9 @@ class SainParams(ParamSet):
                 t[name] = rng.uniform(-scale, scale, size=shape)
         return cls(layout, config, t, bn_mean=np.zeros(d), bn_var=np.ones(d))
 
-    def gate(self, side: str) -> tuple[np.ndarray, np.ndarray, str, str]:
-        """Gate weight/bias for one side and their registry names."""
-        if self.config.gate_shared:
-            return self.tensors["gate_w"], self.tensors["gate_b"], "gate_w", "gate_b"
-        return (self.tensors[f"gate_{side}_w"], self.tensors[f"gate_{side}_b"],
-                f"gate_{side}_w", f"gate_{side}_b")
+    def gate_name(self, side: str) -> str:
+        """Registry name of one side's gate weight, shared or the side's own."""
+        return "gate_w" if self.config.gate_shared else f"gate_{side}_w"
 
     def clone(self) -> "SainParams":
         other = super().clone()
@@ -260,21 +258,17 @@ def _stable_sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
 class ForwardTrace:
-    """Everything the backward pass needs, for a batch (B may be 1)."""
+    """What the backward pass needs: the ids, then each stage's fields."""
 
-    uids: np.ndarray
-    iids: np.ndarray
-    mode: str
-    x: np.ndarray                      # (B,S,d) embedded feature sequence
+    ids: dict                          # side -> (B,) int64
     # The user side's packed columns, then the item side's: each token's
-    # embedding row and mean-pooling weight, 0 on padding. The backward
-    # scatters only the nonzero weights; a padding token's term is d_x * 0,
-    # a signed zero, which adds nothing to a scatter sum (scatter_add_rows).
+    # embedding row and mean-pooling weight, 0 on padding.
     embed_rows: np.ndarray             # (B,T) int64
     embed_weights: np.ndarray          # (B,T) float64
     embed_bounds: list                 # (S+1,) position p pools columns [p]..[p+1]-1
+    x: np.ndarray                      # (B,S,d) embedded feature sequence
+    w_qkv: np.ndarray                  # (d,3d) every head's Q, then K, then V projection
     q: np.ndarray                      # (B,H,S,dh)
     k: np.ndarray
     v: np.ndarray
@@ -282,6 +276,7 @@ class ForwardTrace:
     topk_mask: np.ndarray              # (B,H,S,S) bool
     alpha_topk: np.ndarray             # (B,H,S,S) post-top-K weights
     sel_sum: np.ndarray                # (B,H,S,1) selected-weight row sums
+    mode: str
     bn_xhat: np.ndarray                # (B,S,d)
     bn_inv_std: np.ndarray             # (d,)
     bn_new_mean: np.ndarray            # (d,) running stats after this pass
@@ -289,97 +284,261 @@ class ForwardTrace:
     dropout_mask: np.ndarray | None    # (B,S,d) inverted-scale mask, None in eval
     resid: np.ndarray                  # (B,S,d) pre-ReLU residual sum
     xbar: np.ndarray                   # (B,S,d)
-    content_user: np.ndarray           # (B,d)
-    content_item: np.ndarray
-    cf_user: np.ndarray                # (B,d)
-    cf_item: np.ndarray
+    content: dict                      # side -> (B,d) aggregated content vector
+    cf: dict                           # side -> (B,d) CF vector
     gate_alpha: dict                   # side -> (B,) blend weight in (0,1)
-    combined_user: np.ndarray          # (B,d)
-    combined_item: np.ndarray
+    combined: dict                     # side -> (B,d) gated blend
     score_content: np.ndarray          # (B,)
     score_preference: np.ndarray
     score_combined: np.ndarray
 
     @property
     def batch_size(self) -> int:
-        return self.x.shape[0]
+        return self.ids["user"].shape[0]
 
 
-def _embed_batch(uids, iids, user_packed: PackedFeatures, item_packed: PackedFeatures,
-                 params: SainParams):
-    """(B,S,d) pooled embeddings, plus what the backward scatter needs: the
-    (B,T) token rows and pooling weights of both sides' packed columns, and
-    the column bounds of each position. Each side's tables are gathered once,
-    the embedding rows of all tokens once, and each position pools its own
-    column slice straight into x."""
+def _embed_forward(trace: ForwardTrace, packed: dict, params: SainParams) -> np.ndarray:
+    """(B,S,d) pooled embeddings: the side tables and the tokens' embedding
+    rows are gathered once, and each position pools its columns into x."""
     emb = params.tensors["embeddings"]
-    rows = np.concatenate([user_packed.rows[uids], item_packed.rows[iids]], axis=1)
-    weights = np.concatenate([user_packed.weights[uids], item_packed.weights[iids]],
-                             axis=1)
+    rows = np.concatenate([packed[s].rows[trace.ids[s]] for s in SIDES], axis=1)
+    weights = np.concatenate([packed[s].weights[trace.ids[s]] for s in SIDES], axis=1)
     tokens = emb[rows]                                       # (B,T,d)
-    bounds = user_packed.bounds + [user_packed.bounds[-1] + b
-                                   for b in item_packed.bounds[1:]]
+    head = packed["user"].bounds
+    bounds = head + [head[-1] + b for b in packed["item"].bounds[1:]]
     x = np.empty((rows.shape[0], len(bounds) - 1, emb.shape[1]))
     for p, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         np.einsum("bl,bld->bd", weights[:, lo:hi], tokens[:, lo:hi], out=x[:, p])
-    return x, rows, weights, bounds
+    trace.embed_rows, trace.embed_weights, trace.embed_bounds = rows, weights, bounds
+    return x
 
 
-def _qkv_weights(params: SainParams, config: ModelConfig) -> np.ndarray:
-    """(d,3d): every head's Q, then K, then V projection side by side, so the
-    columns of one product reshape to (3,H,dh)."""
-    return np.concatenate([params.tensors[f"attn{h}_w{p}"] for p in "qkv"
-                           for h in range(config.num_heads)], axis=1)
+def _embed_backward(trace: ForwardTrace, d_x: np.ndarray, grads: dict,
+                    params: SainParams) -> None:
+    """Every token with a nonzero pooling weight adds weight * d_x of its
+    position to its row, in the (B,T) row-major order of the packed columns.
+    For a finite d_x, a padding token's term is d_x * 0, a signed zero, which
+    changes no scatter sum (scatter_add_rows); so leaving the padding out
+    gives the bits of scattering every column."""
+    rows, weights, bounds = trace.embed_rows, trace.embed_weights, trace.embed_bounds
+    bi, ti = np.nonzero(weights)
+    pos_of_col = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    contrib = d_x[bi, pos_of_col[ti]]
+    contrib *= weights[bi, ti][:, None]
+    grads["embeddings"] = scatter_add_rows(rows[bi, ti], contrib,
+                                           len(params.tensors["embeddings"]))
 
 
-def _attention_heads(x: np.ndarray, params: SainParams, config: ModelConfig):
+def _attention_forward(trace: ForwardTrace, x: np.ndarray, params: SainParams,
+                       config: ModelConfig) -> np.ndarray:
     """Scaled dot-product attention with top-K row filtering, all heads at
-    once. Returns q, k, v (B,H,S,dh), the pre-top-K weights, the top-K mask and
-    the post-top-K weights (B,H,S,S), the selected row sums (B,H,S,1), and the
-    head outputs concatenated in head order (B,S,d)."""
+    once; returns the head outputs concatenated in head order (B,S,d). The
+    columns of the one QKV product reshape to (3,H,dh)."""
     B, S, d = x.shape
     H, dh = config.num_heads, config.head_dim
-    qkv = (x.reshape(B * S, d) @ _qkv_weights(params, config)).reshape(B, S, 3, H, dh)
-    q, k, v = qkv.transpose(2, 0, 3, 1, 4)
-    logits = q @ k.swapaxes(-1, -2)
+    trace.x = x
+    trace.w_qkv = np.concatenate([params.tensors[f"attn{h}_w{p}"] for p in "qkv"
+                                  for h in range(H)], axis=1)
+    qkv = (x.reshape(B * S, d) @ trace.w_qkv).reshape(B, S, 3, H, dh)
+    trace.q, trace.k, trace.v = qkv.transpose(2, 0, 3, 1, 4)
+    logits = trace.q @ trace.k.swapaxes(-1, -2)
     logits *= 1.0 / math.sqrt(dh)
-    alpha = softmax_rows(logits, out=logits)
-    mask = top_k_mask_rows(alpha, min(config.top_k, S))
-    ahat = alpha * mask
-    ssum = ahat.sum(axis=-1, keepdims=True)
+    trace.alpha_full = softmax_rows(logits, out=logits)
+    trace.topk_mask = top_k_mask_rows(trace.alpha_full, min(config.top_k, S))
+    trace.alpha_topk = trace.alpha_full * trace.topk_mask
+    trace.sel_sum = trace.alpha_topk.sum(axis=-1, keepdims=True)
     if config.renormalize_topk:
-        ahat /= ssum
+        trace.alpha_topk /= trace.sel_sum
     concat = np.empty((B, S, H, dh))
-    np.matmul(ahat, v, out=concat.transpose(0, 2, 1, 3))
-    return q, k, v, alpha, mask, ahat, ssum, concat.reshape(B, S, d)
+    np.matmul(trace.alpha_topk, trace.v, out=concat.transpose(0, 2, 1, 3))
+    return concat.reshape(B, S, d)
 
 
-def _batch_norm_forward(z: np.ndarray, params: SainParams, config: ModelConfig,
-                        mode: str):
-    """Channel-wise batch norm over the batch x feature-position axis. Train
-    mode normalizes with batch statistics (biased variance) and returns updated
-    running stats; eval mode uses the stored running stats. The normalized
-    input xhat is computed in z's buffer, so z is consumed."""
-    gamma, beta = params.tensors["bn_gamma"], params.tensors["bn_beta"]
+def _attention_backward(trace: ForwardTrace, d_concat: np.ndarray, grads: dict,
+                        params: SainParams, config: ModelConfig) -> np.ndarray:
+    """Returns the gradient of x through the attention alone. d_q, d_k, d_v
+    are (B,H,S,dh) views of one (B,S,3,H,dh) buffer, whose rows reshape to
+    (B*S,3d) in the column order of w_qkv. The renormalization and softmax
+    backward run in d_logits' buffer with one (B,H,S,S) scratch array for
+    the row products."""
+    B, S, d = trace.x.shape
+    H, dh = config.num_heads, config.head_dim
+    d_out = d_concat.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
+    ahat, alpha = trace.alpha_topk, trace.alpha_full
+    d_logits = d_out @ trace.v.swapaxes(-1, -2)
+    scratch = np.empty_like(d_logits)
+    if config.renormalize_topk:
+        rowdot = np.multiply(d_logits, ahat, out=scratch).sum(axis=-1, keepdims=True)
+        d_logits -= rowdot
+        d_logits /= trace.sel_sum
+    d_logits *= trace.topk_mask
+    # softmax rows, with the logit scale folded in
+    inner = np.multiply(d_logits, alpha, out=scratch).sum(axis=-1, keepdims=True)
+    d_logits -= inner
+    d_logits *= alpha
+    d_logits *= 1.0 / math.sqrt(dh)
+    d_qkv = np.empty((B, S, 3, H, dh))
+    d_q, d_k, d_v = d_qkv.transpose(2, 0, 3, 1, 4)
+    np.matmul(d_logits, trace.k, out=d_q)
+    np.matmul(d_logits.swapaxes(-1, -2), trace.q, out=d_k)
+    np.matmul(ahat.swapaxes(-1, -2), d_out, out=d_v)
+    d_qkv = d_qkv.reshape(B * S, 3 * d)
+    g_qkv = (trace.x.reshape(B * S, d).T @ d_qkv).reshape(d, 3, H, dh)
+    for j, p in enumerate("qkv"):
+        for h in range(H):
+            grads[f"attn{h}_w{p}"] += g_qkv[:, j, h]
+    return (d_qkv @ trace.w_qkv.T).reshape(B, S, d)
+
+
+def _batch_norm_forward(trace: ForwardTrace, z: np.ndarray, params: SainParams,
+                        config: ModelConfig, mode: str,
+                        dropout_rng: np.random.Generator | None) -> np.ndarray:
+    """Channel-wise batch norm over the batch x feature-position axis, then
+    dropout. Train mode normalizes with batch statistics (biased variance),
+    records updated running stats and, when dropout_rate is positive, draws
+    an inverted-scale dropout mask; eval mode uses the stored running stats.
+    xhat is computed in z's buffer, so z is consumed."""
     flat = z.reshape(-1, z.shape[-1])
+    trace.mode = mode
     if mode == "train":
         mean = flat.mean(axis=0)
         xhat = np.subtract(flat, mean, out=flat)
         # np.var's own steps: the centered squares summed, over the count
         var = (xhat * xhat).sum(axis=0) / flat.shape[0]
         mom = config.bn_momentum
-        new_mean = (1.0 - mom) * params.bn_mean + mom * mean
-        new_var = (1.0 - mom) * params.bn_var + mom * var
+        trace.bn_new_mean = (1.0 - mom) * params.bn_mean + mom * mean
+        trace.bn_new_var = (1.0 - mom) * params.bn_var + mom * var
     else:
         mean, var = params.bn_mean, params.bn_var
-        new_mean, new_var = params.bn_mean.copy(), params.bn_var.copy()
+        trace.bn_new_mean, trace.bn_new_var = mean.copy(), var.copy()
         xhat = np.subtract(flat, mean, out=flat)
-    inv_std = 1.0 / np.sqrt(var + config.bn_epsilon)
-    xhat *= inv_std
-    out = gamma * xhat
-    out += beta
-    xhat = xhat.reshape(z.shape)
-    return out.reshape(z.shape), xhat, inv_std, new_mean, new_var
+    trace.bn_inv_std = 1.0 / np.sqrt(var + config.bn_epsilon)
+    xhat *= trace.bn_inv_std
+    trace.bn_xhat = xhat.reshape(z.shape)
+    out = params.tensors["bn_gamma"] * trace.bn_xhat
+    out += params.tensors["bn_beta"]
+    trace.dropout_mask = None
+    if mode == "train" and config.dropout_rate > 0.0:
+        if dropout_rng is None:
+            raise ValueError("train mode with dropout needs a dropout rng")
+        keep = 1.0 - config.dropout_rate
+        trace.dropout_mask = dropout_rng.random(out.shape)
+        np.divide(trace.dropout_mask < keep, keep, out=trace.dropout_mask)
+        out *= trace.dropout_mask
+    return out
+
+
+def _batch_norm_backward(trace: ForwardTrace, d_out: np.ndarray, grads: dict,
+                         params: SainParams) -> np.ndarray:
+    """d_out stays intact, as the residual's backward also returned it as x's
+    gradient: z's gradient is computed in the masked copy that dropout makes
+    here, or in a fresh array."""
+    mask = trace.dropout_mask
+    flat_xhat = trace.bn_xhat.reshape(-1, d_out.shape[-1])
+    flat_dy = (d_out if mask is None else d_out * mask).reshape(flat_xhat.shape)
+    grads["bn_gamma"] += np.einsum("ad,ad->d", flat_dy, flat_xhat)
+    grads["bn_beta"] += flat_dy.sum(axis=0)
+    d_z = np.multiply(flat_dy, params.tensors["bn_gamma"],
+                      out=None if mask is None else flat_dy)
+    if trace.mode == "train":
+        A = flat_dy.shape[0]
+        d_sum = d_z.sum(axis=0)
+        d_dot = np.einsum("ad,ad->d", d_z, flat_xhat)
+        d_z *= A
+        d_z -= d_sum
+        d_z -= flat_xhat * d_dot
+        d_z *= trace.bn_inv_std / A
+    else:
+        d_z *= trace.bn_inv_std
+    return d_z.reshape(d_out.shape)
+
+
+def _residual_forward(trace: ForwardTrace, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """xbar = ReLU(x + h), the sum taken in h's buffer."""
+    h += x
+    trace.resid = h
+    return np.maximum(h, 0.0)
+
+
+def _residual_backward(trace: ForwardTrace, d_xbar: np.ndarray) -> np.ndarray:
+    """The gradient of both x and h, in d_xbar's buffer."""
+    return np.multiply(d_xbar, trace.resid > 0.0, out=d_xbar)
+
+
+def _side_columns(seq: np.ndarray, layout: FieldLayout) -> dict:
+    """Each side's positions of a (B,S,d) sequence, as a (B,fields*d) view."""
+    flat = seq.reshape(seq.shape[0], -1)
+    md = layout.m * seq.shape[2]
+    return {"user": flat[:, :md], "item": flat[:, md:]}
+
+
+def _sides_forward(trace: ForwardTrace, xbar: np.ndarray, params: SainParams) -> None:
+    """Fills the per-side dicts, which the scores stage reads."""
+    t = params.tensors
+    trace.xbar = xbar
+    cols = _side_columns(xbar, params.layout)
+    trace.content, trace.cf, trace.gate_alpha, trace.combined = {}, {}, {}, {}
+    for side in SIDES:
+        content = cols[side] @ t[f"agg_{side}_w"]
+        content += t[f"agg_{side}_b"]
+        cf = t[f"cf_{side}"][trace.ids[side]]
+        # Both affine logits carry the same bias, so it cancels exactly in the
+        # difference; computing the subtracted form keeps that identity in
+        # floating point too.
+        a = _stable_sigmoid((cf - content) @ t[params.gate_name(side)])
+        trace.content[side], trace.cf[side], trace.gate_alpha[side] = content, cf, a
+        trace.combined[side] = a[:, None] * cf + (1.0 - a)[:, None] * content
+
+
+def _sides_backward(trace: ForwardTrace, d_content: dict, d_cf: dict,
+                    d_combined: dict, grads: dict, params: SainParams) -> np.ndarray:
+    """Takes the per-side gradients of the content, CF and combined vectors,
+    and completes the first two in place. The gate is X = a*cf + (1-a)*content
+    with a = sigmoid((cf - content) @ w); its bias cancels in the logit
+    difference, so its gradient stays 0."""
+    t = params.tensors
+    d_xbar = np.empty(trace.xbar.shape)
+    cols = _side_columns(trace.xbar, params.layout)
+    d_cols = _side_columns(d_xbar, params.layout)
+    for side in SIDES:
+        a, cf, ct = trace.gate_alpha[side], trace.cf[side], trace.content[side]
+        d_comb, d_ct = d_combined[side], d_content[side]
+        w_name = params.gate_name(side)
+        da = np.einsum("bd,bd->b", d_comb, cf - ct)
+        dt = da * a * (1.0 - a)
+        d_cf[side] += a[:, None] * d_comb + dt[:, None] * t[w_name][None, :]
+        d_ct += (1.0 - a)[:, None] * d_comb - dt[:, None] * t[w_name][None, :]
+        grads[w_name] += np.einsum("b,bd->d", dt, cf - ct)
+        grads[f"cf_{side}"] = scatter_add_rows(trace.ids[side], d_cf[side],
+                                               len(t[f"cf_{side}"]))
+        grads[f"agg_{side}_w"] += cols[side].T @ d_ct
+        grads[f"agg_{side}_b"] += d_ct.sum(axis=0)
+        np.matmul(d_ct, t[f"agg_{side}_w"].T, out=d_cols[side])
+    return d_xbar
+
+
+def _scores_forward(trace: ForwardTrace) -> None:
+    """The dot products of the two sides' content, CF and combined vectors."""
+    trace.score_content = np.einsum("bd,bd->b", trace.content["user"],
+                                    trace.content["item"])
+    trace.score_preference = np.einsum("bd,bd->b", trace.cf["user"], trace.cf["item"])
+    trace.score_combined = np.einsum("bd,bd->b", trace.combined["user"],
+                                     trace.combined["item"])
+
+
+def _scores_backward(trace: ForwardTrace, ratings: np.ndarray,
+                     config: ModelConfig) -> tuple[dict, dict, dict]:
+    """Starts from joint_loss: each side's content, CF and combined vector
+    gradients are a score's loss gradient times the other side's vector."""
+    w1, w2, w3 = config.loss_weights
+
+    def through(weight: float, score: np.ndarray, vectors: dict) -> dict:
+        g = (2.0 * weight * (score - ratings) / trace.batch_size)[:, None]
+        return {"user": g * vectors["item"], "item": g * vectors["user"]}
+
+    return (through(w1, trace.score_content, trace.content),
+            through(w2, trace.score_preference, trace.cf),
+            through(w3, trace.score_combined, trace.combined))
 
 
 def forward_batch(uids: np.ndarray, iids: np.ndarray, user_packed: PackedFeatures,
@@ -391,79 +550,26 @@ def forward_batch(uids: np.ndarray, iids: np.ndarray, user_packed: PackedFeature
     is positive, a recorded inverted-scale dropout mask."""
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    uids = np.asarray(uids, dtype=np.int64)
-    iids = np.asarray(iids, dtype=np.int64)
-    if uids.size == 0:
+    trace = ForwardTrace()
+    trace.ids = {"user": np.asarray(uids, dtype=np.int64),
+                 "item": np.asarray(iids, dtype=np.int64)}
+    packed = {"user": user_packed, "item": item_packed}
+    if trace.ids["user"].size == 0:
         raise ValueError("empty batch")
-    for side, ids, packed in (("user", uids, user_packed), ("item", iids, item_packed)):
+    for side in SIDES:
         # An id indexes both the side's packed tables and its CF table.
-        n = min(packed.rows.shape[0], params.tensors[f"cf_{side}"].shape[0])
+        ids = trace.ids[side]
+        n = min(packed[side].rows.shape[0], params.tensors[f"cf_{side}"].shape[0])
         if ids.min() < 0 or ids.max() >= n:
             raise ShapeError(f"{side} id outside [0, {n}): "
                              f"{int(ids[(ids < 0) | (ids >= n)][0])}")
 
-    x, embed_rows, embed_weights, embed_bounds = _embed_batch(
-        uids, iids, user_packed, item_packed, params)
-    q, k, v, alpha_full, mask, alpha_topk, sel_sum, concat = _attention_heads(
-        x, params, config)
-
-    # batch norm centers in concat's buffer, which becomes xhat
-    bn_out, xhat, inv_std, new_mean, new_var = _batch_norm_forward(
-        concat, params, config, mode)
-
-    # dropout and residual, in bn_out's buffer, which becomes resid
-    if mode == "train" and config.dropout_rate > 0.0:
-        if dropout_rng is None:
-            raise ValueError("train mode with dropout needs a dropout rng")
-        keep = 1.0 - config.dropout_rate
-        dropout_mask = dropout_rng.random(bn_out.shape)
-        np.divide(dropout_mask < keep, keep, out=dropout_mask)
-        bn_out *= dropout_mask
-    else:
-        dropout_mask = None
-    bn_out += x
-    resid = bn_out
-    xbar = np.maximum(resid, 0.0)
-
-    md = params.layout.m * config.embed_dim
-    flat = xbar.reshape(uids.shape[0], -1)
-    content_user = flat[:, :md] @ params.tensors["agg_user_w"]
-    content_user += params.tensors["agg_user_b"]
-    content_item = flat[:, md:] @ params.tensors["agg_item_w"]
-    content_item += params.tensors["agg_item_b"]
-
-    cf_user = params.tensors["cf_user"][uids]
-    cf_item = params.tensors["cf_item"][iids]
-
-    gate_alpha = {}
-    combined = {}
-    for side, cf_vec, ct_vec in (("user", cf_user, content_user),
-                                 ("item", cf_item, content_item)):
-        w, _, _, _ = params.gate(side)
-        # Both affine logits carry the same bias, so it cancels exactly in the
-        # difference; computing the subtracted form keeps that identity in
-        # floating point too.
-        a = _stable_sigmoid((cf_vec - ct_vec) @ w)
-        gate_alpha[side] = a
-        combined[side] = a[:, None] * cf_vec + (1.0 - a)[:, None] * ct_vec
-
-    score_content = np.einsum("bd,bd->b", content_user, content_item)
-    score_preference = np.einsum("bd,bd->b", cf_user, cf_item)
-    score_combined = np.einsum("bd,bd->b", combined["user"], combined["item"])
-
-    return ForwardTrace(uids=uids, iids=iids, mode=mode, x=x, embed_rows=embed_rows,
-                        embed_weights=embed_weights, embed_bounds=embed_bounds,
-                        q=q, k=k, v=v, alpha_full=alpha_full, topk_mask=mask,
-                        alpha_topk=alpha_topk, sel_sum=sel_sum,
-                        bn_xhat=xhat, bn_inv_std=inv_std,
-                        bn_new_mean=new_mean, bn_new_var=new_var,
-                        dropout_mask=dropout_mask, resid=resid, xbar=xbar,
-                        content_user=content_user, content_item=content_item,
-                        cf_user=cf_user, cf_item=cf_item, gate_alpha=gate_alpha,
-                        combined_user=combined["user"],
-                        combined_item=combined["item"], score_content=score_content,
-                        score_preference=score_preference,
-                        score_combined=score_combined)
+    x = _embed_forward(trace, packed, params)
+    heads = _attention_forward(trace, x, params, config)
+    h = _batch_norm_forward(trace, heads, params, config, mode, dropout_rng)
+    _sides_forward(trace, _residual_forward(trace, x, h), params)
+    _scores_forward(trace)
+    return trace
 
 
 def joint_loss(trace: ForwardTrace, ratings: np.ndarray,
@@ -482,21 +588,6 @@ def joint_loss(trace: ForwardTrace, ratings: np.ndarray,
     return w1 * mse_c + w2 * mse_p + w3 * mse_m, (mse_c, mse_p, mse_m)
 
 
-def _embedding_grad(d_x: np.ndarray, rows: np.ndarray, weights: np.ndarray,
-                    bounds: list, num_rows: int) -> np.ndarray:
-    """Gradient of the embedding table from d_x (B,S,d), the gradient of the
-    pooled positions: every token with a nonzero pooling weight adds weight *
-    d_x of its position to its row, in the (B,T) row-major order of the
-    packed columns. For a finite d_x, a padding token's term is d_x * 0, a
-    signed zero, which changes no scatter sum (scatter_add_rows); so leaving
-    the padding out gives the bits of scattering every column."""
-    bi, ti = np.nonzero(weights)
-    pos_of_col = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    contrib = d_x[bi, pos_of_col[ti]]
-    contrib *= weights[bi, ti][:, None]
-    return scatter_add_rows(rows[bi, ti], contrib, num_rows)
-
-
 def backward(trace: ForwardTrace, ratings: np.ndarray, params: SainParams,
              config: ModelConfig) -> dict[str, np.ndarray]:
     """Exact gradients of joint_loss w.r.t. every learnable tensor, following
@@ -505,114 +596,13 @@ def backward(trace: ForwardTrace, ratings: np.ndarray, params: SainParams,
     r = np.asarray(ratings, dtype=np.float64)
     if r.shape[0] != trace.batch_size:
         raise ShapeError("ratings length does not match trace batch size")
-    B = trace.batch_size
-    m = params.layout.m
-    d = config.embed_dim
-    dh = config.head_dim
-    w1, w2, w3 = config.loss_weights
     grads = params.zero_grads(skip=EMBEDDING_TENSORS)
-
-    gc = 2.0 * w1 * (trace.score_content - r) / B
-    gp = 2.0 * w2 * (trace.score_preference - r) / B
-    gm = 2.0 * w3 * (trace.score_combined - r) / B
-
-    # combined score -> gated vectors
-    d_comb_u = gm[:, None] * trace.combined_item
-    d_comb_v = gm[:, None] * trace.combined_user
-    # content / preference scores -> their vectors
-    d_content_u = gc[:, None] * trace.content_item
-    d_content_v = gc[:, None] * trace.content_user
-    d_cf_u = gp[:, None] * trace.cf_item
-    d_cf_v = gp[:, None] * trace.cf_user
-
-    # gates: X = a*cf + (1-a)*content, a = sigmoid((cf - content) @ w)
-    for side, d_comb, cf_vec, ct_vec, d_cf, d_ct in (
-            ("user", d_comb_u, trace.cf_user, trace.content_user, d_cf_u, d_content_u),
-            ("item", d_comb_v, trace.cf_item, trace.content_item, d_cf_v, d_content_v)):
-        w, _, name_w, _ = params.gate(side)
-        a = trace.gate_alpha[side]
-        da = np.einsum("bd,bd->b", d_comb, cf_vec - ct_vec)
-        dt = da * a * (1.0 - a)
-        d_cf += a[:, None] * d_comb + dt[:, None] * w[None, :]
-        d_ct += (1.0 - a)[:, None] * d_comb - dt[:, None] * w[None, :]
-        grads[name_w] += np.einsum("b,bd->d", dt, cf_vec - ct_vec)
-        # the shared-affine bias cancels in the logit difference: gradient 0
-
-    for name, ids, d_cf in (("cf_user", trace.uids, d_cf_u),
-                            ("cf_item", trace.iids, d_cf_v)):
-        grads[name] = scatter_add_rows(ids, d_cf, len(params.tensors[name]))
-
-    # entity aggregation (affine, no activation), written into d_x's halves
-    S = trace.x.shape[1]
-    md = m * d
-    flat = trace.xbar.reshape(B, -1)
-    grads["agg_user_w"] += flat[:, :md].T @ d_content_u
-    grads["agg_user_b"] += d_content_u.sum(axis=0)
-    grads["agg_item_w"] += flat[:, md:].T @ d_content_v
-    grads["agg_item_b"] += d_content_v.sum(axis=0)
-    d_x = np.empty((B, S, d))
-    rows_x = d_x.reshape(B, -1)
-    np.matmul(d_content_u, params.tensors["agg_user_w"].T, out=rows_x[:, :md])
-    np.matmul(d_content_v, params.tensors["agg_item_w"].T, out=rows_x[:, md:])
-
-    # ReLU; d_x is then the residual's gradient, to which attention adds below
-    np.multiply(d_x, trace.resid > 0.0, out=d_x)
-
-    # dropout
-    d_bn_out = d_x if trace.dropout_mask is None else d_x * trace.dropout_mask
-
-    # batch norm, in d_bn_out's buffer when it has its own
-    gamma = params.tensors["bn_gamma"]
-    flat_dy = d_bn_out.reshape(-1, d)
-    flat_xhat = trace.bn_xhat.reshape(-1, d)
-    grads["bn_gamma"] += np.einsum("ad,ad->d", flat_dy, flat_xhat)
-    grads["bn_beta"] += flat_dy.sum(axis=0)
-    d_z = np.multiply(flat_dy, gamma, out=None if d_bn_out is d_x else flat_dy)
-    if trace.mode == "train":
-        A = flat_dy.shape[0]
-        d_sum = d_z.sum(axis=0)
-        d_dot = np.einsum("ad,ad->d", d_z, flat_xhat)
-        d_z *= A
-        d_z -= d_sum
-        d_z -= flat_xhat * d_dot
-        d_z *= trace.bn_inv_std / A
-    else:
-        d_z *= trace.bn_inv_std
-    d_concat = d_z.reshape(B, -1, d)
-
-    # attention heads, all at once; d_q, d_k, d_v are (B,H,S,dh) views of one
-    # (B,S,3,H,dh) buffer, whose rows reshape to (B*S,3d) in the column order
-    # of _qkv_weights. The renormalization and softmax backward run in
-    # d_logits' buffer with one (B,H,S,S) scratch array for the row products.
-    H = config.num_heads
-    d_out = d_concat.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
-    ahat, alpha, mask = trace.alpha_topk, trace.alpha_full, trace.topk_mask
-    d_logits = d_out @ trace.v.swapaxes(-1, -2)
-    scratch = np.empty_like(d_logits)
-    if config.renormalize_topk:
-        rowdot = np.multiply(d_logits, ahat, out=scratch).sum(axis=-1, keepdims=True)
-        d_logits -= rowdot
-        d_logits /= trace.sel_sum
-    d_logits *= mask
-    # softmax rows, with the logit scale folded in
-    inner = np.multiply(d_logits, alpha, out=scratch).sum(axis=-1, keepdims=True)
-    d_logits -= inner
-    d_logits *= alpha
-    d_logits *= 1.0 / math.sqrt(dh)
-    d_qkv = np.empty((B, S, 3, H, dh))
-    d_q, d_k, d_v = d_qkv.transpose(2, 0, 3, 1, 4)
-    np.matmul(d_logits, trace.k, out=d_q)
-    np.matmul(d_logits.swapaxes(-1, -2), trace.q, out=d_k)
-    np.matmul(ahat.swapaxes(-1, -2), d_out, out=d_v)
-    d_qkv = d_qkv.reshape(B * S, 3 * d)
-    g_qkv = trace.x.reshape(B * S, d).T @ d_qkv
-    for j, p in enumerate("qkv"):
-        for h in range(H):
-            col = (j * H + h) * dh
-            grads[f"attn{h}_w{p}"] += g_qkv[:, col:col + dh]
-    d_x += (d_qkv @ _qkv_weights(params, config).T).reshape(B, S, d)
-
-    grads["embeddings"] = _embedding_grad(d_x, trace.embed_rows, trace.embed_weights,
-                                          trace.embed_bounds,
-                                          len(params.tensors["embeddings"]))
+    d_content, d_cf, d_combined = _scores_backward(trace, r, config)
+    d_xbar = _sides_backward(trace, d_content, d_cf, d_combined, grads, params)
+    d_resid = _residual_backward(trace, d_xbar)
+    d_heads = _batch_norm_backward(trace, d_resid, grads, params)
+    # x feeds both the attention and the residual sum
+    d_x = _attention_backward(trace, d_heads, grads, params, config)
+    d_x += d_resid
+    _embed_backward(trace, d_x, grads, params)
     return grads

@@ -149,8 +149,8 @@ def test_criterion_04_saturated_gates_recover_each_pure_score():
         fx = build_sain_fixture(seed, batch=1)
         trace = forward_batch(fx.uids, fx.iids, fx.user_packed, fx.item_packed,
                               fx.params, fx.config, mode="eval")
-        du = (trace.cf_user - trace.content_user)[0]
-        di = (trace.cf_item - trace.content_item)[0]
+        du = (trace.cf["user"] - trace.content["user"])[0]
+        di = (trace.cf["item"] - trace.content["item"])[0]
         if du @ du > 1e-6 and di @ di > 1e-6:
             fixture = (fx, du, di)
             break

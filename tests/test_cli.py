@@ -599,6 +599,16 @@ class TestSweepCommand:
         assert main(["sweep-k", "--config", run_config, "--model", "biasedmf",
                      "--k-values", "2"]) == 5
 
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_repeats_below_one_exit_4(self, run_config, tmp_path, capsys, repeats):
+        assert main(["sweep-k", "--config", run_config, "--k-values", "2",
+                     "--repeats", repeats]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error category=parse: --repeats must be >= 1, got {repeats}"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestGradcheckCommand:
     def test_reports_pass(self, capsys):
@@ -607,6 +617,14 @@ class TestGradcheckCommand:
         assert "status=pass" in out
         assert out.count("model=sain") == 2
         assert out.count("model=biasedmf") == 2
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seeds_below_one_exit_4(self, capsys, seeds):
+        assert main(["gradcheck", "--seeds", seeds]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error category=parse: --seeds must be >= 1, got {seeds}"]
 
 
 class TestTimingSidecar:

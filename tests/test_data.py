@@ -19,6 +19,7 @@ from sain.data import (DatasetManifest, FieldSpec, Interactions, _dense_ids,
                        split_dataset)
 from sain.errors import IoError, ParseError, ShapeError
 from sain.gradcheck import _toy_vocab
+from sain.model import FieldLayout
 
 from conftest import write_feature_file, write_rating_file
 from oracles import columns_dict, dense_ids, encoded, feature_columns, slots_of
@@ -375,7 +376,7 @@ class TestVocab:
                                      FieldSpec("tag", "item", t, open_vocab=True)],
                                     tag_top_t=50)
         assert vocab.offsets() == {"gender": 0, "tag": 3}
-        assert vocab.total_rows == 6
+        assert FieldLayout.from_vocab(vocab, 0, 0).total_rows == 6
 
 
 class TestEncode:
@@ -440,7 +441,7 @@ class TestPack:
         vocab = build_feature_vocab([FieldSpec("genre", "item", g),
                                      FieldSpec("tag", "item", t)], tag_top_t=50)
         packed = pack_features(encoded([[[0], [0, 1]], [[1], [0]]]), vocab, "item")
-        assert packed.fields == ["genre", "tag"]
+        assert vocab.fields_of("item") == ["genre", "tag"]
         assert packed.bounds == [0, 1, 3]
         assert packed.rows.dtype == np.int64 and packed.weights.dtype == np.float64
         index, weights = _field_columns(packed)
@@ -460,7 +461,7 @@ class TestPack:
             assert packed.rows.shape == packed.weights.shape
             assert packed.weights.shape == (n, packed.bounds[-1])
             _, weights = _field_columns(packed)
-            for fi in range(len(packed.fields)):
+            for fi in range(len(prepared.vocab.fields_of(owner))):
                 lengths = features.sizes[fi]
                 width = weights[fi].shape[1]
                 assert width == lengths.max()
@@ -507,7 +508,7 @@ class TestPack:
         write_feature_file(g, {"i1": ["a"]})
         vocab = build_feature_vocab([FieldSpec("genre", "item", g)], tag_top_t=50)
         packed = pack_features(encoded([[] for _ in range(3)]), vocab, "user")
-        assert packed.fields == [] and packed.bounds == [0]
+        assert vocab.fields_of("user") == [] and packed.bounds == [0]
         assert packed.rows.shape == packed.weights.shape == (3, 0)
         assert packed.rows.dtype == np.int64 and packed.weights.dtype == np.float64
 

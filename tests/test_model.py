@@ -5,6 +5,7 @@ the trace of the batched pass, forward_batch; hand examples set the
 parameter tensors that the stage reads."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -105,7 +106,8 @@ class TestFieldLayout:
                                         prepared.num_items)
         assert layout.m == 2 and layout.n == 2 and layout.seq_len == 4
         assert layout.fields == ["gender", "age", "genre", "tag"]
-        assert layout.total_rows == prepared.vocab.total_rows
+        vocab = prepared.vocab
+        assert layout.total_rows == sum(vocab.field_size(f) for f in vocab.fields)
         # The layout's fields, in order, tile the vocab's embedding rows.
         sizes = [layout.sizes[f] for f in layout.fields]
         offsets = prepared.vocab.offsets()
@@ -151,10 +153,10 @@ class TestParams:
 
     def test_gate_registry_names(self, prepared):
         params, _ = small_params(prepared, seed=4)
-        assert params.gate("user")[2] == "gate_user_w"
-        assert params.gate("item")[2] == "gate_item_w"
+        assert params.gate_name("user") == "gate_user_w"
+        assert params.gate_name("item") == "gate_item_w"
         shared, _ = small_params(prepared, seed=4, gate_shared=True)
-        assert shared.gate("user")[2] == shared.gate("item")[2] == "gate_w"
+        assert shared.gate_name("user") == shared.gate_name("item") == "gate_w"
 
     def test_same_seed_same_init(self, prepared):
         a, _ = small_params(prepared, seed=5)
@@ -351,7 +353,7 @@ class TestAggregationAndScores:
         t["agg_user_b"][1] = 0.25
         trace = _run(prepared, params, cfg)
         assert (trace.xbar[0, 0, 0], trace.xbar[0, 1, 0]) == (3.0, 4.0)
-        xu = trace.content_user[0]
+        xu = trace.content["user"][0]
         assert math.isclose(xu[0], 7.0, abs_tol=1e-15)
         assert math.isclose(xu[1], 0.25, abs_tol=1e-15)
 
@@ -375,7 +377,7 @@ def integration_gate(prepared, x_cf, x_bar, w, b=0.0):
     params.tensors["gate_user_w"] = _padded(w, cfg.embed_dim)
     params.tensors["gate_user_b"] = [b]
     trace = _run(prepared, params, cfg)
-    return trace.gate_alpha["user"][0], trace.combined_user[0, :len(x_cf)]
+    return trace.gate_alpha["user"][0], trace.combined["user"][0, :len(x_cf)]
 
 
 class TestIntegrationGate:
@@ -473,11 +475,9 @@ class TestForward:
         uids, iids = _batch(prepared, 8, seed=24)
         trace = forward_batch(uids, iids, prepared.user_packed,
                               prepared.item_packed, params, cfg)
-        for side, cf, ct, comb in (("user", trace.cf_user, trace.content_user,
-                                    trace.combined_user),
-                                   ("item", trace.cf_item, trace.content_item,
-                                    trace.combined_item)):
+        for side in ("user", "item"):
             a = trace.gate_alpha[side]
+            cf, ct, comb = trace.cf[side], trace.content[side], trace.combined[side]
             assert np.all(a > 0.0) and np.all(a < 1.0)
             lo = np.minimum(cf, ct) - 1e-12
             hi = np.maximum(cf, ct) + 1e-12
@@ -521,7 +521,7 @@ class TestForward:
         trace_b = _run(prepared, params, cfg, uids, iids)
         trace_1 = _run(prepared, params, cfg)
         np.testing.assert_allclose(scores(trace_1), scores(trace_b)[4:5], atol=1e-12)
-        assert trace_1.uids[0] == 3 and trace_1.iids[0] == 2
+        assert trace_1.ids["user"][0] == 3 and trace_1.ids["item"][0] == 2
 
     def test_mode_and_batch_validation(self, prepared):
         params, cfg = small_params(prepared, seed=32)
@@ -547,19 +547,32 @@ def _padded_embedding_grad(d_x, rows, weights, bounds, num_rows):
                             num_rows)
 
 
+def _embed_backward(d_x, rows, weights, bounds, num_rows):
+    """model._embed_backward's gradient of a num_rows-row table, from a trace
+    holding the given packed columns."""
+    trace = model.ForwardTrace()
+    trace.embed_rows, trace.embed_weights, trace.embed_bounds = rows, weights, bounds
+    params = SimpleNamespace(tensors={"embeddings": np.zeros((num_rows, d_x.shape[-1]))})
+    grads = {}
+    model._embed_backward(trace, d_x, grads, params)
+    return grads["embeddings"]
+
+
 class TestEmbeddingGradient:
-    """model._embedding_grad scatters only the tokens with a nonzero pooling
+    """model._embed_backward scatters only the tokens with a nonzero pooling
     weight; it must give the padded scatter's bits."""
 
     def test_matches_the_padded_scatter_on_the_fixture(self, prepared, monkeypatch):
         calls = []
-        real = model._embedding_grad
+        real = model._embed_backward
 
-        def spy(*args):
-            calls.append((args, real(*args)))
-            return calls[-1][1]
+        def spy(trace, d_x, grads, params):
+            real(trace, d_x, grads, params)
+            args = (d_x, trace.embed_rows, trace.embed_weights, trace.embed_bounds,
+                    len(params.tensors["embeddings"]))
+            calls.append((args, grads["embeddings"]))
 
-        monkeypatch.setattr(model, "_embedding_grad", spy)
+        monkeypatch.setattr(model, "_embed_backward", spy)
         for dropout, mode in ((0.1, "train"), (0.0, "train"), (0.0, "eval")):
             params, cfg = small_params(prepared, seed=40, dropout_rate=dropout)
             uids, iids = _batch(prepared, 64, seed=41)
@@ -594,7 +607,7 @@ class TestEmbeddingGradient:
         d_x = rng.normal(size=(B, len(bounds) - 1, d))
         d_x[rng.random(d_x.shape) < 0.2] = -0.0
         d_x[rng.random(d_x.shape) < 0.1] = 0.0
-        got = model._embedding_grad(d_x, rows, weights, bounds, num_rows)
+        got = _embed_backward(d_x, rows, weights, bounds, num_rows)
         want = _padded_embedding_grad(d_x, rows, weights, bounds, num_rows)
         assert got.tobytes() == want.tobytes()
         assert not np.signbit(got[got == 0.0]).any()
@@ -603,7 +616,7 @@ class TestEmbeddingGradient:
         d_x = np.full((2, 2, 3), -0.0)
         rows = np.asarray([[1, 0, 2], [1, 2, 0]])
         weights = np.asarray([[1.0, 0.5, 0.5], [1.0, 1.0, 0.0]])
-        got = model._embedding_grad(d_x, rows, weights, [0, 1, 3], 4)
+        got = _embed_backward(d_x, rows, weights, [0, 1, 3], 4)
         want = _padded_embedding_grad(d_x, rows, weights, [0, 1, 3], 4)
         assert got.tobytes() == want.tobytes() == np.zeros((4, 3)).tobytes()
 
