@@ -1,8 +1,11 @@
-"""Command-line entry point. Every command is driven by a JSON run config
-(paths resolved relative to the config file) with optional flag overrides;
-flags win over file values. Outputs are deterministic functions of (config,
-input files, seed); wall-clock timings go to a separate sidecar file so the
-primary outputs stay byte-reproducible.
+"""Command-line entry point. Every command but gradcheck reads a JSON run
+config (paths resolved relative to the config file). `train` and `sweep-k`
+take a flag for each config value, and flags win over file values.
+`evaluate`, `predict` and `attention` rebuild the run from the checkpoint:
+the model, its config, the split seed and the split method come from it, and
+the run config gives only the dataset and the output directory. Outputs are
+deterministic functions of (config, input files, seed); wall-clock timings go
+to a separate sidecar file so the primary outputs stay byte-reproducible.
 
 Exit codes: 0 success; 3 io; 4 parse; 5 shape; 6 divergence; 7 manifest-drift;
 1 anything else. Errors print one machine-parsable line to stderr:
@@ -120,13 +123,13 @@ OVERRIDES = {
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    return {key: getattr(args, key.split(".")[1]) for key in OVERRIDES}
+    return {key: getattr(args, key.split(".")[1], None) for key in OVERRIDES}
 
 
-def _add_override_flags(p: argparse.ArgumentParser) -> None:
+def _add_override_flags(p: argparse.ArgumentParser, keys=tuple(OVERRIDES)) -> None:
     p.add_argument("--config", required=True, help="run config JSON")
-    for key, options in OVERRIDES.items():
-        p.add_argument("--" + key.split(".")[1].replace("_", "-"), **options)
+    for key in keys:
+        p.add_argument("--" + key.split(".")[1].replace("_", "-"), **OVERRIDES[key])
 
 
 def _write_timing(out_dir: str, command: str, seconds: float) -> None:
@@ -141,33 +144,34 @@ def _write_json(path: str, payload: dict) -> None:
         f.write("\n")
 
 
-def _prepare(rm: RunManifest, seed: int) -> PreparedData:
-    manifest = DatasetManifest.from_file(rm.dataset)
-    return build_dataset(manifest, seed, by_time=rm.split_by_time)
+def _prepare(rm: RunManifest, seed: int, by_time: bool) -> PreparedData:
+    return build_dataset(DatasetManifest.from_file(rm.dataset), seed, by_time=by_time)
 
 
-def _load_checkpoint_for(rm: RunManifest, args) -> tuple:
-    """(kind, params, meta) of the checkpoint, whose meta must hold the
-    integer seed that the data split is rebuilt with."""
+def _load_run(args: argparse.Namespace) -> tuple:
+    """(run manifest, kind, params, data) for a checkpoint command. The
+    checkpoint's meta must hold the integer seed, and may hold the JSON bool
+    `split_by_time` (absent is false), that the split is rebuilt with; the
+    rebuilt data must hash to the meta's dataset digest."""
+    rm = RunManifest.load(args.config, _overrides(args))
     path = args.checkpoint or os.path.join(rm.output_dir, CHECKPOINT_NAME)
     kind, params, _, meta = load_model(path)
     if type(meta.get("seed")) is not int:
         raise ParseError(f"checkpoint meta has no integer seed: {path}")
-    return kind, params, meta
-
-
-def _check_drift(data: PreparedData, meta: dict) -> None:
+    by_time = _json_flag(f"checkpoint meta {path}", meta, "split_by_time")
+    data = _prepare(rm, meta["seed"], by_time)
     stored = meta.get("dataset_digest")
     if stored is not None and stored != data.digest():
         raise ManifestDriftError(
             "dataset content or split differs from the one this checkpoint "
             "was trained on")
+    return rm, kind, params, data
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     rm = RunManifest.load(args.config, _overrides(args))
-    data = _prepare(rm, rm.train_config.seed)
+    data = _prepare(rm, rm.train_config.seed, rm.split_by_time)
     if rm.model == "sain":
         result = train_sain(data, rm.model_config, rm.train_config)
     else:
@@ -194,12 +198,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    rm = RunManifest.load(args.config, _overrides(args))
-    kind, params, meta = _load_checkpoint_for(rm, args)
-    data = _prepare(rm, meta["seed"])
-    _check_drift(data, meta)
-    report = (evaluate_sain(params, data, args.split) if kind == "sain"
-              else evaluate_mf(params, data, args.split))
+    rm, kind, params, data = _load_run(args)
+    evaluate = evaluate_sain if kind == "sain" else evaluate_mf
+    report = evaluate(params, data, args.split)
     os.makedirs(rm.output_dir, exist_ok=True)
     payload = {"split": args.split, "rmse": report.rmse, "mae": report.mae,
                "n": report.count,
@@ -219,31 +220,19 @@ def _dense_ids(data: PreparedData, user: str, item: str) -> tuple[int, int]:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    rm = RunManifest.load(args.config, _overrides(args))
-    kind, params, meta = _load_checkpoint_for(rm, args)
-    data = _prepare(rm, meta["seed"])
-    _check_drift(data, meta)
-    uid, iid = _dense_ids(data, args.user, args.item)
-    if kind == "sain":
-        row = predict_sain(params, data, np.asarray([uid]), np.asarray([iid]))[0]
-        print(f"score={fmt(row['score'])} "
-              f"score_content={fmt(row['score_content'])} "
-              f"score_preference={fmt(row['score_preference'])} "
-              f"gate_user={fmt(row['gate_user'])} gate_item={fmt(row['gate_item'])}")
-    else:
-        row = predict_mf(params, np.asarray([uid]), np.asarray([iid]))[0]
-        print(f"score={fmt(row['score'])}")
+    _, kind, params, data = _load_run(args)
+    ids = [np.asarray([i]) for i in _dense_ids(data, args.user, args.item)]
+    rows = (predict_sain(params, data, *ids) if kind == "sain"
+            else predict_mf(params, *ids))
+    print(" ".join(f"{key}={fmt(value)}" for key, value in rows[0].items()))
     return 0
 
 
 def cmd_attention(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    rm = RunManifest.load(args.config, _overrides(args))
-    kind, params, meta = _load_checkpoint_for(rm, args)
+    rm, kind, params, data = _load_run(args)
     if kind != "sain":
         raise ShapeError("attention export requires an attention-model checkpoint")
-    data = _prepare(rm, meta["seed"])
-    _check_drift(data, meta)
     uid, iid = _dense_ids(data, args.user, args.item)
     matrices = attention_matrices(params, data, uid, iid)
     os.makedirs(rm.output_dir, exist_ok=True)
@@ -274,7 +263,9 @@ def cmd_sweep_k(args: argparse.Namespace) -> int:
                          "comma-separated integers") from None
     if not k_values:
         raise ParseError("--k-values is empty")
-    data = _prepare(rm, rm.train_config.seed)
+    for k in k_values:
+        _require_positive("--k-values", k)
+    data = _prepare(rm, rm.train_config.seed, rm.split_by_time)
     rows = sweep_top_k(data, rm.model_config, rm.train_config, k_values,
                        repeats=args.repeats)
     os.makedirs(rm.output_dir, exist_ok=True)
@@ -303,8 +294,26 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ParseError, so it ends in one `error category=parse`
+    line and exit 4 as every other bad input does; subparsers inherit the
+    class."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
+def _add_checkpoint_command(sub, name: str, summary: str, func) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
+    _add_override_flags(p, ("top.output_dir",))
+    p.add_argument("--checkpoint", help="checkpoint path "
+                   "(default: <output_dir>/model.ckpt)")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sain",
         description="Hybrid attention recommender: train, evaluate, and inspect.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -313,28 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_override_flags(p_train)
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint on a split")
-    _add_override_flags(p_eval)
-    p_eval.add_argument("--checkpoint", help="checkpoint path "
-                        "(default: <output_dir>/model.ckpt)")
+    p_eval = _add_checkpoint_command(sub, "evaluate", "evaluate a checkpoint on a split",
+                                     cmd_evaluate)
     p_eval.add_argument("--split", default="test",
                         choices=("train", "validation", "test"))
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_pred = sub.add_parser("predict", help="score one user-item pair")
-    _add_override_flags(p_pred)
-    p_pred.add_argument("--checkpoint")
-    p_pred.add_argument("--user", required=True, help="raw user id")
-    p_pred.add_argument("--item", required=True, help="raw item id")
-    p_pred.set_defaults(func=cmd_predict)
-
-    p_attn = sub.add_parser("attention",
-                            help="export per-head attention matrices for a pair")
-    _add_override_flags(p_attn)
-    p_attn.add_argument("--checkpoint")
-    p_attn.add_argument("--user", required=True)
-    p_attn.add_argument("--item", required=True)
-    p_attn.set_defaults(func=cmd_attention)
+    for name, summary, func in (
+            ("predict", "score one user-item pair", cmd_predict),
+            ("attention", "export per-head attention matrices for a pair", cmd_attention)):
+        p = _add_checkpoint_command(sub, name, summary, func)
+        p.add_argument("--user", required=True, help="raw user id")
+        p.add_argument("--item", required=True, help="raw item id")
 
     p_sweep = sub.add_parser("sweep-k", help="retrain across top-K values")
     _add_override_flags(p_sweep)
@@ -352,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SainError as e:
         print(f"error category={e.category}: {e}", file=sys.stderr)

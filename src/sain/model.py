@@ -169,9 +169,20 @@ class FieldLayout:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FieldLayout":
-        return cls(user_fields=list(d["user_fields"]), item_fields=list(d["item_fields"]),
-                   sizes=dict(d["sizes"]), num_users=int(d["num_users"]),
-                   num_items=int(d["num_items"]))
+        """Layout from a checkpoint header's dict, taken as stored: field lists
+        must be lists of strings, `sizes` an object and every count a JSON
+        integer, or it is a ValueError (nothing is coerced, so a loaded
+        layout saves again to the same bytes)."""
+        for key in ("user_fields", "item_fields"):
+            if not (type(d[key]) is list and all(type(f) is str for f in d[key])):
+                raise ValueError(f"{key} must be a list of strings")
+        if type(d["sizes"]) is not dict:
+            raise ValueError("sizes must be an object")
+        for name, value in [*d["sizes"].items(), ("num_users", d["num_users"]),
+                            ("num_items", d["num_items"])]:
+            require_int(name, value)
+        return cls(user_fields=d["user_fields"], item_fields=d["item_fields"],
+                   sizes=d["sizes"], num_users=d["num_users"], num_items=d["num_items"])
 
 
 class SainParams(ParamSet):

@@ -163,8 +163,6 @@ class SainEngine:
     shared in-place Adam update with scoped decoupled decay, and batch-norm
     running-stat commits."""
 
-    kind = "sain"
-
     def __init__(self, data: PreparedData, params: SainParams, tcfg: TrainConfig):
         keep_heap()
         self.data = data
@@ -201,8 +199,6 @@ class SainEngine:
 class MfEngine:
     """Baseline steps: single MSE loss; the log's content/preference columns
     stay empty because the model has one scoring head."""
-
-    kind = "biasedmf"
 
     def __init__(self, data: PreparedData, params: MfParams, tcfg: TrainConfig,
                  l2_scope: str = "all"):
@@ -483,11 +479,13 @@ def _check_shapes(path: str, what: str, arrays: dict[str, np.ndarray],
 
 
 def load_model(path: str):
-    """Inverse of save_model: (kind, params, adam or None, meta). Every tensor
-    must have the name, order and shape that the stored layout and config
-    imply, and the optimizer moments those of the tensors. They are packed
-    into the params' arena once; the returned adam is its optimizer_state(),
-    with views of its moment vectors."""
+    """Inverse of save_model: (kind, params, adam or None, meta). The stored
+    layout is taken as written: its counts must be JSON integers and a
+    BiasedMF `mu` a JSON number. Every tensor must have the name, order and
+    shape that the layout and config imply, and the optimizer moments those
+    of the tensors. They are packed into the params' arena once; the
+    returned adam is its optimizer_state(), with views of its moment
+    vectors."""
     ckpt = load_checkpoint(path)
     try:
         if ckpt.kind == "sain":
@@ -497,8 +495,11 @@ def load_model(path: str):
             stats = {"bn_mean": (config.embed_dim,), "bn_var": (config.embed_dim,)}
             _check_shapes(path, "stats", ckpt.stats, stats)
         elif ckpt.kind == "biasedmf":
-            sizes = [int(ckpt.layout[k]) for k in ("num_users", "num_items", "dim")]
-            mu = float(ckpt.layout["mu"])
+            sizes = [ckpt.layout[k] for k in ("num_users", "num_items", "dim")]
+            for name, value in zip(("num_users", "num_items", "dim"), sizes):
+                require_int(name, value)
+            mu = ckpt.layout["mu"]
+            require_real("mu", mu)
             expected = MfParams.shapes(*sizes)
         else:
             raise ParseError(f"unknown model kind in checkpoint: {ckpt.kind!r}")

@@ -4,14 +4,17 @@ outputs and exit codes, flag overrides, and deterministic reruns."""
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sain
 from sain.checkpoint import load_checkpoint, save_checkpoint
 from sain.cli import RunManifest, main
+from sain.data import DatasetManifest, build_dataset
 
 from conftest import write_synthetic_dataset
 
@@ -83,6 +86,57 @@ class TestRunManifest:
         from sain.errors import ParseError
         with pytest.raises(ParseError):
             RunManifest.load(path)
+
+
+class TestUsage:
+    """A usage error prints one `error category=parse` line with argparse's
+    message and exits 4, before any work; --help still prints and exits 0."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["fit"], "argument command: invalid choice: 'fit'"),
+        (["train", "--config", "{cfg}", "--bogus"], "unrecognized arguments: --bogus"),
+        (["evaluate", "--config", "{cfg}", "--seed", "3"],
+         "unrecognized arguments: --seed 3"),
+        (["predict", "--config", "{cfg}", "--split-by-time", "--user", "u0",
+          "--item", "i1"], "unrecognized arguments: --split-by-time"),
+        (["attention", "--config", "{cfg}", "--model", "sain", "--user", "u0",
+          "--item", "i1"], "unrecognized arguments: --model sain"),
+        (["train"], "the following arguments are required: --config"),
+        (["predict", "--config", "{cfg}", "--user", "u0"],
+         "the following arguments are required: --item"),
+        (["sweep-k", "--config", "{cfg}"],
+         "the following arguments are required: --k-values"),
+        (["train", "--config", "{cfg}", "--max-epochs", "two"],
+         "argument --max-epochs: invalid int value: 'two'"),
+        (["evaluate", "--config", "{cfg}", "--split", "dev"],
+         "argument --split: invalid choice: 'dev'"),
+        (["gradcheck", "--seeds", "many"],
+         "argument --seeds: invalid int value: 'many'")],
+        ids=["no-command", "unknown-command", "train-unknown-flag",
+             "evaluate-run-flag", "predict-split-flag", "attention-model-flag",
+             "train-no-config", "predict-no-item", "sweep-no-k-values",
+             "train-bad-int", "evaluate-bad-choice", "gradcheck-bad-int"])
+    def test_one_line_and_exit_4(self, run_config, tmp_path, capsys, argv, message):
+        argv = [a.replace("{cfg}", run_config) for a in argv]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"error category=parse: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, own", [
+        ("evaluate", ["--split"]), ("predict", ["--user", "--item"]),
+        ("attention", ["--user", "--item"])])
+    def test_checkpoint_commands_take_only_their_own_flags(self, capsys, command,
+                                                           own):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+        assert flags == ["--config", "--output-dir", "--checkpoint"] + own
 
 
 class TestTrainCommand:
@@ -485,19 +539,43 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", config]) == 7
         assert "category=manifest-drift" in capsys.readouterr().err
 
+    def test_the_split_method_comes_from_the_checkpoint(self, trained,
+                                                         synthetic_manifest, capsys):
+        # The checkpoint was trained on the random split; a run config that
+        # says split_by_time must not re-split the data under it.
+        run_config, tmp_path = trained
+        assert load_checkpoint(str(tmp_path / "out" / "model.ckpt")).meta[
+            "split_by_time"] is False
+        manifest = DatasetManifest.from_file(synthetic_manifest)
+        assert not np.array_equal(build_dataset(manifest, 3).split.test.ratings,
+                                  build_dataset(manifest, 3, by_time=True).split.test.ratings)
+        report = tmp_path / "out" / "eval_test.json"
+        capsys.readouterr()
+        assert main(["evaluate", "--config", run_config]) == 0
+        expected = capsys.readouterr().out, report.read_bytes()
+        by_time = _write_config(tmp_path, synthetic_manifest, name="by_time.json",
+                                split_by_time=True)
+        assert main(["evaluate", "--config", by_time]) == 0
+        assert (capsys.readouterr().out, report.read_bytes()) == expected
+
 
 class TestCheckpointMeta:
-    """evaluate, predict and attention rebuild the split from the seed in the
-    checkpoint's meta; a meta that is not a JSON object, or has no integer
-    seed, is a parse error naming the file."""
+    """evaluate, predict and attention rebuild the split from the seed and
+    the split method in the checkpoint's meta; a meta that is not a JSON
+    object, has no integer seed or a `split_by_time` that is not a JSON bool,
+    is a parse error naming the file."""
 
     @pytest.mark.parametrize("edit", [
         lambda meta: {}, lambda meta: {k: v for k, v in meta.items() if k != "seed"},
         lambda meta: [], lambda meta: {**meta, "seed": "x"},
         lambda meta: {**meta, "seed": 1.5}, lambda meta: {**meta, "seed": True},
-        lambda meta: {**meta, "seed": None}],
+        lambda meta: {**meta, "seed": None},
+        lambda meta: {**meta, "split_by_time": "false"},
+        lambda meta: {**meta, "split_by_time": 0},
+        lambda meta: {**meta, "split_by_time": None}],
         ids=["empty", "no-seed", "list", "string-seed", "float-seed", "bool-seed",
-             "null-seed"])
+             "null-seed", "string-split-by-time", "int-split-by-time",
+             "null-split-by-time"])
     @pytest.mark.parametrize("command", ["evaluate", "predict", "attention"])
     def test_exits_4_with_one_line(self, trained, capsys, command, edit):
         run_config, tmp_path = trained
@@ -537,7 +615,7 @@ class TestPredictCommand:
         assert main(["train", "--config", run_config, "--model", "biasedmf",
                      "--output-dir", "mf"]) == 0
         capsys.readouterr()
-        assert main(["predict", "--config", run_config, "--model", "biasedmf",
+        assert main(["predict", "--config", run_config,
                      "--output-dir", "mf", "--user", "u0", "--item", "i1"]) == 0
         line = capsys.readouterr().out.strip()
         assert line.startswith("score=") and "gate" not in line
@@ -594,6 +672,19 @@ class TestSweepCommand:
         assert main(["sweep-k", "--config", run_config,
                      "--k-values", "2,banana"]) == 4
         assert "category=parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_values_below_one_exit_4(self, run_config, tmp_path, capsys,
+                                        monkeypatch, k):
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("the dataset was built")
+        monkeypatch.setattr(sain.cli, "build_dataset", no_dataset)
+        assert main(["sweep-k", "--config", run_config, "--k-values", k]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error category=parse: --k-values must be >= 1, got {k}"]
+        assert not (tmp_path / "out").exists()
 
     def test_requires_attention_model(self, run_config, capsys):
         assert main(["sweep-k", "--config", run_config, "--model", "biasedmf",

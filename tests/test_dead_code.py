@@ -32,6 +32,8 @@ EXEMPT_MEMBERS = {
     # until a measurement says otherwise.
     "data.PreparedData.user_features",
     "data.PreparedData.item_features",
+    # argparse calls it on a usage error, on the parser and its subparsers.
+    "cli._Parser.error",
 }
 
 

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -703,6 +704,31 @@ class TestCheckpointBits:
             path = str(tmp_path / f"{with_adam}.ckpt")
             save_model(path, kind, params, adam if with_adam else None, meta)
             assert self._file_sha(path) == self.PINS[kind, with_adam]
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("sain", lambda layout: layout.update(num_users=float(layout["num_users"]))),
+        ("sain", lambda layout: layout.update(num_items=layout["num_items"] + 0.5)),
+        ("sain", lambda layout: layout.update(sizes=[list(p) for p in
+                                                     layout["sizes"].items()])),
+        ("sain", lambda layout: layout.update(sizes={f: float(n) for f, n in
+                                                     layout["sizes"].items()})),
+        ("biasedmf", lambda layout: layout.update(mu=str(layout["mu"]))),
+        ("biasedmf", lambda layout: layout.update(mu=True)),
+        ("biasedmf", lambda layout: layout.update(num_users=float(layout["num_users"]))),
+        ("biasedmf", lambda layout: layout.update(num_items=layout["num_items"] + 0.7)),
+        ("biasedmf", lambda layout: layout.update(dim=True))],
+        ids=["sain-float-users", "sain-fractional-items", "sain-sizes-pairs",
+             "sain-float-sizes", "mf-string-mu", "mf-bool-mu", "mf-float-users",
+             "mf-fractional-items", "mf-bool-dim"])
+    def test_layout_values_are_not_coerced(self, tmp_path, kind, edit):
+        # Each of these once loaded, coerced, and saved again to other bytes.
+        ckpt = load_checkpoint(os.path.join(self.DATA, f"{kind}.ckpt"))
+        edit(ckpt.layout)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, ckpt)
+        prefix = f"checkpoint layout, config or optimizer state malformed: {path}: "
+        with pytest.raises(ParseError, match=re.escape(prefix)):
+            load_model(path)
 
 
 def _sha(a) -> str:
