@@ -6,6 +6,10 @@ header-declared order, and a trailing sha256 of everything before it. The
 format contains no timestamps and no environment data, so saving the same
 state twice yields identical bytes, and save -> load -> save round-trips
 byte-exactly. The trailing digest turns silent corruption into a parse error.
+Loading refuses what would not save again to the same bytes: a header whose
+`format` is not the integer 1, an array outside the tensor/, stat/, adam_m/
+and adam_v/ sections or named twice, moments without an optimizer header,
+and optimizer rates that are not finite JSON numbers.
 
 The optimizer state travels in one form: the `adam` dict that
 ParamSet.optimizer_state() returns and the ParamSet constructor takes. Its
@@ -24,9 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IoError, ParseError
+from .errors import IoError, ParseError, is_json
 
 MAGIC = b"SAINCKP1"
+FORMAT = 1
+SECTIONS = ("tensor", "stat", "adam_m", "adam_v")
 
 
 @dataclass
@@ -61,7 +67,7 @@ def _layout(ckpt: Checkpoint) -> tuple[bytes, list[np.ndarray]]:
                        "eps": ckpt.adam["eps"],
                        "t": {k: int(v) for k, v in ckpt.adam["t"].items()}}
     header = {
-        "format": 1,
+        "format": FORMAT,
         "kind": ckpt.kind,
         "config": ckpt.config,
         "layout": ckpt.layout,
@@ -92,18 +98,6 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     os.replace(tmp, path)
 
 
-def _shape(entry, path: str) -> tuple[str, tuple[int, ...]]:
-    """Name and shape of one header array entry, or a ParseError."""
-    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-        raise ParseError(f"checkpoint array entry malformed: {path}")
-    shape = entry.get("shape")
-    if not isinstance(shape, list) or not all(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
-        raise ParseError(f"checkpoint array {entry['name']!r} has a malformed "
-                         f"shape {shape!r}: {path}")
-    return entry["name"], tuple(shape)
-
-
 def load_checkpoint(path: str) -> Checkpoint:
     """Decode and verify a checkpoint. The file is read into one writable
     buffer, and the returned arrays are views into it, so the payload is
@@ -124,54 +118,61 @@ def load_checkpoint(path: str) -> Checkpoint:
     head_start = len(MAGIC) + 8
     try:
         header = json.loads(bytes(view[head_start:head_start + head_len]).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8 or JSON, or too deep
         raise ParseError(f"checkpoint header unreadable: {path}: {e}") from e
-    if not (isinstance(header, dict) and isinstance(header.get("kind"), str)
-            and isinstance(header.get("arrays"), list)
-            and isinstance(header.get("config"), dict)
-            and isinstance(header.get("layout"), dict)):
+    if not (is_json(header, "object") and is_json(header.get("kind"), "string")
+            and is_json(header.get("arrays"), "list")
+            and is_json(header.get("config"), "object")
+            and is_json(header.get("layout"), "object")):
         raise ParseError(f"checkpoint header lacks kind, config, layout or "
                          f"arrays: {path}")
+    if not (is_json(header.get("format"), "integer") and header["format"] == FORMAT):
+        raise ParseError(f"checkpoint format must be {FORMAT}, got "
+                         f"{header.get('format')!r}: {path}")
 
+    # One pass over the payload sorts each array into its section by the
+    # prefix of its name; re-saving writes only these, so any other array,
+    # or a second array of one name, is refused rather than dropped.
     body = view[head_start + head_len:-32]
     pos = 0
-    arrays: dict[str, np.ndarray] = {}
+    sections: dict[str, dict[str, np.ndarray]] = {s: {} for s in SECTIONS}
     for entry in header["arrays"]:
-        name, shape = _shape(entry, path)
+        if not (is_json(entry, "object") and is_json(entry.get("name"), "string")):
+            raise ParseError(f"checkpoint array entry malformed: {path}")
+        name, shape = entry["name"], entry.get("shape")
+        if not (is_json(shape, "list") and all(is_json(n, "count") for n in shape)):
+            raise ParseError(f"checkpoint array {name!r} has a malformed shape "
+                             f"{shape!r}: {path}")
+        section, slash, key = name.partition("/")
+        if not slash or section not in sections or key in sections[section]:
+            raise ParseError(f"checkpoint array {name!r} is named twice or lies "
+                             f"outside the sections {SECTIONS}: {path}")
         nbytes = math.prod(shape) * 8
         if pos + nbytes > len(body):
             raise ParseError(f"checkpoint payload truncated: {path}")
-        arrays[name] = np.frombuffer(body[pos:pos + nbytes], dtype="<f8").reshape(shape)
+        sections[section][key] = np.frombuffer(body[pos:pos + nbytes], "<f8").reshape(shape)
         pos += nbytes
     if pos != len(body):
         raise ParseError(f"checkpoint payload has trailing bytes: {path}")
 
-    tensors = {n[len("tensor/"):]: a for n, a in arrays.items() if n.startswith("tensor/")}
-    stats = {n[len("stat/"):]: a for n, a in arrays.items() if n.startswith("stat/")}
-    adam = None
-    if header.get("adam") is not None:
-        try:
-            ah = header["adam"]
-            numbers = [ah["beta1"], ah["beta2"], ah["eps"]]
-            steps = ah["t"].values()
-        except (KeyError, TypeError, AttributeError) as e:
-            raise ParseError(f"checkpoint optimizer header malformed: {path}: "
-                             f"{e!r}") from e
-        # Exact JSON types: int() and float() would read 3.7 as step 3 and
-        # "0.9" or true as a number (a bool's type is not int).
-        if not (all(type(x) in (int, float) for x in numbers)
-                and all(type(t) is int for t in steps)):
+    adam, ah = None, header.get("adam")
+    if ah is not None:
+        # Exact JSON kinds: int() and float() would read 3.7 as step 3 and
+        # "0.9" or true as a number. Python's json reads NaN and Infinity.
+        if not (is_json(ah, "object") and is_json(ah.get("t"), "object")
+                and all(is_json(ah.get(k), "number") and math.isfinite(ah[k])
+                        for k in ("beta1", "beta2", "eps"))
+                and all(is_json(t, "integer") for t in ah["t"].values())):
             raise ParseError(f"checkpoint optimizer header malformed: {path}")
-        adam = {"beta1": float(ah["beta1"]), "beta2": float(ah["beta2"]),
-                "eps": float(ah["eps"]), "t": dict(ah["t"]),
-                "m": {n[len("adam_m/"):]: a for n, a in arrays.items()
-                      if n.startswith("adam_m/")},
-                "v": {n[len("adam_v/"):]: a for n, a in arrays.items()
-                      if n.startswith("adam_v/")}}
+        adam = {**{k: float(ah[k]) for k in ("beta1", "beta2", "eps")},
+                "t": dict(ah["t"]), "m": sections["adam_m"], "v": sections["adam_v"]}
+    elif sections["adam_m"] or sections["adam_v"]:
+        raise ParseError(f"checkpoint has optimizer moments but no optimizer "
+                         f"header: {path}")
     meta = header.get("meta", {})
-    if not isinstance(meta, dict):
+    if not is_json(meta, "object"):
         raise ParseError(f"checkpoint meta is not a JSON object: {path}")
     return Checkpoint(kind=header["kind"], config=header["config"],
-                      layout=header["layout"], tensors=tensors, stats=stats,
-                      adam=adam, meta=meta)
+                      layout=header["layout"], tensors=sections["tensor"],
+                      stats=sections["stat"], adam=adam, meta=meta)
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (DatasetManifest, PreparedData, _json_flag, _read_text,
-                   build_dataset)
-from .errors import IoError, ManifestDriftError, ParseError, SainError, ShapeError
+from .data import DatasetManifest, PreparedData, build_dataset, read_json_object
+from .errors import (ManifestDriftError, ParseError, SainError, ShapeError, is_json,
+                     json_value)
 from .gradcheck import TOLERANCE, run_suite
 from .model import L2_SCOPES, ModelConfig
 from .training import (TrainConfig, attention_matrices, evaluate_mf, evaluate_sain,
@@ -51,28 +51,20 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str, overrides: dict | None = None) -> "RunManifest":
-        if not os.path.exists(path):
-            raise IoError(f"run config not found: {path}")
-        try:
-            raw = json.loads(_read_text(path))
-        except json.JSONDecodeError as e:
-            raise ParseError(f"run config {path}: {e}") from e
-        if not isinstance(raw, dict):
-            raise ParseError(f"run config {path}: expected a JSON object")
+        raw = read_json_object(path, "run config")
         if "dataset" not in raw:
             raise ParseError(f"run config {path}: missing key 'dataset'")
-        for key, kind, what in (("dataset", str, "a string"),
-                                ("output_dir", str, "a string"),
-                                ("model_config", dict, "a JSON object"),
-                                ("train_config", dict, "a JSON object")):
-            if key in raw and not isinstance(raw[key], kind):
-                raise ParseError(f"run config {path}: {key} must be {what}")
+        try:
+            top = {key: json_value(key, raw.get(key, default), kind)
+                   for key, default, kind in (
+                       ("dataset", "", "string"), ("model", "sain", "string"),
+                       ("output_dir", "run", "string"), ("split_by_time", False, "bool"),
+                       ("model_config", {}, "object"), ("train_config", {}, "object"))}
+        except ValueError as e:
+            raise ParseError(f"run config {path}: {e}") from None
         base = os.path.dirname(os.path.abspath(path))
-        mc = {**ModelConfig().to_dict(), **raw.get("model_config", {})}
-        tc = {**TrainConfig().to_dict(), **raw.get("train_config", {})}
-        top = {"model": raw.get("model", "sain"),
-               "output_dir": raw.get("output_dir", "run"),
-               "split_by_time": _json_flag(f"run config {path}", raw, "split_by_time")}
+        mc = {**ModelConfig().to_dict(), **top.pop("model_config")}
+        tc = {**TrainConfig().to_dict(), **top.pop("train_config")}
         for key, value in (overrides or {}).items():
             if value is None:
                 continue
@@ -86,7 +78,7 @@ class RunManifest:
             train_config = TrainConfig.from_dict(tc)
         except TypeError as e:
             raise ParseError(f"run config {path}: {e}") from e
-        return cls(dataset=os.path.join(base, raw["dataset"]), model=top["model"],
+        return cls(dataset=os.path.join(base, top["dataset"]), model=top["model"],
                    output_dir=os.path.join(base, top["output_dir"]),
                    split_by_time=top["split_by_time"],
                    model_config=model_config, train_config=train_config)
@@ -156,9 +148,12 @@ def _load_run(args: argparse.Namespace) -> tuple:
     rm = RunManifest.load(args.config, _overrides(args))
     path = args.checkpoint or os.path.join(rm.output_dir, CHECKPOINT_NAME)
     kind, params, _, meta = load_model(path)
-    if type(meta.get("seed")) is not int:
+    if not is_json(meta.get("seed"), "integer"):
         raise ParseError(f"checkpoint meta has no integer seed: {path}")
-    by_time = _json_flag(f"checkpoint meta {path}", meta, "split_by_time")
+    try:
+        by_time = json_value("split_by_time", meta.get("split_by_time", False), "bool")
+    except ValueError as e:
+        raise ParseError(f"checkpoint meta {path}: {e}") from None
     data = _prepare(rm, meta["seed"], by_time)
     stored = meta.get("dataset_digest")
     if stored is not None and stored != data.digest():

@@ -6,7 +6,12 @@ File formats:
   ratings:  user<TAB>item<TAB>rating[<TAB>timestamp]
   features: entity<TAB>token1|token2|...          (token list may be empty)
   manifest: JSON declaring the ratings path, min_ratings, tag_top_t, and one
-            entry per feature file: {field, owner, path, open}
+            entry per feature file: {field, owner, path, open}, each field
+            name a string used once
+
+A JSON document (a manifest here, a run config in the CLI) is read by one
+reader, `read_json_object`, and its values are checked by the JSON value
+rule of `errors`.
 
 Every data file is read whole by one reader, in text mode as UTF-8, so CRLF
 and lone-CR line ends count as line ends; blank lines are skipped but keep
@@ -31,7 +36,7 @@ from itertools import compress, repeat
 
 import numpy as np
 
-from .errors import IoError, ParseError, ShapeError
+from .errors import IoError, ParseError, ShapeError, is_json, json_value
 from .seeding import derive_seed
 
 OWNERS = ("user", "item")
@@ -90,51 +95,48 @@ class DatasetManifest:
 
     @classmethod
     def from_file(cls, path: str) -> "DatasetManifest":
-        if not os.path.exists(path):
-            raise IoError(f"dataset manifest not found: {path}")
-        try:
-            raw = json.loads(_read_text(path))
-        except json.JSONDecodeError as e:
-            raise ParseError(f"dataset manifest {path}: {e}") from e
-        if not isinstance(raw, dict):
-            raise ParseError(f"dataset manifest {path}: expected a JSON object")
+        """The manifest at `path`, its paths relative to its directory. A
+        missing key, a value of the wrong JSON kind or a field name used
+        twice is a ParseError naming the manifest."""
+        raw = read_json_object(path, "dataset manifest")
         base = os.path.dirname(os.path.abspath(path))
         try:
-            specs = [FieldSpec(name=f["field"], owner=f["owner"],
-                               path=os.path.join(base, f["path"]),
-                               open_vocab=_json_flag(
-                                   f"dataset manifest {path}: feature {f['field']!r}",
-                                   f, "open"))
-                     for f in raw.get("features", [])]
-            return cls(ratings_path=os.path.join(base, raw["ratings"]),
-                       features=specs,
-                       min_ratings=_manifest_count(path, raw, "min_ratings", 5),
-                       tag_top_t=_manifest_count(path, raw, "tag_top_t", 50))
-        except (KeyError, TypeError) as e:
+            specs = []
+            for entry in json_value("features", raw.get("features", []), "list"):
+                entry = json_value("feature", entry, "object")
+                name = json_value("field", entry["field"], "string")
+                if name in [spec.name for spec in specs]:
+                    raise ValueError(f"field {name!r} is named twice")
+                where = f"feature {name!r}: "
+                specs.append(FieldSpec(
+                    name, entry["owner"],
+                    os.path.join(base, json_value(where + "path", entry["path"], "string")),
+                    json_value(where + "open", entry.get("open", False), "bool")))
+            return cls(os.path.join(base, json_value("ratings", raw["ratings"], "string")),
+                       specs, json_value("min_ratings", raw.get("min_ratings", 5), "count"),
+                       json_value("tag_top_t", raw.get("tag_top_t", 50), "count"))
+        except KeyError as e:
             raise ParseError(f"dataset manifest {path}: missing or invalid key {e}") from e
+        except ValueError as e:
+            raise ParseError(f"dataset manifest {path}: {e}") from e
 
     def fields_for(self, owner: str) -> list[FieldSpec]:
         return [f for f in self.features if f.owner == owner]
 
 
-def _manifest_count(path: str, raw: dict, key: str, default: int) -> int:
-    """raw[key] (default when absent), which must be a JSON integer >= 0: a
-    bool, a float or a string is a ParseError naming the manifest and key."""
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ParseError(f"dataset manifest {path}: {key} must be an integer "
-                         f">= 0, got {value!r}")
-    return value
-
-
-def _json_flag(where: str, raw: dict, key: str) -> bool:
-    """raw[key], false when absent, which must be JSON true or false: a
-    string (bool() would read "false" as true), a number or null is a
-    ParseError naming `where` and the key."""
-    value = raw.get(key, False)
-    if not isinstance(value, bool):
-        raise ParseError(f"{where}: {key} must be true or false, got {value!r}")
-    return value
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the UTF-8 file at `path`. A missing or unreadable
+    file is an IoError, and one that is not UTF-8, not JSON or not an object
+    a ParseError, each naming `what` or the path."""
+    if not os.path.exists(path):
+        raise IoError(f"{what} not found: {path}")
+    try:
+        raw = json.loads(_read_text(path))
+    except (ValueError, RecursionError) as e:  # bad JSON, a huge integer, deep nesting
+        raise ParseError(f"{what} {path}: {e}") from e
+    if not is_json(raw, "object"):
+        raise ParseError(f"{what} {path}: expected a JSON object")
+    return raw
 
 
 class FeatureVocab:

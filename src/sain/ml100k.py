@@ -4,7 +4,10 @@ manifest. Only the attributes shipped in the archive are extracted: user
 gender, age (bucketed by decade), occupation, and item genres.
 
 The archive itself is not bundled; point the converter at an unpacked copy
-(u.data etc. in one directory).
+(u.data etc. in one directory). Every archive file is read by one row
+reader, `_rows`: Latin-1 lines stripped of surrounding whitespace, blank
+lines skipped. A line with the wrong number of fields, or an age or genre
+index that is not an integer, is a ParseError naming the file and the line.
 """
 
 from __future__ import annotations
@@ -41,22 +44,38 @@ def _require(path: str) -> str:
     return path
 
 
-def _read_genres(src_dir: str) -> list[str]:
-    """Genre names in column order, from u.genre when present."""
-    path = os.path.join(src_dir, "u.genre")
-    if not os.path.isfile(path):
-        return list(GENRES)
-    names: list[tuple[int, str]] = []
+def _rows(path: str, sep: str, width: int):
+    """(line number, fields) of each non-blank line of an archive file, read
+    as Latin-1 with surrounding whitespace stripped. A line with another
+    number of fields is a ParseError naming the path and the line."""
     with open(path, encoding="latin-1") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split("|")
-            if len(parts) != 2:
-                raise ParseError(f"{path} line {lineno}: expected genre|index")
-            names.append((int(parts[1]), parts[0]))
-    return [name for _, name in sorted(names)]
+            fields = line.split(sep)
+            if len(fields) != width:
+                raise ParseError(f"{path} line {lineno}: expected {width} "
+                                 f"{sep!r}-separated fields, got {len(fields)}")
+            yield lineno, fields
+
+
+def _integer(path: str, lineno: int, what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{path} line {lineno}: {what} must be an integer, "
+                         f"got {text!r}") from None
+
+
+def _read_genres(src_dir: str) -> list[str]:
+    """Genre names in column order, from u.genre when present."""
+    path = os.path.join(src_dir, "u.genre")
+    if not os.path.isfile(path):
+        return list(GENRES)
+    names = sorted((_integer(path, lineno, "genre index", index), name)
+                   for lineno, (name, index) in _rows(path, "|", 2))
+    return [name for _, name in names]
 
 
 def age_bucket(age: int) -> str:
@@ -72,51 +91,26 @@ def convert_ml100k(src_dir: str, out_dir: str) -> str:
     u_item = _require(os.path.join(src_dir, "u.item"))
     os.makedirs(out_dir, exist_ok=True)
 
-    with open(u_data, encoding="latin-1") as f, \
-            open(os.path.join(out_dir, "ratings.tsv"), "w", encoding="utf-8") as out:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ParseError(f"{u_data} line {lineno}: expected 4 fields")
-            out.write("\t".join(parts) + "\n")
+    with open(os.path.join(out_dir, "ratings.tsv"), "w", encoding="utf-8") as out:
+        for _, fields in _rows(u_data, "\t", 4):
+            out.write("\t".join(fields) + "\n")
 
-    with open(u_user, encoding="latin-1") as f, \
-            open(os.path.join(out_dir, "user_gender.tsv"), "w", encoding="utf-8") as g, \
+    with open(os.path.join(out_dir, "user_gender.tsv"), "w", encoding="utf-8") as g, \
             open(os.path.join(out_dir, "user_age.tsv"), "w", encoding="utf-8") as a, \
             open(os.path.join(out_dir, "user_occupation.tsv"), "w", encoding="utf-8") as o:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("|")
-            if len(parts) != 5:
-                raise ParseError(f"{u_user} line {lineno}: expected 5 fields")
-            uid, age, gender, occupation, _zip = parts
+        for lineno, (uid, age, gender, occupation, _zip) in _rows(u_user, "|", 5):
             g.write(f"{uid}\t{gender}\n")
-            a.write(f"{uid}\t{age_bucket(int(age))}\n")
+            a.write(f"{uid}\t{age_bucket(_integer(u_user, lineno, 'age', age))}\n")
             o.write(f"{uid}\t{occupation}\n")
 
     genres = _read_genres(src_dir)
-    with open(u_item, encoding="latin-1") as f, \
-            open(os.path.join(out_dir, "item_genre.tsv"), "w", encoding="utf-8") as out:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split("|")
-            if len(parts) != 5 + len(genres):
-                raise ParseError(f"{u_item} line {lineno}: expected "
-                                 f"{5 + len(genres)} fields, got {len(parts)}")
-            iid = parts[0]
-            flags = parts[5:]
+    with open(os.path.join(out_dir, "item_genre.tsv"), "w", encoding="utf-8") as out:
+        for _, fields in _rows(u_item, "|", 5 + len(genres)):
             # The literal "unknown" column maps to the reserved unknown slot
             # by emitting no token at all.
-            names = [genres[j] for j, flag in enumerate(flags)
+            names = [genres[j] for j, flag in enumerate(fields[5:])
                      if flag == "1" and genres[j] != "unknown"]
-            out.write(f"{iid}\t{'|'.join(names)}\n")
+            out.write(f"{fields[0]}\t{'|'.join(names)}\n")
 
     manifest = {
         "ratings": "ratings.tsv",

@@ -33,25 +33,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import FeatureVocab, PackedFeatures
-from .errors import ShapeError
+from .errors import ShapeError, is_json, json_value
 from .tensor import ParamSet, scatter_add_rows, softmax_rows, top_k_mask_rows
 
 L2_SCOPES = ("all", "embeddings", "projections")
 EMBEDDING_TENSORS = ("embeddings", "cf_user", "cf_item")
 SIDES = ("user", "item")
-
-
-def require_int(name: str, value) -> None:
-    """ValueError unless value is an integer; a bool or a float is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def require_real(name: str, value) -> None:
-    """ValueError unless value is an int or a float; a bool is neither."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
-                                                         np.floating)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass
@@ -68,14 +55,11 @@ class ModelConfig:
     bn_momentum: float = 0.1
 
     def __post_init__(self):
-        for name in ("embed_dim", "num_heads", "top_k"):
-            require_int(name, getattr(self, name))
-        for name in ("dropout_rate", "bn_epsilon", "bn_momentum"):
-            require_real(name, getattr(self, name))
-        for name in ("gate_shared", "renormalize_topk"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, "
-                                 f"got {getattr(self, name)!r}")
+        for kind, names in (("integer", ("embed_dim", "num_heads", "top_k")),
+                            ("number", ("dropout_rate", "bn_epsilon", "bn_momentum")),
+                            ("bool", ("gate_shared", "renormalize_topk"))):
+            for name in names:
+                json_value(name, getattr(self, name), kind)
         if self.embed_dim < 1 or self.num_heads < 1:
             raise ValueError("embed_dim and num_heads must be >= 1")
         if self.embed_dim % self.num_heads != 0:
@@ -93,9 +77,8 @@ class ModelConfig:
         if not (isinstance(self.loss_weights, (tuple, list))
                 and len(self.loss_weights) == 3):
             raise ValueError("loss_weights needs exactly three entries")
-        for w in self.loss_weights:
-            require_real("loss_weights", w)
-        self.loss_weights = tuple(float(w) for w in self.loss_weights)
+        self.loss_weights = tuple(float(json_value("loss_weights", w, "number"))
+                                  for w in self.loss_weights)
         if not all(math.isfinite(w) and w >= 0.0 for w in self.loss_weights) or \
                 not any(self.loss_weights):
             raise ValueError(f"loss_weights must be finite and >= 0, and not all "
@@ -119,7 +102,7 @@ class ModelConfig:
         d = dict(d)
         if "num_attention_layers" in d:
             layers = d.pop("num_attention_layers")
-            if type(layers) is not int or layers != 1:
+            if not is_json(layers, "integer") or layers != 1:
                 raise ValueError("num_attention_layers is fixed at 1")
         if "loss_weights" in d:
             d["loss_weights"] = tuple(d["loss_weights"])
@@ -171,18 +154,15 @@ class FieldLayout:
     def from_dict(cls, d: dict) -> "FieldLayout":
         """Layout from a checkpoint header's dict, taken as stored: field lists
         must be lists of strings, `sizes` an object and every count a JSON
-        integer, or it is a ValueError (nothing is coerced, so a loaded
-        layout saves again to the same bytes)."""
+        integer, and no other key is taken, or it is a ValueError or a
+        TypeError (nothing is coerced or dropped, so a loaded layout saves
+        again to the same bytes)."""
         for key in ("user_fields", "item_fields"):
-            if not (type(d[key]) is list and all(type(f) is str for f in d[key])):
-                raise ValueError(f"{key} must be a list of strings")
-        if type(d["sizes"]) is not dict:
-            raise ValueError("sizes must be an object")
-        for name, value in [*d["sizes"].items(), ("num_users", d["num_users"]),
-                            ("num_items", d["num_items"])]:
-            require_int(name, value)
-        return cls(user_fields=d["user_fields"], item_fields=d["item_fields"],
-                   sizes=d["sizes"], num_users=d["num_users"], num_items=d["num_items"])
+            json_value(key, d[key], "strings")
+        for name, value in [*json_value("sizes", d["sizes"], "object").items(),
+                            ("num_users", d["num_users"]), ("num_items", d["num_items"])]:
+            json_value(name, value, "integer")
+        return cls(**d)
 
 
 class SainParams(ParamSet):

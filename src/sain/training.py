@@ -19,10 +19,9 @@ import numpy as np
 from .baseline import MfParams, mf_backward, mf_loss, mf_scores
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import PreparedData, interactions_to_arrays
-from .errors import DivergenceError, ParseError, ShapeError
+from .errors import DivergenceError, ParseError, ShapeError, json_value
 from .model import (FieldLayout, ModelConfig, SainParams, backward,
-                    decayed_names, forward_batch, joint_loss,
-                    require_int, require_real)
+                    decayed_names, forward_batch, joint_loss)
 from .seeding import derive_seed, stream_rng
 from .tensor import ParamSet, adam_step
 
@@ -63,10 +62,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "max_epochs", "patience", "seed"):
-            require_int(name, getattr(self, name))
-        for name in ("learning_rate", "weight_decay", "min_delta"):
-            require_real(name, getattr(self, name))
+        for kind, names in (("integer", ("batch_size", "max_epochs", "patience", "seed")),
+                            ("number", ("learning_rate", "weight_decay", "min_delta"))):
+            for name in names:
+                json_value(name, getattr(self, name), kind)
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs, and patience must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
@@ -481,11 +480,11 @@ def _check_shapes(path: str, what: str, arrays: dict[str, np.ndarray],
 def load_model(path: str):
     """Inverse of save_model: (kind, params, adam or None, meta). The stored
     layout is taken as written: its counts must be JSON integers and a
-    BiasedMF `mu` a JSON number. Every tensor must have the name, order and
-    shape that the layout and config imply, and the optimizer moments those
-    of the tensors. They are packed into the params' arena once; the
-    returned adam is its optimizer_state(), with views of its moment
-    vectors."""
+    BiasedMF `mu` a finite JSON number. Every tensor must have the name,
+    order and shape that the layout and config imply, and the optimizer
+    moments those of the tensors. They are packed into the params' arena
+    once; the returned adam is its optimizer_state(), with views of its
+    moment vectors."""
     ckpt = load_checkpoint(path)
     try:
         if ckpt.kind == "sain":
@@ -495,11 +494,11 @@ def load_model(path: str):
             stats = {"bn_mean": (config.embed_dim,), "bn_var": (config.embed_dim,)}
             _check_shapes(path, "stats", ckpt.stats, stats)
         elif ckpt.kind == "biasedmf":
-            sizes = [ckpt.layout[k] for k in ("num_users", "num_items", "dim")]
-            for name, value in zip(("num_users", "num_items", "dim"), sizes):
-                require_int(name, value)
-            mu = ckpt.layout["mu"]
-            require_real("mu", mu)
+            sizes = [json_value(k, ckpt.layout[k], "integer")
+                     for k in ("num_users", "num_items", "dim")]
+            mu = json_value("mu", ckpt.layout["mu"], "number")
+            if not math.isfinite(mu):
+                raise ValueError(f"mu must be finite, got {mu!r}")
             expected = MfParams.shapes(*sizes)
         else:
             raise ParseError(f"unknown model kind in checkpoint: {ckpt.kind!r}")

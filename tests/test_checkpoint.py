@@ -248,6 +248,16 @@ class TestMalformedHeader:
         with pytest.raises(ParseError, match="lacks"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("head", [b"[" * 100000 + b"]" * 100000,
+                                      b'{"format": ' + b"1" * 5000 + b"}"],
+                             ids=["deep-nesting", "huge-integer"])
+    def test_header_json_that_python_refuses_to_build(self, tmp_path, head):
+        # A RecursionError traceback and an exit-1 ValueError before.
+        path = str(tmp_path / "m.ckpt")
+        _rewrite(path, MAGIC + len(head).to_bytes(8, "little") + head)
+        with pytest.raises(ParseError, match="checkpoint header unreadable"):
+            load_checkpoint(path)
+
 
 
 def _set_adam(key, value):
@@ -294,6 +304,90 @@ class TestOptimizerHeaderTypes:
         adam = load_checkpoint(path).adam
         assert type(adam["beta1"]) is float
         assert all(type(t) is int for t in adam["t"].values())
+
+
+def _with_array(path, entry, with_adam=True):
+    """Save the sample, append `entry` to its header's arrays and that
+    entry's float64 bytes to its payload, and re-seal the file with a
+    correct digest."""
+    save_checkpoint(path, _sample(with_adam))
+    with open(path, "rb") as f:
+        blob = f.read()[:-32]
+    n = int.from_bytes(blob[len(MAGIC):len(MAGIC) + 8], "little")
+    start = len(MAGIC) + 8
+    header = json.loads(blob[start:start + n])
+    header["arrays"].append(entry)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    extra = np.zeros(entry["shape"]).tobytes()
+    _rewrite(path, MAGIC + len(head).to_bytes(8, "little") + head + blob[start + n:] + extra)
+
+
+class TestHeadersThatDoNotSaveAgain:
+    """Each of these headers once loaded, and the checkpoint then scored or
+    saved again to other bytes: Python's json reads NaN and Infinity, a
+    header of another or no format was read as format 1, and an array
+    outside the four sections (or a second array of one name, or moments
+    without an optimizer header) was dropped on re-save. The digest is
+    valid in every case."""
+
+    @pytest.mark.parametrize("edit", [
+        _set_adam("beta1", float("nan")), _set_adam("beta2", float("inf")),
+        _set_adam("eps", float("-inf"))],
+        ids=["beta1-nan", "beta2-infinity", "eps-minus-infinity"])
+    def test_optimizer_rates_must_be_finite(self, tmp_path, edit):
+        path = str(tmp_path / "k.ckpt")
+        _with_header(path, edit)
+        with pytest.raises(ParseError) as got:
+            load_checkpoint(path)
+        assert str(got.value) == f"checkpoint optimizer header malformed: {path}"
+
+    @pytest.mark.parametrize("edit, shown", [
+        (lambda h: h.update(format=2), "2"), (lambda h: h.pop("format"), "None"),
+        (lambda h: h.update(format=1.0), "1.0"), (lambda h: h.update(format=True), "True"),
+        (lambda h: h.update(format="1"), "'1'")],
+        ids=["two", "absent", "float", "bool", "text"])
+    def test_format_must_be_the_integer_1(self, tmp_path, edit, shown):
+        path = str(tmp_path / "k.ckpt")
+        _with_header(path, edit)
+        with pytest.raises(ParseError) as got:
+            load_checkpoint(path)
+        assert str(got.value) == f"checkpoint format must be 1, got {shown}: {path}"
+
+    @pytest.mark.parametrize("entry, with_adam", [
+        ({"name": "junk/x", "shape": [2]}, True), ({"name": "junk/y", "shape": [0]}, True),
+        ({"name": "x", "shape": [1]}, True), ({"name": "tensor", "shape": [1]}, True),
+        ({"name": "tensor/alpha", "shape": [3, 4]}, True),
+        ({"name": "stat/bn_mean", "shape": [4]}, False)],
+        ids=["unknown-section", "unknown-section-empty", "no-section",
+             "section-without-slash", "tensor-twice", "stat-twice"])
+    def test_every_array_sits_once_in_a_section(self, tmp_path, entry, with_adam):
+        path = str(tmp_path / "k.ckpt")
+        _with_array(path, entry, with_adam)
+        with pytest.raises(ParseError) as got:
+            load_checkpoint(path)
+        assert str(got.value) == (
+            f"checkpoint array {entry['name']!r} is named twice or lies outside the "
+            f"sections ('tensor', 'stat', 'adam_m', 'adam_v'): {path}")
+
+    @pytest.mark.parametrize("name", ["adam_m/alpha", "adam_v/alpha"])
+    def test_moments_need_an_optimizer_header(self, tmp_path, name):
+        path = str(tmp_path / "k.ckpt")
+        _with_array(path, {"name": name, "shape": [3, 4]}, with_adam=False)
+        with pytest.raises(ParseError) as got:
+            load_checkpoint(path)
+        assert str(got.value) == (f"checkpoint has optimizer moments but no "
+                                  f"optimizer header: {path}")
+
+    @pytest.mark.parametrize("with_adam", [True, False], ids=["adam", "no-adam"])
+    def test_each_section_loads_and_saves_again_byte_for_byte(self, tmp_path, with_adam):
+        path, again = str(tmp_path / "k.ckpt"), str(tmp_path / "again.ckpt")
+        save_checkpoint(path, _sample(with_adam))
+        ckpt = load_checkpoint(path)
+        assert list(ckpt.tensors) == ["alpha", "beta"] and list(ckpt.stats) == ["bn_mean"]
+        if with_adam:
+            assert list(ckpt.adam["m"]) == list(ckpt.adam["v"]) == ["alpha", "beta"]
+        save_checkpoint(again, ckpt)
+        assert _read(again) == _read(path)
 
 
 @pytest.fixture(scope="module")

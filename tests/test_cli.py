@@ -408,6 +408,28 @@ class TestBadDataFiles:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("feature, name, needle", [
+        (0, 5, "field must be a string, got 5"),
+        (0, ["a"], "field must be a string, got ['a']"),
+        (1, "gender", "field 'gender' is named twice"),
+        (2, "gender", "field 'gender' is named twice")],
+        ids=["number", "list", "two-user-fields", "user-and-item-field"])
+    def test_field_names_must_be_unique_strings(self, tmp_path, capsys, feature,
+                                                name, needle):
+        # A number or a list ended in a traceback; a repeated name exited 0
+        # with one field's tokens under the other's name.
+        def edit(root):
+            manifest = json.loads((root / "dataset.json").read_text())
+            manifest["features"][feature]["field"] = name
+            (root / "dataset.json").write_text(json.dumps(manifest))
+        config = _broken_dataset(tmp_path, edit)
+        assert main(["train", "--config", config]) == 4
+        err = capsys.readouterr().err
+        assert err == (f"error category=parse: dataset manifest "
+                       f"{tmp_path / 'data' / 'dataset.json'}: {needle}\n")
+        assert not (tmp_path / "out").exists()
+
+
 def _config_directory(path):
     path.mkdir()
 
@@ -456,10 +478,16 @@ class TestBadRunConfigs:
         (_config_bytes(b'{"dataset": 5}'), 4, "parse",
          "run config {path}: dataset must be a string"),
         (_config_bytes(b'{"dataset": "d.json", "output_dir": null}'), 4, "parse",
-         "run config {path}: output_dir must be a string")],
+         "run config {path}: output_dir must be a string"),
+        # Python's json raises RecursionError on deep nesting and a plain
+        # ValueError on an integer of over 4300 digits.
+        (_config_bytes(b"[" * 100000 + b"]" * 100000), 4, "parse",
+         "run config {path}: maximum recursion depth"),
+        (_config_bytes(b'{"dataset": ' + b"1" * 5000 + b"}"), 4, "parse",
+         "run config {path}: Exceeds the limit")],
         ids=["directory", "not-utf8", "top-level-number", "top-level-list",
              "model-config-list", "train-config-text", "dataset-number",
-             "output-dir-null"])
+             "output-dir-null", "deep-nesting", "huge-integer"])
     def test_one_error_line_and_exit_code(self, tmp_path, capsys, write, code,
                                           category, needle):
         path = tmp_path / "run.json"
@@ -589,6 +617,48 @@ class TestCheckpointMeta:
         err = capsys.readouterr().err
         assert err.startswith("error category=parse: ") and err.count("\n") == 1
         assert path in err
+
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_seed_message(self, trained, capsys, seed):
+        run_config, tmp_path = trained
+        path = str(tmp_path / "out" / "model.ckpt")
+        ckpt = load_checkpoint(path)
+        ckpt.meta["seed"] = seed
+        save_checkpoint(path, ckpt)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", run_config]) == 4
+        assert capsys.readouterr().err == (f"error category=parse: checkpoint meta "
+                                           f"has no integer seed: {path}\n")
+
+
+class TestNonFiniteCheckpointNumbers:
+    """Python's json reads NaN and Infinity. A BiasedMF checkpoint whose
+    `mu` was Infinity evaluated with exit 0, every score clipped to 5.0; an
+    optimizer rate of NaN loaded too."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda ckpt: ckpt.layout.update(mu=float("inf")),
+        lambda ckpt: ckpt.layout.update(mu=float("nan")),
+        lambda ckpt: ckpt.layout.update(mu=float("-inf")),
+        lambda ckpt: ckpt.adam.update(beta1=float("nan")),
+        lambda ckpt: ckpt.adam.update(eps=float("inf"))],
+        ids=["mu-infinity", "mu-nan", "mu-minus-infinity", "beta1-nan", "eps-infinity"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_exit_4_with_one_line(self, run_config, tmp_path, capsys, edit, command):
+        assert main(["train", "--config", run_config, "--model", "biasedmf",
+                     "--output-dir", "mf"]) == 0
+        path = str(tmp_path / "mf" / "model.ckpt")
+        ckpt = load_checkpoint(path)
+        edit(ckpt)
+        save_checkpoint(path, ckpt)
+        pair = [] if command == "evaluate" else ["--user", "u0", "--item", "i1"]
+        capsys.readouterr()
+        assert main([command, "--config", run_config, "--output-dir", "mf"] + pair) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error category=parse: checkpoint ")
+        assert path in captured.err
 
 
 class TestPredictCommand:

@@ -106,6 +106,39 @@ class TestConverter:
             convert_ml100k(src, str(tmp_path / "out"))
 
 
+class TestArchiveRows:
+    """Every archive file is read by one row reader: a line with the wrong
+    number of fields, or an age or genre index that is not an integer, is a
+    ParseError naming the file and the line. Blank lines are skipped but
+    counted."""
+
+    @pytest.mark.parametrize("name, line, number, message", [
+        ("u.data", "7\t1\t3", 31, "expected 4 '\\t'-separated fields, got 3"),
+        ("u.user", "7|30|M", 7, "expected 5 '|'-separated fields, got 3"),
+        ("u.item", "6|Film F (1995)|01-Jan-1995", 6,
+         "expected 24 '|'-separated fields, got 3"),
+        ("u.genre", "Extra|19|x", 20, "expected 2 '|'-separated fields, got 3"),
+        ("u.user", "7|x|M|writer|00000", 7, "age must be an integer, got 'x'"),
+        ("u.genre", "Extra|nineteen", 20, "genre index must be an integer, got 'nineteen'")],
+        ids=["data-width", "user-width", "item-width", "genre-width", "user-age",
+             "genre-index"])
+    def test_bad_line_names_the_file_and_line(self, tmp_path, name, line, number,
+                                              message):
+        src = _mini_archive(str(tmp_path / "src"))
+        with open(os.path.join(src, name), "a") as f:
+            f.write(line + "\n")
+        with pytest.raises(ParseError) as got:
+            convert_ml100k(src, str(tmp_path / "out"))
+        assert str(got.value) == f"{os.path.join(src, name)} line {number}: {message}"
+
+    def test_blank_lines_count_in_line_numbers(self, tmp_path):
+        src = _mini_archive(str(tmp_path / "src"))
+        with open(os.path.join(src, "u.user"), "a") as f:
+            f.write("\n   \n7|x|M|writer|00000\n")
+        with pytest.raises(ParseError, match="u.user line 9: age must be an integer"):
+            convert_ml100k(src, str(tmp_path / "out"))
+
+
 class TestLocate:
     def test_env_variable_wins(self, tmp_path, monkeypatch):
         d = tmp_path / "somewhere"
