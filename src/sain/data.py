@@ -22,7 +22,7 @@ line-by-line parse would reject, with the same message. Users and items get
 dense ids in order of first appearance, found in one pass over the codes.
 The features are columnar too: each feature file parses into one record
 (`FeatureColumns`: entities, token counts, flat tokens), and from it the
-vocabulary is counted, and each side encoded (`EncodedFeatures`) and packed
+vocabulary is counted, and each side encoded straight into its packed tables
 (`PackedFeatures`), a field at a time on arrays, with no object per entity.
 """
 
@@ -97,7 +97,8 @@ class DatasetManifest:
     def from_file(cls, path: str) -> "DatasetManifest":
         """The manifest at `path`, its paths relative to its directory. A
         missing key, a value of the wrong JSON kind or a field name used
-        twice is a ParseError naming the manifest."""
+        twice, or an owner other than "user" or "item", is a ParseError naming
+        the manifest."""
         raw = read_json_object(path, "dataset manifest")
         base = os.path.dirname(os.path.abspath(path))
         try:
@@ -117,7 +118,7 @@ class DatasetManifest:
                        json_value("tag_top_t", raw.get("tag_top_t", 50), "count"))
         except KeyError as e:
             raise ParseError(f"dataset manifest {path}: missing or invalid key {e}") from e
-        except ValueError as e:
+        except (ValueError, ParseError) as e:
             raise ParseError(f"dataset manifest {path}: {e}") from e
 
     def fields_for(self, owner: str) -> list[FieldSpec]:
@@ -177,19 +178,6 @@ class FeatureVocab:
                 "item_fields": list(self.item_fields),
                 "tokens": {f: dict(self.tokens[f]) for f in self.fields},
                 "owner": dict(self.owner)}
-
-
-@dataclass
-class EncodedFeatures:
-    """One side's encoded features, field by field in the vocabulary's order.
-    Entity e's slot in field f holds sizes[f][e] indices, and the slots lie
-    one after another in dense-id order in indices[f]. A slot encoded from
-    files is sorted, de-duplicated and never empty: it holds the field's
-    unknown index when none of the entity's tokens is known."""
-
-    num_entities: int
-    sizes: list[np.ndarray]    # per field, (num_entities,) int64
-    indices: list[np.ndarray]  # per field, (sizes[f].sum(),) int64
 
 
 @dataclass
@@ -457,22 +445,37 @@ def build_feature_vocab(specs: list[FieldSpec], tag_top_t: int,
     return FeatureVocab(specs, tokens)
 
 
+@dataclass
+class PackedFeatures:
+    """One side's features, as the model reads them for batched mean pooling:
+    two (num_entities, T) tables, one column block per field in field order.
+    Field f owns columns bounds[f]:bounds[f+1], as many as its widest slot.
+    `rows` holds the global embedding row of each token (0 on padding), and
+    `weights` its mean-pooling weight: 1/c on each of a slot's c tokens (the
+    division mask / count, done once here) and 0 on its padding. A side with
+    no fields has (num_entities, 0) tables. A batch gathers each table once
+    per side; the zero weights mark the padding that the embedding gradient
+    leaves out (see scatter_add_rows for why that keeps its bits)."""
+
+    rows: np.ndarray     # (num_entities, T) int64
+    weights: np.ndarray  # (num_entities, T) float64
+    bounds: list[int]    # (F+1,) field column bounds
+
+
 def encode_entity_features(columns_by_field: dict[str, FeatureColumns],
                            vocab: FeatureVocab, id_map: dict[str, int],
-                           owner: str) -> EncodedFeatures:
-    """Encode the entities of `id_map` (raw id -> dense id) field by field,
-    from each field's parsed file (a field without one reads as an empty
-    file). Tokens outside a field's vocabulary and entities outside `id_map`
-    are dropped; a slot with nothing retained (including entities absent
-    from the file) holds the unknown index. Each field is one sort of the
-    keys entity * size + index of its known tokens and its empty slots'
-    unknown index, which orders and de-duplicates every slot at once."""
+                           owner: str) -> PackedFeatures:
+    """Encode and pack the entities of `id_map` (raw id -> dense id) field by
+    field, from each field's parsed file. Tokens outside a field's vocabulary
+    and entities outside `id_map` are dropped; a slot with nothing retained
+    (including entities absent from the file) holds the unknown index. Each
+    field is one sort of the keys entity * size + index of its known tokens
+    and its empty slots' unknown index, which orders and de-duplicates every
+    slot at once."""
     n = len(id_map)
     sizes, indices = [], []
     for fname in vocab.fields_of(owner):
-        columns = columns_by_field.get(fname)
-        if columns is None:
-            columns = FeatureColumns([], np.zeros(0, dtype=np.int64), [])
+        columns = columns_by_field[fname]
         size, unknown = vocab.field_size(fname), vocab.unknown_index(fname)
         dense = np.fromiter(map(id_map.get, columns.entities, repeat(-1)), np.int64,
                             len(columns.entities))
@@ -488,71 +491,56 @@ def encode_entity_features(columns_by_field: dict[str, FeatureColumns],
         entity, index = np.divmod(keys, size)
         sizes.append(np.bincount(entity, minlength=n))
         indices.append(index)
-    return EncodedFeatures(num_entities=n, sizes=sizes, indices=indices)
+    return pack_features(n, sizes, indices, vocab, owner)
 
 
-@dataclass
-class PackedFeatures:
-    """Vectorized view of one side's EncodedFeatures for batched mean pooling:
-    two (num_entities, T) tables, one column block per field in field order.
-    Field f owns columns bounds[f]:bounds[f+1], as many as its widest slot.
-    `rows` holds the global embedding row of each token (0 on padding), and
-    `weights` its mean-pooling weight: 1/c on each of a slot's c tokens (the
-    division mask / count, done once here) and 0 on its padding. A side with
-    no fields has (num_entities, 0) tables. A batch gathers each table once
-    per side; the zero weights mark the padding that the embedding gradient
-    leaves out (see scatter_add_rows for why that keeps its bits)."""
-
-    rows: np.ndarray     # (num_entities, T) int64
-    weights: np.ndarray  # (num_entities, T) float64
-    bounds: list[int]    # (F+1,) field column bounds
-
-
-def pack_features(features: EncodedFeatures, vocab: FeatureVocab,
-                  owner: str) -> PackedFeatures:
-    """Pack one side's encoded features, one fancy assignment per table and
-    field: a slot's k-th index goes to its entity's row, k columns into the
-    field's block. Every slot must hold at least one index, each in
-    [0, size) of its field: a ShapeError naming the field rejects any other,
-    since an empty slot would pool to a zero vector and an index outside
-    would pool another field's row, or wrap to the table's end."""
+def pack_features(num_entities: int, sizes: list[np.ndarray], indices: list[np.ndarray],
+                  vocab: FeatureVocab, owner: str) -> PackedFeatures:
+    """Pack one side's slots, given per field in the vocabulary's order:
+    entity e's slot in field f holds sizes[f][e] indices, and the slots lie
+    one after another in dense-id order in indices[f]. One fancy assignment
+    per table and field puts a slot's k-th index in its entity's row, k
+    columns into the field's block. Every slot must hold at least one index,
+    each in [0, size) of its field: a ShapeError naming the field rejects any
+    other, since an empty slot would pool to a zero vector and an index
+    outside would pool another field's row, or wrap to the table's end."""
     fields = vocab.fields_of(owner)
     offsets = vocab.offsets()
-    n = features.num_entities
-    if len(features.sizes) != len(fields) or len(features.indices) != len(fields):
-        raise ShapeError(f"encoded features hold {len(features.sizes)} fields, "
+    n = num_entities
+    if len(sizes) != len(fields) or len(indices) != len(fields):
+        raise ShapeError(f"encoded features hold {len(sizes)} fields, "
                          f"the {owner} side has {len(fields)}")
     bounds = [0]
-    for sizes in features.sizes:
-        bounds.append(bounds[-1] + (int(sizes.max()) if n else 1))
+    for counts in sizes:
+        bounds.append(bounds[-1] + (int(counts.max()) if n else 1))
     rows = np.zeros((n, bounds[-1]), dtype=np.int64)
     weights = np.zeros((n, bounds[-1]), dtype=np.float64)
     for fi, fname in enumerate(fields):
-        sizes, index = features.sizes[fi], features.indices[fi]
-        if sizes.shape != (n,) or index.shape != (int(sizes.sum()),):
+        counts, index = sizes[fi], indices[fi]
+        if counts.shape != (n,) or index.shape != (int(counts.sum()),):
             raise ShapeError(f"encoded slots of field {fname!r} do not match "
                              f"{n} entities")
         lo = bounds[fi]
-        entity = np.repeat(np.arange(n), sizes)
-        column = np.arange(lo, lo + index.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        entity = np.repeat(np.arange(n), counts)
+        column = np.arange(lo, lo + index.size) - np.repeat(np.cumsum(counts) - counts, counts)
         rows[entity, column] = index + offsets[fname]
         weights[entity, column] = 1.0
         cols = slice(lo, bounds[fi + 1])
         block = weights[:, cols]
-        counts = block.sum(axis=1)
-        if not counts.all():
+        filled = block.sum(axis=1)
+        if not filled.all():
             raise ShapeError(f"empty feature slot in field {fname!r}")
         local = rows[:, cols] - offsets[fname]
         if ((local < 0) | (local >= vocab.field_size(fname)))[block > 0].any():
             raise ShapeError(f"feature index out of range for field {fname!r}")
-        block /= counts[:, None]
+        block /= filled[:, None]
     return PackedFeatures(rows=rows, weights=weights, bounds=bounds)
 
 
 @dataclass
 class PreparedData:
-    """Everything downstream of ingestion: vocabularies, each side's encoded
-    and packed features, dense interactions, and the seeded split."""
+    """Everything downstream of ingestion: vocabularies, each side's packed
+    features, dense interactions, and the seeded split."""
 
     manifest: DatasetManifest
     vocab: FeatureVocab
@@ -560,8 +548,6 @@ class PreparedData:
     split: DatasetSplit
     user_ids: dict[str, int]
     item_ids: dict[str, int]
-    user_features: EncodedFeatures
-    item_features: EncodedFeatures
     user_packed: PackedFeatures
     item_packed: PackedFeatures
 
@@ -604,21 +590,25 @@ class PreparedData:
 def build_dataset(manifest: DatasetManifest, seed: int,
                   by_time: bool = False) -> PreparedData:
     """Run the full pipeline: load + filter ratings, build vocabularies over the
-    filtered population, encode features, split."""
+    filtered population, encode features, split. A split refused (too few
+    ratings left, or a missing timestamp) is a ValueError naming the ratings
+    file, its min_ratings and the ratings kept."""
     interactions, user_ids, item_ids = load_ratings(manifest.ratings_path,
                                                     manifest.min_ratings)
     population = {"user": set(user_ids), "item": set(item_ids)}
     vocab = build_feature_vocab(manifest.features, manifest.tag_top_t, population)
     user_columns = {s.name: parse_feature_file(s.path) for s in manifest.fields_for("user")}
     item_columns = {s.name: parse_feature_file(s.path) for s in manifest.fields_for("item")}
-    user_feats = encode_entity_features(user_columns, vocab, user_ids, "user")
-    item_feats = encode_entity_features(item_columns, vocab, item_ids, "item")
-    split = split_dataset(interactions, derive_seed(seed, "split"), by_time=by_time)
+    user_packed = encode_entity_features(user_columns, vocab, user_ids, "user")
+    item_packed = encode_entity_features(item_columns, vocab, item_ids, "item")
+    try:
+        split = split_dataset(interactions, derive_seed(seed, "split"), by_time=by_time)
+    except ValueError as e:
+        raise ValueError(f"{manifest.ratings_path} with min_ratings {manifest.min_ratings}: "
+                         f"{e} ({len(interactions)} ratings kept)") from None
     return PreparedData(manifest=manifest, vocab=vocab, interactions=interactions,
                         split=split, user_ids=user_ids, item_ids=item_ids,
-                        user_features=user_feats, item_features=item_feats,
-                        user_packed=pack_features(user_feats, vocab, "user"),
-                        item_packed=pack_features(item_feats, vocab, "item"))
+                        user_packed=user_packed, item_packed=item_packed)
 
 
 def interactions_to_arrays(interactions: Interactions):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import MfParams, mf_backward, mf_loss, mf_scores
-from .data import EncodedFeatures, FeatureVocab, FieldSpec, pack_features
+from .data import FeatureVocab, FieldSpec, pack_features
 from .model import (FieldLayout, ModelConfig, SainParams, backward,
                     forward_batch, joint_loss)
 from .tensor import finite_diff_gradient, relative_error
@@ -55,18 +55,17 @@ def _toy_vocab() -> FeatureVocab:
     return FeatureVocab(specs, tokens)
 
 
-def _toy_entities(rng: np.random.Generator, count: int) -> EncodedFeatures:
-    """`count` entities of the toy vocab: one index in field 0, one or two
-    sorted distinct indices in field 1, drawn entity by entity."""
+def _toy_entities(rng: np.random.Generator, count: int):
+    """pack_features' (num_entities, sizes, indices) for `count` entities of
+    the toy vocab: one index in field 0, one or two sorted distinct indices
+    in field 1, drawn entity by entity."""
     single, multi = [], []
     for _ in range(count):
         single.append(int(rng.integers(0, 3)))
         multi.append(np.sort(rng.choice(3, size=int(rng.integers(1, 3)), replace=False)))
-    return EncodedFeatures(
-        num_entities=count,
-        sizes=[np.ones(count, dtype=np.int64),
-               np.array([m.size for m in multi], dtype=np.int64)],
-        indices=[np.array(single, dtype=np.int64), np.concatenate(multi)])
+    return (count,
+            [np.ones(count, dtype=np.int64), np.array([m.size for m in multi], dtype=np.int64)],
+            [np.array(single, dtype=np.int64), np.concatenate(multi)])
 
 
 @dataclass
@@ -116,8 +115,8 @@ def build_sain_fixture(seed: int, top_k: int = 3, mode: str = "eval",
                                                   params.tensors["embeddings"].shape)
         params.bn_mean = rng.normal(0.0, 0.2, config.embed_dim)
         params.bn_var = rng.uniform(0.5, 1.5, config.embed_dim)
-        user_packed = pack_features(_toy_entities(rng, num_users), vocab, "user")
-        item_packed = pack_features(_toy_entities(rng, num_items), vocab, "item")
+        user_packed = pack_features(*_toy_entities(rng, num_users), vocab, "user")
+        item_packed = pack_features(*_toy_entities(rng, num_items), vocab, "item")
         uids = rng.integers(0, num_users, size=batch)
         iids = rng.integers(0, num_items, size=batch)
         ratings = rng.uniform(1.0, 5.0, size=batch)

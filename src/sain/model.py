@@ -76,7 +76,8 @@ class ModelConfig:
             raise ValueError(f"bn_momentum must be in [0,1], got {self.bn_momentum!r}")
         if not (isinstance(self.loss_weights, (tuple, list))
                 and len(self.loss_weights) == 3):
-            raise ValueError("loss_weights needs exactly three entries")
+            raise ValueError(f"loss_weights needs exactly three entries, "
+                             f"got {self.loss_weights!r}")
         self.loss_weights = tuple(float(json_value("loss_weights", w, "number"))
                                   for w in self.loss_weights)
         if not all(math.isfinite(w) and w >= 0.0 for w in self.loss_weights) or \
@@ -104,8 +105,6 @@ class ModelConfig:
             layers = d.pop("num_attention_layers")
             if not is_json(layers, "integer") or layers != 1:
                 raise ValueError("num_attention_layers is fixed at 1")
-        if "loss_weights" in d:
-            d["loss_weights"] = tuple(d["loss_weights"])
         return cls(**d)
 
 

@@ -11,7 +11,7 @@ from collections import Counter
 
 import numpy as np
 
-from sain.data import EncodedFeatures, FeatureColumns, FeatureVocab
+from sain.data import FeatureColumns, FeatureVocab, PackedFeatures
 from sain.errors import ParseError
 from sain.tensor import softmax_rows, top_k_mask_rows
 
@@ -179,22 +179,26 @@ def packed_tables(slots, vocab: FeatureVocab, owner: str):
     return rows, weights, bounds
 
 
-def encoded(slots, num_fields: int | None = None) -> EncodedFeatures:
-    """The per-side record of per-entity slots (per entity, one index list
-    per field); num_fields is needed only when there are no entities."""
+def encoded(slots, num_fields: int | None = None) -> tuple:
+    """pack_features' (num_entities, sizes, indices) for per-entity slots (per
+    entity, one index list per field); num_fields is needed only when there
+    are no entities."""
     if num_fields is None:
         num_fields = len(slots[0])
-    return EncodedFeatures(
-        num_entities=len(slots),
-        sizes=[np.array([len(e[f]) for e in slots], dtype=np.int64)
-               for f in range(num_fields)],
-        indices=[np.array([i for e in slots for i in e[f]], dtype=np.int64)
-                 for f in range(num_fields)])
+    return (len(slots),
+            [np.array([len(e[f]) for e in slots], dtype=np.int64) for f in range(num_fields)],
+            [np.array([i for e in slots for i in e[f]], dtype=np.int64)
+             for f in range(num_fields)])
 
 
-def slots_of(features: EncodedFeatures) -> list:
-    """The per-entity slots of a per-side record, as entity_slots lists them."""
-    per_field = [np.split(index, np.cumsum(sizes)[:-1]) if sizes.size else []
-                 for sizes, index in zip(features.sizes, features.indices)]
-    return [[per_field[f][e].tolist() for f in range(len(per_field))]
-            for e in range(features.num_entities)]
+def slots_of(packed: PackedFeatures, vocab: FeatureVocab, owner: str) -> list:
+    """The per-entity slots of one side's packed tables, as entity_slots lists
+    them: in each field's column block, the rows less the field's offset
+    where the weight is above 0. Packing puts a slot's k-th index k columns
+    into the block, so this reads back exactly the slots packed."""
+    offsets = vocab.offsets()
+    spans = [(lo, hi, offsets[f]) for lo, hi, f
+             in zip(packed.bounds, packed.bounds[1:], vocab.fields_of(owner))]
+    return [[(rows[lo:hi][weights[lo:hi] > 0] - offset).tolist()
+             for lo, hi, offset in spans]
+            for rows, weights in zip(packed.rows, packed.weights)]

@@ -88,8 +88,8 @@ def test_criterion_02_attention_rows_are_filtered_distributions():
         k = 1 + i % 5
         config = ModelConfig(embed_dim=4, num_heads=2, top_k=k, dropout_rate=0.0)
         params = SainParams.init(layout, config, rng)
-        user_packed = pack_features(_toy_entities(rng, 4), vocab, "user")
-        item_packed = pack_features(_toy_entities(rng, 4), vocab, "item")
+        user_packed = pack_features(*_toy_entities(rng, 4), vocab, "user")
+        item_packed = pack_features(*_toy_entities(rng, 4), vocab, "item")
         b = int(rng.integers(1, 5))
         trace = forward_batch(rng.integers(0, 4, size=b),
                               rng.integers(0, 4, size=b),
@@ -122,8 +122,8 @@ def test_criterion_03_full_k_equals_unfiltered_attention():
         params = SainParams.init(layout, cfg_full, rng)
         params.tensors["embeddings"] = rng.normal(
             0.0, 1.0, params.tensors["embeddings"].shape)
-        user_packed = pack_features(_toy_entities(rng, 4), vocab, "user")
-        item_packed = pack_features(_toy_entities(rng, 4), vocab, "item")
+        user_packed = pack_features(*_toy_entities(rng, 4), vocab, "user")
+        item_packed = pack_features(*_toy_entities(rng, 4), vocab, "item")
         uids = rng.integers(0, 4, size=3)
         iids = rng.integers(0, 4, size=3)
         args = (uids, iids, user_packed, item_packed, params)

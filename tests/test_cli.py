@@ -263,7 +263,12 @@ class TestTrainCommand:
         ("model_config", "bn_epsilon", -1.0), ("model_config", "bn_momentum", 2.0),
         ("model_config", "loss_weights", [0.0, 0.0, 0.0]),
         ("model_config", "loss_weights", [1.0, -1.0, 1.0]),
-        ("model_config", "num_attention_layers", 2)])
+        ("model_config", "num_attention_layers", 2),
+        # A number, null or NaN exited 4 with "'int' object is not iterable"
+        # and no key named, while a two-entry list exited 1.
+        ("model_config", "loss_weights", 5), ("model_config", "loss_weights", None),
+        ("model_config", "loss_weights", float("nan")),
+        ("model_config", "loss_weights", "abc"), ("model_config", "loss_weights", [1, 2])])
     def test_bad_run_config_values_exit_1_before_training(
             self, tmp_path, synthetic_manifest, capsys, scope, key, value):
         base = {"model_config": {"embed_dim": 8, "num_heads": 2, "top_k": 2,
@@ -430,6 +435,35 @@ class TestBadDataFiles:
         assert not (tmp_path / "out").exists()
 
 
+    def test_unknown_owner_names_the_manifest(self, tmp_path, capsys):
+        # The refusal named the field but not the manifest.
+        def edit(root):
+            manifest = json.loads((root / "dataset.json").read_text())
+            manifest["features"][0]["owner"] = "movie"
+            (root / "dataset.json").write_text(json.dumps(manifest))
+        config = _broken_dataset(tmp_path, edit)
+        assert main(["train", "--config", config]) == 4
+        assert capsys.readouterr().err == (
+            f"error category=parse: dataset manifest {tmp_path / 'data' / 'dataset.json'}: "
+            f"unknown owner 'movie' for field 'gender'\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_min_ratings_that_leaves_too_few_ratings_names_the_filter(self, tmp_path,
+                                                                      capsys):
+        # The refusal was "dataset too small to split", naming neither the
+        # file nor the filter.
+        def edit(root):
+            manifest = json.loads((root / "dataset.json").read_text())
+            manifest["min_ratings"] = 1000
+            (root / "dataset.json").write_text(json.dumps(manifest))
+        config = _broken_dataset(tmp_path, edit)
+        assert main(["train", "--config", config]) == 1
+        assert capsys.readouterr().err == (
+            f"error category=error: {tmp_path / 'data' / 'ratings.tsv'} with min_ratings "
+            f"1000: dataset too small to split (0 ratings kept)\n")
+        assert not (tmp_path / "out").exists()
+
+
 def _config_directory(path):
     path.mkdir()
 
@@ -550,6 +584,19 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error category=parse") and err.count("\n") == 1
         assert "num_attention_layers is fixed at 1" in err
+
+    @pytest.mark.parametrize("value", [5, [1, 2]], ids=["number", "two-entries"])
+    def test_bad_loss_weights_in_a_checkpoint_exit_4(self, trained, capsys, value):
+        run_config, tmp_path = trained
+        path = str(tmp_path / "out" / "model.ckpt")
+        ckpt = load_checkpoint(path)
+        ckpt.config["loss_weights"] = value
+        save_checkpoint(path, ckpt)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", run_config]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error category=parse: checkpoint ") and err.count("\n") == 1
+        assert path in err and "loss_weights" in err
 
     def test_missing_checkpoint_exits_3(self, run_config, capsys):
         assert main(["evaluate", "--config", run_config,

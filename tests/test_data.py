@@ -388,41 +388,47 @@ class TestEncode:
     def test_multi_token_slot_is_sorted_dedup(self, tmp_path):
         g, vocab = self._vocab(tmp_path)
         raw = {"genre": parse_feature_file(g)}
-        feats = encode_entity_features(raw, vocab, {"i1": 0, "i2": 1}, "item")
-        assert feats.num_entities == 2
-        assert feats.sizes[0].dtype == feats.indices[0].dtype == np.int64
-        assert feats.sizes[0].tolist() == [2, 1]
-        assert feats.indices[0].tolist() == [0, 1, 2]
-        assert slots_of(feats) == [[[0, 1]], [[2]]]
+        packed = encode_entity_features(raw, vocab, {"i1": 0, "i2": 1}, "item")
+        assert packed.rows.shape[0] == 2
+        assert packed.rows.dtype == np.int64 and packed.weights.dtype == np.float64
+        slots = slots_of(packed, vocab, "item")
+        _, sizes, indices = encoded(slots)
+        assert sizes[0].tolist() == [2, 1]
+        assert indices[0].tolist() == [0, 1, 2]
+        assert slots == [[[0, 1]], [[2]]]
 
     def test_repeated_and_reordered_tokens_are_sorted_dedup(self, tmp_path):
         g, vocab = self._vocab(tmp_path)
         raw = {"genre": feature_columns({"i1": ["comedy", "action", "comedy", "western"],
                                          "i2": ["drama"]})}
-        feats = encode_entity_features(raw, vocab, {"i2": 0, "i1": 1}, "item")
-        assert slots_of(feats) == [[[2]], [[0, 1]]]
+        packed = encode_entity_features(raw, vocab, {"i2": 0, "i1": 1}, "item")
+        assert slots_of(packed, vocab, "item") == [[[2]], [[0, 1]]]
 
     def test_unknown_tokens_dropped_and_empty_falls_back(self, tmp_path):
         g, vocab = self._vocab(tmp_path)
         raw = {"genre": feature_columns({"i3": ["western"]})}
-        feats = encode_entity_features(raw, vocab, {"i3": 0}, "item")
-        assert slots_of(feats) == [[[vocab.unknown_index("genre")]]]
+        packed = encode_entity_features(raw, vocab, {"i3": 0}, "item")
+        assert slots_of(packed, vocab, "item") == [[[vocab.unknown_index("genre")]]]
 
     def test_entity_on_non_adjacent_lines(self, tmp_path):
         path = _write_text(tmp_path, "e1\ta\ne2\tb\ne1\tc\n", name="g.tsv")
         vocab = build_feature_vocab([FieldSpec("g", "user", path)], tag_top_t=50)
-        feats = encode_entity_features({"g": parse_feature_file(path)}, vocab,
-                                       {"e2": 0, "e1": 1}, "user")
-        assert feats.sizes[0].tolist() == [1, 2]
-        assert feats.indices[0].tolist() == [2, 0, 1]
-        assert slots_of(feats) == [[[2]], [[0, 1]]]
+        packed = encode_entity_features({"g": parse_feature_file(path)}, vocab,
+                                        {"e2": 0, "e1": 1}, "user")
+        slots = slots_of(packed, vocab, "user")
+        _, sizes, indices = encoded(slots)
+        assert sizes[0].tolist() == [1, 2]
+        assert indices[0].tolist() == [2, 0, 1]
+        assert slots == [[[2]], [[0, 1]]]
 
     def test_entity_missing_from_file_gets_unknown(self, tmp_path):
         g, vocab = self._vocab(tmp_path)
-        for columns in ({"genre": feature_columns({})}, {}):
-            feats = encode_entity_features(columns, vocab, {"i9": 0}, "item")
-            assert slots_of(feats) == [[[3]]]
-            assert feats.sizes[0].tolist() == [1] and feats.indices[0].tolist() == [3]
+        packed = encode_entity_features({"genre": feature_columns({})}, vocab,
+                                        {"i9": 0}, "item")
+        slots = slots_of(packed, vocab, "item")
+        assert slots == [[[3]]]
+        _, sizes, indices = encoded(slots)
+        assert sizes[0].tolist() == [1] and indices[0].tolist() == [3]
 
 
 def _field_columns(packed):
@@ -440,7 +446,7 @@ class TestPack:
         write_feature_file(t, {"i1": ["x", "y"], "i2": ["x"]})
         vocab = build_feature_vocab([FieldSpec("genre", "item", g),
                                      FieldSpec("tag", "item", t)], tag_top_t=50)
-        packed = pack_features(encoded([[[0], [0, 1]], [[1], [0]]]), vocab, "item")
+        packed = pack_features(*encoded([[[0], [0, 1]], [[1], [0]]]), vocab, "item")
         assert vocab.fields_of("item") == ["genre", "tag"]
         assert packed.bounds == [0, 1, 3]
         assert packed.rows.dtype == np.int64 and packed.weights.dtype == np.float64
@@ -453,16 +459,16 @@ class TestPack:
         np.testing.assert_array_equal(weights[0], [[1.0], [1.0]])
 
     def test_weights_are_mask_over_count_bit_for_bit(self, prepared):
-        for owner, features, packed in (
-                ("user", prepared.user_features, prepared.user_packed),
-                ("item", prepared.item_features, prepared.item_packed)):
-            n = features.num_entities
+        for owner, packed in (("user", prepared.user_packed),
+                              ("item", prepared.item_packed)):
+            fields = prepared.vocab.fields_of(owner)
+            n, sizes, _ = encoded(slots_of(packed, prepared.vocab, owner), len(fields))
             assert packed.weights.dtype == np.float64
             assert packed.rows.shape == packed.weights.shape
             assert packed.weights.shape == (n, packed.bounds[-1])
             _, weights = _field_columns(packed)
-            for fi in range(len(prepared.vocab.fields_of(owner))):
-                lengths = features.sizes[fi]
+            for fi in range(len(fields)):
+                lengths = sizes[fi]
                 width = weights[fi].shape[1]
                 assert width == lengths.max()
                 mask = (np.arange(width) < lengths[:, None]).astype(np.float64)
@@ -489,25 +495,23 @@ class TestPack:
              "empty-field", "empty-slot"])
     def test_bad_slots_are_rejected_naming_the_field(self, owner, slots, field):
         with pytest.raises(ShapeError, match=f"field '{field}'"):
-            pack_features(encoded(slots), _toy_vocab(), owner)
+            pack_features(*encoded(slots), _toy_vocab(), owner)
 
     def test_records_that_do_not_fit_the_side_are_rejected(self):
         vocab = _toy_vocab()
-        good = encoded([[[0], [0, 1]], [[1], [2]]])
+        n, sizes, indices = encoded([[[0], [0, 1]], [[1], [2]]])
         with pytest.raises(ShapeError, match="hold 1 fields, the item side has 2"):
-            pack_features(dataclasses.replace(good, sizes=good.sizes[:1],
-                                              indices=good.indices[:1]), vocab, "item")
-        short = dataclasses.replace(good, indices=[good.indices[0], good.indices[1][:2]])
+            pack_features(n, sizes[:1], indices[:1], vocab, "item")
         with pytest.raises(ShapeError, match="field 'if1'"):
-            pack_features(short, vocab, "item")
+            pack_features(n, sizes, [indices[0], indices[1][:2]], vocab, "item")
         with pytest.raises(ShapeError, match="field 'if0'"):
-            pack_features(dataclasses.replace(good, num_entities=3), vocab, "item")
+            pack_features(3, sizes, indices, vocab, "item")
 
     def test_a_side_without_fields_has_empty_tables(self, tmp_path):
         g = str(tmp_path / "g.tsv")
         write_feature_file(g, {"i1": ["a"]})
         vocab = build_feature_vocab([FieldSpec("genre", "item", g)], tag_top_t=50)
-        packed = pack_features(encoded([[] for _ in range(3)]), vocab, "user")
+        packed = pack_features(*encoded([[] for _ in range(3)]), vocab, "user")
         assert vocab.fields_of("user") == [] and packed.bounds == [0]
         assert packed.rows.shape == packed.weights.shape == (3, 0)
         assert packed.rows.dtype == np.int64 and packed.weights.dtype == np.float64
@@ -519,13 +523,16 @@ class TestBuildDataset:
         split = prepared.split
         assert len(split.validation) == len(split.test) == n // 10
         assert len(split.train) == n - 2 * (n // 10)
-        assert prepared.user_features.num_entities == prepared.num_users
-        assert prepared.item_features.num_entities == prepared.num_items
-        for features, owner in ((prepared.user_features, "user"),
-                                (prepared.item_features, "item")):
-            assert len(features.sizes) == len(prepared.vocab.fields_of(owner))
-            for sizes, index in zip(features.sizes, features.indices):
-                assert sizes.shape == (features.num_entities,)
+        assert prepared.user_packed.rows.shape[0] == prepared.num_users
+        assert prepared.item_packed.rows.shape[0] == prepared.num_items
+        for packed, owner in ((prepared.user_packed, "user"),
+                              (prepared.item_packed, "item")):
+            fields = prepared.vocab.fields_of(owner)
+            assert len(packed.bounds) == len(fields) + 1
+            n, per_field, indices = encoded(slots_of(packed, prepared.vocab, owner),
+                                            len(fields))
+            for sizes, index in zip(per_field, indices):
+                assert sizes.shape == (n,)
                 assert sizes.min() >= 1 and index.shape == (sizes.sum(),)
         users, items, ratings = interactions_to_arrays(prepared.interactions)
         assert users.max() < prepared.num_users

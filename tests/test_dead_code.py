@@ -27,11 +27,6 @@ EXEMPT_MEMBERS = {
     # DatasetSplit.select reads the split by name through getattr.
     "data.DatasetSplit.validation",
     "data.DatasetSplit.test",
-    # Read only by tests. Dropping these records from PreparedData raised
-    # the benchmark's peak RSS by 5 MB through the heap layout, so they stay
-    # until a measurement says otherwise.
-    "data.PreparedData.user_features",
-    "data.PreparedData.item_features",
     # argparse calls it on a usage error, on the parser and its subparsers.
     "cli._Parser.error",
 }

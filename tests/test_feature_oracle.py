@@ -13,7 +13,7 @@ import pytest
 from oracles import (columns_dict, entity_slots, feature_dict, feature_vocab,
                      packed_tables)
 from sain.data import (OWNERS, FieldSpec, build_feature_vocab,
-                       encode_entity_features, pack_features, parse_feature_file)
+                       encode_entity_features, parse_feature_file)
 from sain.errors import ParseError
 
 
@@ -25,8 +25,7 @@ def package_tables(specs, tag_top_t, ids):
     packed = {}
     for owner in OWNERS:
         raw = {s.name: parse_feature_file(s.path) for s in specs if s.owner == owner}
-        packed[owner] = pack_features(encode_entity_features(raw, vocab, ids[owner], owner),
-                                      vocab, owner)
+        packed[owner] = encode_entity_features(raw, vocab, ids[owner], owner)
     return vocab, packed
 
 

@@ -4,7 +4,8 @@ variants, plus structural gradient properties that the oracle cannot see."""
 import numpy as np
 import pytest
 
-from sain.gradcheck import (TOLERANCE, _toy_entities, build_sain_fixture,
+from sain.data import pack_features
+from sain.gradcheck import (TOLERANCE, _toy_entities, _toy_vocab, build_sain_fixture,
                             check_biasedmf, check_sain, run_suite)
 from sain.model import backward, forward_batch, joint_loss
 
@@ -22,7 +23,9 @@ def test_toy_entities_keep_the_per_entity_draws():
             multi = sorted(ref.choice(3, size=int(ref.integers(1, 3)),
                                       replace=False).tolist())
             want.append([single, multi])
-        assert slots_of(_toy_entities(rng, 6)) == want
+        vocab = _toy_vocab()
+        packed = pack_features(*_toy_entities(rng, 6), vocab, "user")
+        assert slots_of(packed, vocab, "user") == want
         assert rng.random() == ref.random()
 
 

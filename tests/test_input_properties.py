@@ -1,8 +1,10 @@
-"""Property tests for two of the program's inputs, run configs and dataset
-manifests: whatever JSON value one key takes, `sain evaluate` (which checks
-the whole run config and builds the data, without training) returns a
-documented exit code, prints exactly one `error category=` line when that
-code is not 0, and never raises. Skipped when hypothesis is not installed.
+"""Property tests for three of the program's inputs: run configs, dataset
+manifests and feature files. Whatever JSON value one key takes, `sain
+evaluate` (which checks the whole run config and builds the data, without
+training) returns a documented exit code, prints exactly one `error
+category=` line when that code is not 0, and never raises. Whatever lines
+are spliced into one feature file, `sain train` does the same. Skipped when
+hypothesis is not installed.
 
 Path-valued keys (the run config's `dataset`, the manifest's `ratings` and a
 feature's `path`) take only names under the test's own directory: a missing
@@ -50,6 +52,20 @@ SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 40),
 VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
                       | st.dictionaries(TEXT, inner, max_size=3), max_leaves=5)
 
+# Feature-file lines: pieces joined by separators, then a line end. A piece
+# is an entity or token of the dataset, another id, empty or blank text,
+# bytes that are not UTF-8, a NUL, or a character that str.splitlines would
+# break a line at (NEL, U+2028, form feed) but the readers must not. A line
+# end may be CR alone, doubled (a blank line) or missing, which joins the
+# line to the next.
+PIECES = st.sampled_from([b"u0", b"u7", b"i3", b"x9", b"M", b"20s", b"action", b"t1",
+                          b"", b" ", b"\xc3\xa9", b"\xff", b"\xe9t\xe9", b"\x00",
+                          b"\xc2\x85", b"\xe2\x80\xa8", b"\x0c"])
+SEPARATORS = st.sampled_from([b"\t", b"|", b"||", b"\t\t", b" ", b","])
+ENDS = st.sampled_from([b"\n", b"\r\n", b"\r", b"\n\n", b"\r\r", b""])
+LINE = st.tuples(st.lists(st.tuples(PIECES, SEPARATORS), max_size=4), PIECES, ENDS).map(
+    lambda t: b"".join(piece + sep for piece, sep in t[0]) + t[1] + t[2])
+
 
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as f:
@@ -89,15 +105,16 @@ def _edited(doc, slot, value):
     return doc
 
 
-def _evaluate_once(run, config) -> int:
-    """Run `sain evaluate` on `config`, check the property, and return the
-    exit code."""
+def _main_once(run, config, command="evaluate") -> int:
+    """Run `sain evaluate` (or `sain train`) on `config`, check the property,
+    and return the exit code."""
     with tempfile.TemporaryDirectory(dir=run["root"]) as out_dir:
         config_path = _write_json(os.path.join(out_dir, "run.json"), config)
+        checkpoint = ["--checkpoint", run["checkpoint"]] if command == "evaluate" else []
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["evaluate", "--config", config_path, "--checkpoint",
-                         run["checkpoint"], "--output-dir", out_dir])
+            code = main([command, "--config", config_path, "--output-dir", out_dir]
+                        + checkpoint)
     assert code in EXIT_CODES
     if code == 0:
         assert err.getvalue() == ""
@@ -119,8 +136,8 @@ def _path(run, slot, name):
 
 def test_the_unedited_inputs_evaluate(run):
     manifest = _write_json(run["root"] / "data" / "edited.json", run["manifest"])
-    assert _evaluate_once(run, run["config"]) == 0
-    assert _evaluate_once(run, {**run["config"], "dataset": manifest}) == 0
+    assert _main_once(run, run["config"]) == 0
+    assert _main_once(run, {**run["config"], "dataset": manifest}) == 0
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
@@ -129,7 +146,7 @@ def test_the_unedited_inputs_evaluate(run):
 def test_any_run_config_value_ends_in_a_code_and_one_line(run, slot, value, path):
     if slot in PATH_SLOTS:
         value = _path(run, slot, path)
-    _evaluate_once(run, _edited(run["config"], slot, value))
+    _main_once(run, _edited(run["config"], slot, value))
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
@@ -144,4 +161,19 @@ def test_any_manifest_value_ends_in_a_code_and_one_line(run, slot, value, path):
         value = _path(run, slot, path)
     manifest = _write_json(run["root"] / "data" / "edited.json",
                            _edited(run["manifest"], slot, value))
-    _evaluate_once(run, {**run["config"], "dataset": manifest})
+    _main_once(run, {**run["config"], "dataset": manifest})
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(feature=st.integers(0, 3), at=st.integers(0, 40),
+                  lines=st.lists(LINE, max_size=6))
+def test_any_feature_file_ends_in_a_code_and_one_line(run, feature, at, lines):
+    """The drawn lines go into one feature file at line `at` (at its end past
+    the last line), and one epoch trains on it."""
+    data = run["root"] / "data"
+    original = (data / run["manifest"]["features"][feature]["path"]).read_bytes()
+    kept = original.splitlines(keepends=True)
+    (data / "drawn.tsv").write_bytes(b"".join(kept[:at] + lines + kept[at:]))
+    manifest = _write_json(data / "edited.json", _edited(
+        run["manifest"], (("features", feature), "path"), "drawn.tsv"))
+    _main_once(run, {**run["config"], "dataset": manifest}, command="train")

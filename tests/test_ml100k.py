@@ -91,7 +91,7 @@ class TestConverter:
         assert set(data.vocab.tokens["gender"]) == {"M", "F"}
         assert "unknown" not in data.vocab.tokens["genre"]
         # The all-unknown item falls back to the reserved slot.
-        flagless = slots_of(data.item_features)[data.item_ids["2"]]
+        flagless = slots_of(data.item_packed, data.vocab, "item")[data.item_ids["2"]]
         assert flagless[0] == [data.vocab.unknown_index("genre")]
 
     def test_missing_archive_file(self, tmp_path):

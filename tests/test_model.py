@@ -175,8 +175,8 @@ class TestParams:
 
 def _one_pair(prepared, user_slots, item_slots):
     """Packed tables holding one user and one item with the given slots."""
-    return (pack_features(encoded([user_slots]), prepared.vocab, "user"),
-            pack_features(encoded([item_slots]), prepared.vocab, "item"))
+    return (pack_features(*encoded([user_slots]), prepared.vocab, "user"),
+            pack_features(*encoded([item_slots]), prepared.vocab, "item"))
 
 
 class TestEmbedPair:

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from sain import model
-from sain.data import EncodedFeatures, FeatureVocab, FieldSpec, pack_features
+from sain.data import FeatureVocab, FieldSpec, pack_features
 from sain.model import FieldLayout, ForwardTrace, ModelConfig, SainParams
 from sain.tensor import finite_diff_gradient, relative_error
 
@@ -69,13 +69,14 @@ def _vocab() -> FeatureVocab:
     return FeatureVocab(specs, {s.name: {"a": 0, "b": 1, "c": 2} for s in specs})
 
 
-def _entities(rng, vocab: FeatureVocab, owner: str) -> EncodedFeatures:
-    """ENTITIES entities with one to three distinct indices in every field."""
+def _entities(rng, vocab: FeatureVocab, owner: str):
+    """pack_features' (num_entities, sizes, indices) for ENTITIES entities
+    with one to three distinct indices in every field."""
     sizes = [rng.integers(1, 4, size=ENTITIES) for _ in vocab.fields_of(owner)]
     indices = [np.concatenate([np.sort(rng.choice(vocab.field_size(f), size=n,
                                                   replace=False)) for n in counts])
                for f, counts in zip(vocab.fields_of(owner), sizes)]
-    return EncodedFeatures(num_entities=ENTITIES, sizes=sizes, indices=indices)
+    return ENTITIES, sizes, indices
 
 
 def _randomize(params: SainParams, rng) -> None:
@@ -104,7 +105,7 @@ def build_case(mode: str, seed: int = 0, **config) -> Case:
     for attempt in range(100):
         params = SainParams.init(layout, config, rng)
         _randomize(params, rng)
-        packed = {side: pack_features(_entities(rng, vocab, side), vocab, side)
+        packed = {side: pack_features(*_entities(rng, vocab, side), vocab, side)
                   for side in model.SIDES}
         ids = {side: rng.integers(0, ENTITIES, size=BATCH) for side in model.SIDES}
         ratings = rng.uniform(1.0, 5.0, size=BATCH)

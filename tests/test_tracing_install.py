@@ -1,0 +1,43 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps `sain` functions and
+methods by name, where their callers look them up. A renamed or deleted
+name makes every benchmark run fail at install; this test makes it fail
+here first. It installs the tracer on `sain`, checks that set-up calls
+`pack_features` through its module global from `encode_entity_features`,
+and checks that restoring puts every attribute back."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for path in (ROOT, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
+
+import sain  # noqa: E402
+import sain.training  # noqa: E402
+from perfbench import tracing  # noqa: E402
+from sain.data import DatasetManifest  # noqa: E402
+
+OWNERS = (sain.data, sain.training, sain.model, sain.data.PreparedData,
+          sain.training.SainEngine, sain.training.MfEngine)
+WRAPS = 33  # install's wraps today; a change to its list changes this
+
+
+def _attributes():
+    return [{name: id(value) for name, value in vars(owner).items()} for owner in OWNERS]
+
+
+def test_install_wraps_every_name_and_restore_puts_them_back(synthetic_manifest):
+    before = _attributes()
+    tracer = tracing.Tracer("tier-1")
+    try:
+        tracing.install(tracer, sain)
+        assert len(tracer._patches) == WRAPS
+        assert _attributes() != before
+        sain.data.build_dataset(DatasetManifest.from_file(synthetic_manifest), seed=0)
+    finally:
+        tracer.restore()
+    assert _attributes() == before
+    names = {s.id: s.name for s in tracer.spans}
+    packs = [s for s in tracer.spans if s.name == "data.pack_features"]
+    assert [names[s.parent] for s in packs] == ["data.encode_entity_features"] * 2
