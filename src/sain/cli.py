@@ -124,9 +124,10 @@ def _add_override_flags(p: argparse.ArgumentParser, keys=tuple(OVERRIDES)) -> No
         p.add_argument("--" + key.split(".")[1].replace("_", "-"), **OVERRIDES[key])
 
 
-def _write_timing(out_dir: str, command: str, seconds: float) -> None:
+def _write_timing(out_dir: str, command: str, seconds: float, **extra) -> None:
     with open(os.path.join(out_dir, f"{command}.timing.json"), "w") as f:
-        json.dump({"command": command, "wall_seconds": seconds}, f, sort_keys=True)
+        json.dump({"command": command, "wall_seconds": seconds, **extra}, f,
+                  sort_keys=True)
         f.write("\n")
 
 
@@ -184,7 +185,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     write_training_log(os.path.join(rm.output_dir, "training_log.csv"),
                        result.history)
     _write_json(os.path.join(rm.output_dir, "resolved.json"), rm.resolved())
-    _write_timing(rm.output_dir, "train", time.perf_counter() - started)
+    _write_timing(rm.output_dir, "train", time.perf_counter() - started,
+                  stop_reason=result.stop_reason,
+                  epochs=[{"epoch": k, "train_seconds": train_s, "eval_seconds": eval_s}
+                          for k, (train_s, eval_s) in enumerate(result.epoch_seconds, 1)])
     print(f"model={rm.model} epochs={len(result.history)} "
           f"best_epoch={result.best_epoch} "
           f"val_rmse={fmt(result.best_val_rmse)} checkpoint={ckpt_path}")

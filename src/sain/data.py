@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import IoError, ParseError, ShapeError, is_json, json_value
 from .seeding import derive_seed
+from .tensor import sorted_distinct
 
 OWNERS = ("user", "item")
 INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
@@ -275,16 +276,6 @@ def _codes(keys: list[str]) -> tuple[list[str], np.ndarray]:
     return list(index), np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of an integer array, as np.unique gives
-    them, by one sort and a comparison of neighbours; np.unique's hash path
-    is many times slower on large int64 arrays."""
-    keys = np.sort(keys)
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
-
-
 def _dense_ids(names: list[str], code: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
     """Renumber the codes of `names` 0, 1, ... in order of first appearance
     in `code`: the new id of each name that appears, and the new codes.
@@ -438,7 +429,7 @@ def build_feature_vocab(specs: list[FieldSpec], tag_top_t: int,
             flat, entity = list(compress(flat, member.tolist())), entity[member]
         names, code = _codes(flat)
         # one key per distinct (entity, token) pair, so an entity counts once
-        pairs = _distinct(entity * len(names) + code)
+        pairs = sorted_distinct(entity * len(names) + code)
         users = np.bincount(pairs % max(len(names), 1), minlength=len(names))
         ranked = sorted(range(len(names)), key=lambda j: (-users[j], names[j]))
         tokens[spec.name] = {names[j]: i for i, j in enumerate(ranked[:tag_top_t])}
@@ -486,8 +477,8 @@ def encode_entity_features(columns_by_field: dict[str, FeatureColumns],
         entity, index = entity[known], index[known]
         empty = np.ones(n, dtype=bool)
         empty[entity] = False
-        keys = _distinct(np.concatenate([entity * size + index,
-                                         np.flatnonzero(empty) * size + unknown]))
+        keys = sorted_distinct(np.concatenate([entity * size + index,
+                                               np.flatnonzero(empty) * size + unknown]))
         entity, index = np.divmod(keys, size)
         sizes.append(np.bincount(entity, minlength=n))
         indices.append(index)

@@ -1,8 +1,9 @@
 """Minimal dense numerical kernel: a row-wise stable softmax, a deterministic
-row-wise top-k mask, a row scatter-add, the parameter arena (ParamSet) with
-its in-place, cache-blocked Adam step with decoupled weight decay, and a
-central finite-difference oracle used to certify every analytic gradient in
-this package.
+row-wise top-k mask, a row scatter-add, sorted distinct ids, the parameter
+arena (ParamSet) with its in-place, cache-blocked Adam step with decoupled
+weight decay (which can leave out the zero-gradient terms of the rows a
+batch did not touch), and a central finite-difference oracle used to
+certify every analytic gradient in this package.
 
 A ParamSet is the one holder of a model's tensors and Adam state; its
 optimizer_state() is the form a checkpoint stores, and its constructor takes
@@ -68,13 +69,28 @@ def scatter_add_rows(rows: np.ndarray, values: np.ndarray, num_rows: int) -> np.
                        minlength=num_rows * d).reshape(num_rows, d)
 
 
-ADAM_BLOCK = 16384   # elements per block: the six 128 KiB slices it touches fit in L2
+# Elements per Adam block: the six 256 KiB slices the dense update touches fit
+# in a 2 MiB L2. On a 2-core Xeon with 2 MiB of L2 per core, a BiasedMF step
+# over a ~9k x 8k catalog at d=64 ran about 9% faster than at 16384 elements
+# (four alternating in-process pairs, 300 steps each); the block changes no bit.
+ADAM_BLOCK = 32768
+
+
+def sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array, as np.unique gives
+    them, by one sort and a comparison of neighbours; np.unique's hash path
+    is many times slower on large int64 arrays."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
               t: int, lr: float, weight_decay: float = 0.0, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8,
-              scratch: np.ndarray | None = None) -> None:
+              scratch: np.ndarray | None = None,
+              rows: np.ndarray | None = None) -> None:
     """One Adam update with bias correction, in place on param, m and v; t is
     the number of this step (1 on the first). L2 is decoupled: lr *
     weight_decay * param (the value before the step) is subtracted after the
@@ -84,28 +100,67 @@ def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     rows of `scratch` (allocated when None), so no full-size temporary is
     made. Every element sees the same float operations in the same order as
     the textbook form: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
-    param - (lr*(m/c1)) / (sqrt(v/c2) + eps) - (lr*wd)*param."""
+    param - (lr*(m/c1)) / (sqrt(v/c2) + eps) - (lr*wd)*param.
+
+    `rows`, when given, holds sorted distinct first-axis indices outside
+    which `grad` is exactly zero (a superset of the touched rows is fine).
+    The whole tensor is then swept without the gradient's five operations,
+    m = b1*m and v = b2*v, and `grad` is not read there; the given rows are
+    gathered before the sweep, updated in full, and written back. The
+    result has the same bits as the dense update, because adding the +0
+    terms of a zero gradient changes no moment that is not -0. Moments that
+    start at +0 never become -0 when beta1 and beta2 are above 1/2, so only
+    a hand-made optimizer state can break this, and then only in the sign
+    of a zero."""
     if param.shape != grad.shape or param.shape != m.shape or param.shape != v.shape:
         raise ValueError("shape mismatch")
     if not all(a.flags.c_contiguous and a.dtype == np.float64 for a in (param, m, v)):
         raise ValueError("param, m and v must be contiguous float64 arrays")
-    p, g, m, v = param.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1)
     if scratch is None:
-        scratch = np.empty((2, min(p.size, ADAM_BLOCK)))
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+        scratch = np.empty((2, min(param.size, ADAM_BLOCK)))
+    step = (1.0 - beta1 ** t, 1.0 - beta2 ** t, lr, weight_decay, beta1, beta2,
+            eps, scratch)
+    if rows is None:
+        _adam_blocks(param.reshape(-1), grad.reshape(-1), m.reshape(-1),
+                     v.reshape(-1), *step)
+        return
+    rows = _checked_rows(rows, param)
+    shape = (len(param), math.prod(param.shape[1:]))
+    p2, g2, m2, v2 = (a.reshape(shape) for a in (param, grad, m, v))
+    pr, gr, mr, vr = p2[rows], g2[rows], m2[rows], v2[rows]
+    _adam_blocks(param.reshape(-1), None, m.reshape(-1), v.reshape(-1), *step)
+    _adam_blocks(pr.reshape(-1), gr.reshape(-1), mr.reshape(-1), vr.reshape(-1), *step)
+    p2[rows], m2[rows], v2[rows] = pr, mr, vr
+
+
+def _checked_rows(rows: np.ndarray, param: np.ndarray) -> np.ndarray:
+    rows = np.asarray(rows)
+    if param.ndim == 0 or rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ValueError("rows must be a 1-d integer array indexing the first axis")
+    if rows.size and (rows[0] < 0 or rows[-1] >= len(param)
+                      or not (rows[1:] > rows[:-1]).all()):
+        raise ValueError(f"rows must be sorted, distinct and in [0, {len(param)})")
+    return rows
+
+
+def _adam_blocks(p, g, m, v, c1, c2, lr, weight_decay, beta1, beta2, eps,
+                 scratch) -> None:
+    """adam_step's blocked update of flat arrays; a `g` of None is a zero
+    gradient, whose terms are left out."""
     lr_wd = lr * weight_decay
     for lo in range(0, p.size, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, p.size)
-        pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        pb, mb, vb = p[lo:hi], m[lo:hi], v[lo:hi]
         x, y = scratch[0, :hi - lo], scratch[1, :hi - lo]
         np.multiply(mb, beta1, out=mb)
-        np.multiply(gb, 1.0 - beta1, out=x)
-        mb += x
         np.multiply(vb, beta2, out=vb)
-        np.multiply(gb, 1.0 - beta2, out=x)
-        x *= gb
-        vb += x
+        if g is not None:
+            gb = g[lo:hi]
+            np.multiply(gb, 1.0 - beta1, out=x)
+            mb += x
+            np.multiply(gb, 1.0 - beta2, out=x)
+            x *= gb
+            vb += x
         np.divide(vb, c2, out=y)
         np.sqrt(y, out=y)
         y += eps

@@ -3,7 +3,9 @@ stopping, divergence detection, and deterministic reporting. One generic loop
 drives both model kinds through a small engine interface, and both engines
 share one optimizer update: an in-place Adam step per tensor on the views of
 the model's ParamSet arena, so a step allocates nothing the size of the
-model. Evaluation clips predictions to the rating range; every emitted number
+model. Each engine names the batch's distinct ids as the rows of its
+entity-id tables, so Adam leaves out the zero-gradient terms of the rest,
+with the same bits. Evaluation clips predictions to the rating range; every emitted number
 is formatted with repr() so logs are byte-stable across runs.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +26,7 @@ from .errors import DivergenceError, ParseError, ShapeError, json_value
 from .model import (FieldLayout, ModelConfig, SainParams, backward,
                     decayed_names, forward_batch, joint_loss)
 from .seeding import derive_seed, stream_rng
-from .tensor import ParamSet, adam_step
+from .tensor import ParamSet, adam_step, sorted_distinct
 
 RATING_MIN, RATING_MAX = 1.0, 5.0
 # Pairs per eval-mode forward pass. A block's trace (q/k/v, four (B,H,S,S)
@@ -114,7 +117,8 @@ class TrainResult:
     """params is the best-validation-epoch snapshot (what gets served and
     checkpointed) and adam its optimizer state in checkpoint form, with views
     of the snapshot's moment vectors. final_params is the live engine's
-    params after the last epoch run, not a copy."""
+    params after the last epoch run, not a copy. epoch_seconds holds each
+    epoch's (train, eval) wall seconds, for the timing sidecar only."""
 
     params: object
     adam: dict
@@ -124,6 +128,13 @@ class TrainResult:
     stopped_early: bool
     seed: int
     final_params: object
+    epoch_seconds: list[tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def stop_reason(self) -> str:
+        """Why the loop ended: `patience` or `max_epochs` (a divergence
+        raises instead)."""
+        return "patience" if self.stopped_early else "max_epochs"
 
 
 def keep_heap() -> None:
@@ -145,16 +156,21 @@ def keep_heap() -> None:
 
 
 def adam_update(params: ParamSet, grads: dict[str, np.ndarray], tcfg: TrainConfig,
-                decay_set: set[str]) -> None:
+                decay_set: set[str], rows: dict[str, np.ndarray] | None = None) -> None:
     """One optimizer step of every tensor, in place: the set's step counter
     advances once, then adam_step runs on each tensor's arena view with its
-    moment views, decoupled decay on the names in decay_set."""
+    moment views, decoupled decay on the names in decay_set. `rows` maps a
+    tensor to the sorted distinct rows outside which its gradient is exactly
+    zero (the batch's ids, for a table indexed by entity id); adam_step then
+    leaves out the zero-gradient terms elsewhere, with the same bits."""
     params.t += 1
+    rows = rows or {}
     for name, tensor in params.tensors.items():
         m, v = params.moments[name]
         wd = tcfg.weight_decay if name in decay_set else 0.0
         adam_step(tensor, grads[name], m, v, params.t, tcfg.learning_rate, wd,
-                  params.beta1, params.beta2, params.eps, params.scratch)
+                  params.beta1, params.beta2, params.eps, params.scratch,
+                  rows=rows.get(name))
 
 
 class SainEngine:
@@ -183,7 +199,8 @@ class SainEngine:
                               dropout_rng=self.dropout_rng)
         loss, parts = joint_loss(trace, r, self.mcfg.loss_weights)
         grads = backward(trace, r, self.params, self.mcfg)
-        adam_update(self.params, grads, self.tcfg, self.decay_set)
+        rows = {"cf_user": sorted_distinct(u), "cf_item": sorted_distinct(i)}
+        adam_update(self.params, grads, self.tcfg, self.decay_set, rows)
         self.params.bn_mean = trace.bn_new_mean
         self.params.bn_var = trace.bn_new_var
         return loss, parts
@@ -217,7 +234,10 @@ class MfEngine:
         scores = mf_scores(u, i, self.params)
         loss = mf_loss(scores, r)
         grads = mf_backward(u, i, scores, r, self.params)
-        adam_update(self.params, grads, self.tcfg, self.decay_set)
+        users, items = sorted_distinct(u), sorted_distinct(i)
+        rows = {"user_factors": users, "user_bias": users,
+                "item_factors": items, "item_bias": items}
+        adam_update(self.params, grads, self.tcfg, self.decay_set, rows)
         return loss, (None, None, loss)
 
     def evaluate(self, split: str) -> EvalReport:
@@ -240,7 +260,9 @@ def run_training(engine, tcfg: TrainConfig) -> TrainResult:
     best_params = engine.snapshot()
     bad = 0
     stopped_early = False
+    epoch_seconds = []
     for epoch in range(1, tcfg.max_epochs + 1):
+        started = time.perf_counter()
         perm = shuffle_rng.permutation(n)
         sse = [0.0, 0.0, 0.0]
         seen = [False, False, False]
@@ -254,7 +276,9 @@ def run_training(engine, tcfg: TrainConfig) -> TrainResult:
                 if p is not None:
                     sse[j] += p * idx.shape[0]
                     seen[j] = True
+        trained = time.perf_counter()
         val = engine.evaluate("validation")
+        epoch_seconds.append((trained - started, time.perf_counter() - trained))
         history.append(EpochLog(
             epoch=epoch,
             loss_content=sse[0] / n if seen[0] else None,
@@ -274,7 +298,8 @@ def run_training(engine, tcfg: TrainConfig) -> TrainResult:
     return TrainResult(params=best_params, adam=best_params.optimizer_state(),
                        history=history, best_epoch=best_epoch,
                        best_val_rmse=best_rmse, stopped_early=stopped_early,
-                       seed=tcfg.seed, final_params=engine.params)
+                       seed=tcfg.seed, final_params=engine.params,
+                       epoch_seconds=epoch_seconds)
 
 
 def train_sain(data: PreparedData, mcfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:

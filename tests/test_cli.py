@@ -842,3 +842,13 @@ class TestTimingSidecar:
             payload = json.load(f)
         assert payload["command"] == "train"
         assert payload["wall_seconds"] >= 0.0
+        with open(tmp_path / "out" / "training_log.csv") as f:
+            epochs = len(f.readlines()) - 1
+        assert [e["epoch"] for e in payload["epochs"]] == list(range(1, epochs + 1))
+        assert all(e["train_seconds"] > 0.0 and e["eval_seconds"] > 0.0
+                   for e in payload["epochs"])
+        assert sum(e["train_seconds"] + e["eval_seconds"]
+                   for e in payload["epochs"]) <= payload["wall_seconds"]
+        meta = load_checkpoint(str(tmp_path / "out" / "model.ckpt")).meta
+        assert payload["stop_reason"] == (
+            "patience" if meta["stopped_early"] else "max_epochs")

@@ -1,10 +1,10 @@
-"""Property tests for three of the program's inputs: run configs, dataset
-manifests and feature files. Whatever JSON value one key takes, `sain
-evaluate` (which checks the whole run config and builds the data, without
-training) returns a documented exit code, prints exactly one `error
-category=` line when that code is not 0, and never raises. Whatever lines
-are spliced into one feature file, `sain train` does the same. Skipped when
-hypothesis is not installed.
+"""Property tests for four of the program's inputs: run configs, dataset
+manifests, feature files and the ratings file. Whatever JSON value one key
+takes, `sain evaluate` (which checks the whole run config and builds the
+data, without training) returns a documented exit code, prints exactly one
+`error category=` line when that code is not 0, and never raises. Whatever
+lines are spliced into one feature file or into the ratings file, `sain
+train` does the same. Skipped when hypothesis is not installed.
 
 Path-valued keys (the run config's `dataset`, the manifest's `ratings` and a
 feature's `path`) take only names under the test's own directory: a missing
@@ -65,6 +65,22 @@ SEPARATORS = st.sampled_from([b"\t", b"|", b"||", b"\t\t", b" ", b","])
 ENDS = st.sampled_from([b"\n", b"\r\n", b"\r", b"\n\n", b"\r\r", b""])
 LINE = st.tuples(st.lists(st.tuples(PIECES, SEPARATORS), max_size=4), PIECES, ENDS).map(
     lambda t: b"".join(piece + sep for piece, sep in t[0]) + t[1] + t[2])
+
+
+# Ratings-file lines: 0-6 fields joined by tabs (most often), spaces, `|` or
+# doubled tabs, then a line end as above. A field is an id of the dataset or
+# another, a valid number, or a number text that Python's float() or int()
+# reads in its own way: underscores, nan, an overflow, a negative zero, an
+# Arabic-Indic digit three, 20 digits, hexadecimal. Or it is empty, blank,
+# or bytes that are not UTF-8.
+RATING_FIELDS = st.sampled_from([
+    b"u0", b"u7", b"i3", b"x9", b"3", b"4.5", b"1000", b"1_0", b"nan", b"1e400",
+    b"-0", "\u0663".encode(), b"12345678901234567890", b"0x10", b"", b" ",
+    b"\xff", b"\xe9t\xe9"])
+RATING_SEPARATORS = st.sampled_from([b"\t", b"\t", b"\t", b" ", b"|", b"\t\t"])
+RATING_LINE = st.tuples(st.lists(st.tuples(RATING_FIELDS, RATING_SEPARATORS),
+                                 max_size=5), RATING_FIELDS, ENDS).map(
+    lambda t: b"".join(f + sep for f, sep in t[0]) + t[1] + t[2])
 
 
 def _write_json(path, payload):
@@ -164,16 +180,31 @@ def test_any_manifest_value_ends_in_a_code_and_one_line(run, slot, value, path):
     _main_once(run, {**run["config"], "dataset": manifest})
 
 
+def _train_spliced(run, slot, at, lines):
+    """Put `lines` into the file that the manifest's `slot` names, at line
+    `at` (at its end past the last line), as drawn.tsv, point `slot` at it,
+    and train one epoch."""
+    data = run["root"] / "data"
+    where, key = slot
+    kept = (data / _parent(run["manifest"], where)[key]).read_bytes().splitlines(True)
+    (data / "drawn.tsv").write_bytes(b"".join(kept[:at] + lines + kept[at:]))
+    manifest = _write_json(data / "edited.json", _edited(run["manifest"], slot, "drawn.tsv"))
+    _main_once(run, {**run["config"], "dataset": manifest}, command="train")
+
+
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(feature=st.integers(0, 3), at=st.integers(0, 40),
                   lines=st.lists(LINE, max_size=6))
 def test_any_feature_file_ends_in_a_code_and_one_line(run, feature, at, lines):
-    """The drawn lines go into one feature file at line `at` (at its end past
-    the last line), and one epoch trains on it."""
-    data = run["root"] / "data"
-    original = (data / run["manifest"]["features"][feature]["path"]).read_bytes()
-    kept = original.splitlines(keepends=True)
-    (data / "drawn.tsv").write_bytes(b"".join(kept[:at] + lines + kept[at:]))
-    manifest = _write_json(data / "edited.json", _edited(
-        run["manifest"], (("features", feature), "path"), "drawn.tsv"))
-    _main_once(run, {**run["config"], "dataset": manifest}, command="train")
+    """The drawn lines go into one feature file, and one epoch trains on it."""
+    _train_spliced(run, (("features", feature), "path"), at, lines)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(at=st.integers(0, 300), lines=st.lists(RATING_LINE, max_size=6))
+@hypothesis.example(at=0, lines=[b"x9\t\xd9\xa3\t1_0\t12345678901234567890\n"])
+@hypothesis.example(at=300, lines=[b"u0\ti3\t-0\n"])
+@hypothesis.example(at=5, lines=[b"u0\ti3\t4.5\t0x10\r"])
+def test_any_ratings_file_ends_in_a_code_and_one_line(run, at, lines):
+    """The drawn lines go into the ratings file, and one epoch trains on it."""
+    _train_spliced(run, ((), "ratings"), at, lines)

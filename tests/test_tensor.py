@@ -11,7 +11,7 @@ import pytest
 from sain.errors import ShapeError
 from sain.tensor import (ADAM_BLOCK, ParamSet, adam_step,
                          finite_diff_gradient, relative_error, scatter_add_rows,
-                         softmax_rows, top_k_mask_rows)
+                         softmax_rows, sorted_distinct, top_k_mask_rows)
 from sain.training import TrainConfig, adam_update
 
 from oracles import softmax_row, top_k_indices
@@ -303,6 +303,98 @@ class TestAdam:
             assert p.tobytes() == ref_p.tobytes()
             assert m.tobytes() == ref_m.tobytes()
             assert v.tobytes() == ref_v.tobytes()
+
+
+def _table(size):
+    """A 2-d table of `size` elements, with rows of at least 64."""
+    width = next(k for k in range(64, size + 1) if size % k == 0)
+    return (size // width, width)
+
+
+# Tables of ADAM_BLOCK - 1 and ADAM_BLOCK + 1 elements, 1-d and 2-d.
+ROW_TABLES = [(ADAM_BLOCK - 1,), (ADAM_BLOCK + 1,), _table(ADAM_BLOCK - 1),
+              _table(ADAM_BLOCK + 1)]
+
+
+class TestAdamRows:
+    """adam_step with `rows` against the out-of-place oracle, bit for bit:
+    the zero-gradient terms it leaves out outside `rows` change nothing."""
+
+    @staticmethod
+    def _moments(shape, rng, start):
+        if start == "zero":
+            return np.zeros(shape), np.zeros(shape)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        m = rng.integers(-40, 41, size=shape) * tiny
+        return m, np.abs(rng.integers(0, 41, size=shape) * tiny)
+
+    @pytest.mark.parametrize("shape", ROW_TABLES)
+    @pytest.mark.parametrize("given", ["all", "none", "superset"])
+    @pytest.mark.parametrize("start", ["zero", "subnormal"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_rows_match_the_out_of_place_oracle_bit_for_bit(
+            self, shape, given, start, weight_decay):
+        rng = np.random.default_rng(shape[0] + len(given) + len(start))
+        n = shape[0]
+        p = rng.normal(size=shape)
+        m, v = self._moments(shape, rng, start)
+        ref_p, ref_m, ref_v = p.copy(), m.copy(), v.copy()
+        scratch = np.empty((2, ADAM_BLOCK))
+        for t in range(1, 21):
+            # The touched rows have a gradient, with some zero entries; every
+            # other row's gradient is exactly zero, as a scatter leaves it.
+            touched = sorted_distinct(rng.integers(0, n, size=int(rng.integers(1, 40))))
+            g = np.zeros(shape)
+            if given != "none":
+                g[touched] = (rng.normal(scale=10.0 ** rng.integers(-6, 2),
+                                         size=(len(touched),) + shape[1:])
+                              * (rng.random((len(touched),) + shape[1:]) > 0.2))
+            rows = {"all": np.arange(n), "none": np.zeros(0, dtype=np.int64),
+                    "superset": sorted_distinct(np.concatenate(
+                        [touched, rng.integers(0, n, size=30)]))}[given]
+            adam_step(p, g, m, v, t, lr=1e-2, weight_decay=weight_decay,
+                      scratch=scratch if t % 2 else None, rows=rows)
+            ref_p, ref_m, ref_v = _adam_reference(ref_p, g, ref_m, ref_v, t, 1e-2,
+                                                  weight_decay)
+            assert p.tobytes() == ref_p.tobytes()
+            assert m.tobytes() == ref_m.tobytes()
+            assert v.tobytes() == ref_v.tobytes()
+
+    def test_rows_are_not_read_from_the_gradient_outside_them(self):
+        # A gradient that breaks the precondition shows the rows path never
+        # reads the rows it was not given.
+        p = np.ones((4, 2))
+        m, v = _zero_moments(p)
+        g = np.full((4, 2), np.nan)
+        g[1] = 0.5
+        adam_step(p, g, m, v, 1, lr=0.1, rows=np.asarray([1]))
+        assert np.isfinite(p).all() and np.isfinite(m).all() and np.isfinite(v).all()
+        np.testing.assert_array_equal(p[[0, 2, 3]], np.ones((3, 2)))
+
+    @pytest.mark.parametrize("rows", [[2, 1], [1, 1], [-1, 2], [0, 4], [[0, 1]],
+                                      [0.0, 1.0], [True, False, True, False]],
+                             ids=["unsorted", "repeated", "negative", "past-the-end",
+                                  "2-d", "float", "mask"])
+    def test_bad_rows_raise(self, rows):
+        p = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="rows must"):
+            adam_step(p, np.zeros_like(p), *_zero_moments(p), 1, lr=0.1,
+                      rows=np.asarray(rows))
+
+    def test_a_scalar_has_no_rows(self):
+        p = np.zeros(())
+        with pytest.raises(ValueError, match="rows must"):
+            adam_step(p, np.zeros(()), *_zero_moments(p), 1, lr=0.1,
+                      rows=np.zeros(0, dtype=np.int64))
+
+
+class TestSortedDistinct:
+    @pytest.mark.parametrize("keys", [[], [3], [5, 1, 5, 0, 1, 9], [-2, 7, -2]])
+    def test_matches_np_unique(self, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        got = sorted_distinct(keys)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.unique(keys))
 
 
 class TestParamSet:

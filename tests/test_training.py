@@ -191,6 +191,17 @@ class TestEarlyStopping:
         assert len(result.history) == 3
         assert result.best_val_rmse == min(e.val_rmse for e in result.history)
 
+    @pytest.mark.parametrize("sequence, reason", [([1.0, 1.1, 1.2], "patience"),
+                                                  ([1.0, 0.9, 0.8], "max_epochs")])
+    def test_stop_reason_and_one_clock_reading_per_epoch(self, sequence, reason):
+        engine = ScriptedEngine(sequence)
+        result = run_training(engine, TrainConfig(max_epochs=3, patience=2,
+                                                  batch_size=2))
+        assert result.stop_reason == reason
+        assert len(result.epoch_seconds) == len(result.history)
+        assert all(train_s >= 0.0 and eval_s >= 0.0
+                   for train_s, eval_s in result.epoch_seconds)
+
     def test_final_params_come_from_the_live_engine(self):
         engine = ScriptedEngine([1.0, 0.9, 0.95])
         result = run_training(engine, TrainConfig(max_epochs=2, patience=5,
@@ -302,6 +313,42 @@ class TestTrainSain:
         result = train_sain(memo_data, mcfg, tcfg)
         losses = [e.loss_combined for e in result.history]
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
+
+
+class TestEntityRows:
+    """Both engines hand adam_step the batch's distinct ids as `rows` for
+    the tables indexed by entity id; two epochs end with the bits of the
+    dense update, which leaves `rows` out."""
+
+    @staticmethod
+    def _train(prepared, kind, monkeypatch, dense):
+        given = []
+        adam_step = training.adam_step
+
+        def recording(*args, rows=None, **kwargs):
+            given.append(rows is not None)
+            adam_step(*args, rows=None if dense else rows, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", recording)
+        tcfg = TrainConfig(learning_rate=0.01, max_epochs=2, patience=5,
+                           batch_size=16, seed=4)
+        if kind == "sain":
+            mcfg = ModelConfig(embed_dim=8, num_heads=2, top_k=3, dropout_rate=0.1)
+            result = train_sain(prepared, mcfg, tcfg)
+        else:
+            result = training.train_biasedmf(prepared, 4, tcfg)
+        return result, given
+
+    @pytest.mark.parametrize("kind, with_rows", [("sain", 2), ("biasedmf", 4)])
+    def test_rows_keep_the_dense_bits(self, prepared, monkeypatch, kind, with_rows):
+        rows, given = self._train(prepared, kind, monkeypatch, dense=False)
+        dense, _ = self._train(prepared, kind, monkeypatch, dense=True)
+        steps = 2 * math.ceil(len(prepared.split.train) / 16)
+        assert sum(given) == with_rows * steps
+        for a, b in ((rows.final_params, dense.final_params), (rows.params, dense.params)):
+            assert a.flat.tobytes() == b.flat.tobytes()
+            assert a.m.tobytes() == b.m.tobytes()
+            assert a.v.tobytes() == b.v.tobytes()
 
 
 class TestKeepHeap:
