@@ -6,10 +6,11 @@ header-declared order, and a trailing sha256 of everything before it. The
 format contains no timestamps and no environment data, so saving the same
 state twice yields identical bytes, and save -> load -> save round-trips
 byte-exactly. The trailing digest turns silent corruption into a parse error.
-Loading refuses what would not save again to the same bytes: a header whose
-`format` is not the integer 1, an array outside the tensor/, stat/, adam_m/
-and adam_v/ sections or named twice, moments without an optimizer header,
-and optimizer rates that are not finite JSON numbers.
+Loading refuses a payload value that is NaN or infinite, and what would not
+save again to the same bytes: a header whose `format` is not the integer 1,
+an array outside the tensor/, stat/, adam_m/ and adam_v/ sections or named
+twice, moments without an optimizer header, and optimizer rates that are not
+finite JSON numbers.
 
 The optimizer state travels in one form: the `adam` dict that
 ParamSet.optimizer_state() returns and the ParamSet constructor takes. Its
@@ -101,20 +102,25 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 def load_checkpoint(path: str) -> Checkpoint:
     """Decode and verify a checkpoint. The file is read into one writable
     buffer, and the returned arrays are views into it, so the payload is
-    not copied again."""
+    not copied again. The buffer starts at the offset that puts the payload
+    on an 8-byte boundary, so numpy reads its float64 values with aligned
+    loads."""
     if not os.path.exists(path):
         raise IoError(f"checkpoint not found: {path}")
     with open(path, "rb") as f:
-        data = bytearray(os.fstat(f.fileno()).st_size)
-        read = f.readinto(data)
-    if read != len(data):
+        size = os.fstat(f.fileno()).st_size
+        start = f.read(len(MAGIC) + 8)
+        pad = -(len(start) + int.from_bytes(start[len(MAGIC):], "little")) % 8
+        f.seek(0)
+        view = memoryview(np.empty(pad + size, np.uint8))[pad:]
+        read = f.readinto(view)
+    if read != len(view):
         raise ParseError(f"checkpoint changed while being read: {path}")
-    if len(data) < len(MAGIC) + 8 + 32 or data[:len(MAGIC)] != MAGIC:
+    if len(view) < len(MAGIC) + 8 + 32 or view[:len(MAGIC)] != MAGIC:
         raise ParseError(f"not a checkpoint file: {path}")
-    view = memoryview(data)
-    if hashlib.sha256(view[:-32]).digest() != data[-32:]:
+    if hashlib.sha256(view[:-32]).digest() != view[-32:]:
         raise ParseError(f"checkpoint checksum mismatch: {path}")
-    head_len = int.from_bytes(data[len(MAGIC):len(MAGIC) + 8], "little")
+    head_len = int.from_bytes(view[len(MAGIC):len(MAGIC) + 8], "little")
     head_start = len(MAGIC) + 8
     try:
         header = json.loads(bytes(view[head_start:head_start + head_len]).decode())
@@ -154,6 +160,15 @@ def load_checkpoint(path: str) -> Checkpoint:
         pos += nbytes
     if pos != len(body):
         raise ParseError(f"checkpoint payload has trailing bytes: {path}")
+    # Training never saves a NaN or an infinity (it stops with a divergence
+    # error first), and a model holding one scores NaN. min and max pass NaN
+    # on, so two reductions over the payload find either, with no temporary.
+    payload = np.frombuffer(body, "<f8")
+    if payload.size and not (math.isfinite(payload.min()) and math.isfinite(payload.max())):
+        name = next(f"{section}/{key}" for section in SECTIONS
+                    for key, arr in sections[section].items() if not np.isfinite(arr).all())
+        raise ParseError(f"checkpoint array {name!r} holds a value that is not "
+                         f"finite: {path}")
 
     adam, ah = None, header.get("adam")
     if ah is not None:

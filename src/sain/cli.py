@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetManifest, PreparedData, build_dataset, read_json_object
-from .errors import (ManifestDriftError, ParseError, SainError, ShapeError, is_json,
-                     json_value)
+from .errors import (DivergenceError, ManifestDriftError, ParseError, SainError,
+                     ShapeError, is_json, json_value)
 from .gradcheck import TOLERANCE, run_suite
 from .model import L2_SCOPES, ModelConfig
 from .training import (TrainConfig, attention_matrices, evaluate_mf, evaluate_sain,
@@ -164,16 +164,29 @@ def _load_run(args: argparse.Namespace) -> tuple:
     return rm, kind, params, data
 
 
+def _require_finite(values) -> None:
+    """Refuse the scores of a loaded model unless all are finite. A
+    checkpoint's weights can be finite yet so large that the scores overflow
+    to NaN; the commands score under np.errstate(all="ignore"), so that this
+    is one error line, not numpy's warnings and a NaN report with exit 0."""
+    if not np.isfinite(np.asarray(values, dtype=np.float64)).all():
+        raise DivergenceError("the checkpoint's scores are not finite: its "
+                              "weights overflow")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     rm = RunManifest.load(args.config, _overrides(args))
+    t0 = time.perf_counter()
     data = _prepare(rm, rm.train_config.seed, rm.split_by_time)
+    prepare_seconds = time.perf_counter() - t0
     if rm.model == "sain":
         result = train_sain(data, rm.model_config, rm.train_config)
     else:
         result = train_biasedmf(data, rm.model_config.embed_dim, rm.train_config,
                                 l2_scope=rm.model_config.l2_scope)
     os.makedirs(rm.output_dir, exist_ok=True)
+    t0 = time.perf_counter()
     meta = {"kind": rm.model, "seed": rm.train_config.seed,
             "dataset_digest": data.digest(), "best_epoch": result.best_epoch,
             "best_val_rmse": result.best_val_rmse,
@@ -182,10 +195,12 @@ def cmd_train(args: argparse.Namespace) -> int:
             "split_by_time": rm.split_by_time}
     ckpt_path = os.path.join(rm.output_dir, CHECKPOINT_NAME)
     save_model(ckpt_path, rm.model, result.params, result.adam, meta)
+    save_seconds = time.perf_counter() - t0
     write_training_log(os.path.join(rm.output_dir, "training_log.csv"),
                        result.history)
     _write_json(os.path.join(rm.output_dir, "resolved.json"), rm.resolved())
     _write_timing(rm.output_dir, "train", time.perf_counter() - started,
+                  prepare_seconds=prepare_seconds, save_seconds=save_seconds,
                   stop_reason=result.stop_reason,
                   epochs=[{"epoch": k, "train_seconds": train_s, "eval_seconds": eval_s}
                           for k, (train_s, eval_s) in enumerate(result.epoch_seconds, 1)])
@@ -198,14 +213,18 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     rm, kind, params, data = _load_run(args)
+    prepare_seconds = time.perf_counter() - started
     evaluate = evaluate_sain if kind == "sain" else evaluate_mf
-    report = evaluate(params, data, args.split)
+    with np.errstate(all="ignore"):
+        report = evaluate(params, data, args.split)
+    _require_finite([value for pair in report.detail.values() for value in pair])
     os.makedirs(rm.output_dir, exist_ok=True)
     payload = {"split": args.split, "rmse": report.rmse, "mae": report.mae,
                "n": report.count,
                "detail": {k: list(v) for k, v in report.detail.items()}}
     _write_json(os.path.join(rm.output_dir, f"eval_{args.split}.json"), payload)
-    _write_timing(rm.output_dir, "evaluate", time.perf_counter() - started)
+    _write_timing(rm.output_dir, "evaluate", time.perf_counter() - started,
+                  prepare_seconds=prepare_seconds)
     print(f"RMSE={fmt(report.rmse)} MAE={fmt(report.mae)} N={report.count}")
     return 0
 
@@ -221,8 +240,10 @@ def _dense_ids(data: PreparedData, user: str, item: str) -> tuple[int, int]:
 def cmd_predict(args: argparse.Namespace) -> int:
     _, kind, params, data = _load_run(args)
     ids = [np.asarray([i]) for i in _dense_ids(data, args.user, args.item)]
-    rows = (predict_sain(params, data, *ids) if kind == "sain"
-            else predict_mf(params, *ids))
+    with np.errstate(all="ignore"):
+        rows = (predict_sain(params, data, *ids) if kind == "sain"
+                else predict_mf(params, *ids))
+    _require_finite(list(rows[0].values()))
     print(" ".join(f"{key}={fmt(value)}" for key, value in rows[0].items()))
     return 0
 
@@ -230,16 +251,20 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_attention(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     rm, kind, params, data = _load_run(args)
+    prepare_seconds = time.perf_counter() - started
     if kind != "sain":
         raise ShapeError("attention export requires an attention-model checkpoint")
     uid, iid = _dense_ids(data, args.user, args.item)
-    matrices = attention_matrices(params, data, uid, iid)
+    with np.errstate(all="ignore"):
+        matrices = attention_matrices(params, data, uid, iid)
+    _require_finite(matrices)
     os.makedirs(rm.output_dir, exist_ok=True)
     labels = params.layout.fields
     for h, matrix in enumerate(matrices):
         write_attention_csv(os.path.join(rm.output_dir, f"attention_head{h}.csv"),
                             matrix, labels)
-    _write_timing(rm.output_dir, "attention", time.perf_counter() - started)
+    _write_timing(rm.output_dir, "attention", time.perf_counter() - started,
+                  prepare_seconds=prepare_seconds)
     print(f"heads={len(matrices)} output_dir={rm.output_dir}")
     return 0
 

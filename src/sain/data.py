@@ -249,8 +249,16 @@ def _read_table(path: str) -> _Table:
 
 
 def _convert(convert, texts: list[str]) -> tuple[list, int]:
-    """`convert` applied to `texts` up to the first one it rejects, and the
-    index of that one (len(texts) if it rejects none)."""
+    """`convert` applied to `texts` up to the first one that is not an ASCII
+    number text, and the index of that one (len(texts) if there is none). A
+    text is not one if `convert` rejects it, or if it holds a character
+    outside ASCII or an underscore, which float() and int() accept ("٣"
+    reads as 3, "1_0" as 10). That check runs on all the texts joined, and
+    only a hit looks for the first text it applies to."""
+    joined = "".join(texts)
+    if not joined.isascii() or "_" in joined:
+        texts = texts[:next(j for j, text in enumerate(texts)
+                            if not text.isascii() or "_" in text)]
     try:
         return list(map(convert, texts)), len(texts)
     except ValueError:
@@ -298,9 +306,11 @@ def load_ratings(path: str, min_ratings: int = 5):
     first-appearance order. Returns (interactions, user_ids, item_ids).
 
     Ratings are parsed with float() and timestamps with int(), a column at a
-    time. Each check runs over the rows before the first bad row found so
-    far, in the order a line-by-line parse applies them, so the error names
-    the first bad line and what a line-by-line parse would say of it."""
+    time, from ASCII text without underscores only: "٣" or "1_0" is a bad
+    rating or timestamp, although float() and int() read them. Each check
+    runs over the rows before the first bad row found so far, in the order a
+    line-by-line parse applies them, so the error names the first bad line
+    and what a line-by-line parse would say of it."""
     table = _read_table(path)
     width = table.width
     n, error = _first((width < 3) | (width > 4), len(table)), None
@@ -528,6 +538,38 @@ def pack_features(num_entities: int, sizes: list[np.ndarray], indices: list[np.n
     return PackedFeatures(rows=rows, weights=weights, bounds=bounds)
 
 
+_BILLION = np.uint64(10 ** 9)
+
+
+def _decimal_columns(values: np.ndarray) -> list[np.ndarray]:
+    """The decimal text of each int64 value as uint8 columns, left to right:
+    a sign column ('-' or NUL) if any value is negative, then one column per
+    digit of the longest text, with NUL in place of leading zeros. Without
+    the NULs each row reads as str() writes the value. The digits come nine
+    at a time from uint32 chunks, whose division by 10 is several times
+    faster than uint64's."""
+    negative = values < 0
+    magnitude = values.view(np.uint64)
+    if negative.any():
+        magnitude = np.where(negative, -magnitude, magnitude)  # -2**63 -> 2**63
+    digits = len(str(int(magnitude.max(initial=0))))
+    columns, rest = [], magnitude
+    for start in range(0, digits, 9):
+        high = rest // _BILLION
+        chunk = (rest - high * _BILLION).astype(np.uint32)
+        for place in range(start, min(start + 9, digits)):
+            tens = chunk // np.uint32(10)
+            column = (chunk - tens * np.uint32(10)).astype(np.uint8) + np.uint8(ord("0"))
+            if place:
+                column *= magnitude >= np.uint64(10 ** place)
+            columns.append(column)
+            chunk = tens
+        rest = high
+    if negative.any():
+        columns.append(negative * np.uint8(ord("-")))
+    return columns[::-1]
+
+
 @dataclass
 class PreparedData:
     """Everything downstream of ingestion: vocabularies, each side's packed
@@ -552,29 +594,42 @@ class PreparedData:
 
     def digest(self) -> str:
         """Content hash used to detect drift between a checkpoint and the data
-        pipeline it was trained on."""
+        pipeline it was trained on: the sha256 of the vocabulary's canonical
+        JSON, then {"items", "seed", "users"} as canonical JSON, then one line
+        per event, f"{user},{item},{rating!r},{timestamp}\\n" with a missing
+        timestamp as None. Checkpoints store this hash, so the text must not
+        change.
+
+        The lines are built as one (n, W) byte matrix, a column per byte
+        place, and hashed once: the ids and timestamps are written as digits
+        by integer arithmetic, each distinct rating (by its bits) is
+        formatted once and gathered by index, and every column is padded
+        with NUL, which the text never holds, so dropping the NULs leaves the
+        lines."""
         h = hashlib.sha256()
         h.update(json.dumps(self.vocab.to_dict(), sort_keys=True,
                             separators=(",", ":")).encode())
         h.update(json.dumps({"users": self.num_users, "items": self.num_items,
                              "seed": self.split.seed},
                             sort_keys=True, separators=(",", ":")).encode())
-        # One line per event, f"{user},{item},{rating!r},{timestamp}\n" with a
-        # missing timestamp as None: checkpoints store this hash, so the text
-        # must not change. User, item and rating texts are formatted once per
-        # distinct value (a rating's by its bits) and gathered by index.
         x = self.interactions
-        bits, which = np.unique(x.ratings.view(np.int64), return_inverse=True)
-        stamps = x.timestamps.astype(object)
-        stamps[~x.has_timestamp] = None
-        text = np.empty((len(x), 5), dtype=object)
-        text[:, 0] = np.array([f"{u}," for u in range(self.num_users)], dtype=object)[x.users]
-        text[:, 1] = np.array([f"{i}," for i in range(self.num_items)], dtype=object)[x.items]
-        text[:, 2] = np.array([f"{r!r}," for r in bits.view(np.float64).tolist()],
-                              dtype=object)[which]
-        text[:, 3] = list(map(str, stamps.tolist()))
-        text[:, 4] = "\n"
-        h.update("".join(text.ravel().tolist()).encode())
+        n = len(x)
+        bits = x.ratings.view(np.int64)
+        distinct = sorted_distinct(bits)
+        texts = np.array([f"{r!r}," for r in distinct.view(np.float64).tolist()], dtype="S")
+        ratings = texts[np.searchsorted(distinct, bits)].view(np.uint8)
+        ratings = ratings.reshape(n, texts.itemsize)
+        has = x.has_timestamp
+        stamps = _decimal_columns(np.where(has, x.timestamps, 0))
+        if not has.all():
+            stamps = [np.zeros(n, np.uint8)] * (4 - len(stamps)) + stamps
+            stamps = [np.where(has, column, byte) for column, byte
+                      in zip(stamps, b"None".rjust(len(stamps), b"\0"))]
+        comma, newline = np.full(n, ord(","), np.uint8), np.full(n, ord("\n"), np.uint8)
+        text = np.column_stack([*_decimal_columns(x.users), comma,
+                                *_decimal_columns(x.items), comma, ratings,
+                                *stamps, newline])
+        h.update(text[text != 0])
         return h.hexdigest()
 
 

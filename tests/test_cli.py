@@ -362,9 +362,19 @@ class TestBadDataFiles:
         (_append_bytes("user_age.tsv", b"u1\t\xe9t\xe9\n"), 4, "parse",
          "{root}/user_age.tsv: not UTF-8 text"),
         (_append_bytes("ratings.tsv", b"u1\ti1\t4\t99999999999999999999\n"), 4,
-         "parse", "{root}/ratings.tsv line 272: timestamp outside the int64 range")],
+         "parse", "{root}/ratings.tsv line 272: timestamp outside the int64 range"),
+        # float() and int() read these texts, and they loaded with exit 0.
+        (_append_bytes("ratings.tsv", "u1\ti1\t\u0663\n".encode()), 4, "parse",
+         "{root}/ratings.tsv line 272: bad rating '\u0663'"),
+        (_append_bytes("ratings.tsv", b"u1\ti1\t4\t1_0\n"), 4, "parse",
+         "{root}/ratings.tsv line 272: bad timestamp '1_0'"),
+        (_append_bytes("ratings.tsv", b"u1\ti1\t4_0\n"), 4, "parse",
+         "{root}/ratings.tsv line 272: bad rating '4_0'"),
+        (_append_bytes("ratings.tsv", "u1\ti1\t4\t\uff11\n".encode()), 4, "parse",
+         "{root}/ratings.tsv line 272: bad timestamp '\uff11'")],
         ids=["ratings-directory", "feature-directory", "ratings-not-utf8",
-             "feature-not-utf8", "timestamp-overflow"])
+             "feature-not-utf8", "timestamp-overflow", "rating-arabic-indic-digit",
+             "timestamp-underscore", "rating-underscore", "timestamp-fullwidth-digit"])
     def test_one_error_line_and_exit_code(self, tmp_path, capsys, edit, code,
                                           category, needle):
         config = _broken_dataset(tmp_path, edit)
@@ -446,6 +456,20 @@ class TestBadDataFiles:
         assert capsys.readouterr().err == (
             f"error category=parse: dataset manifest {tmp_path / 'data' / 'dataset.json'}: "
             f"unknown owner 'movie' for field 'gender'\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lines, error", [
+        ("u1\ti1\t4\t1_0\nu1\ti1\t٣\n", "bad timestamp '1_0'"),
+        ("u1\ti1\t٣\nu1\ti1\tx\n", "bad rating '٣'"),
+        ("u1\ti1\tx\nu1\ti1\t٣\n", "bad rating 'x'"),
+        ("u1\ti1\t9\nu1\ti1\t4\t1_0\n", "rating outside [1,5]: 9")],
+        ids=["stamp-then-rating", "digit-then-letter", "letter-then-digit",
+             "range-then-stamp"])
+    def test_the_first_bad_number_text_wins(self, tmp_path, capsys, lines, error):
+        config = _broken_dataset(tmp_path, _append_bytes("ratings.tsv", lines.encode()))
+        assert main(["train", "--config", config]) == 4
+        path = tmp_path / "data" / "ratings.tsv"
+        assert capsys.readouterr().err == f"error category=parse: {path} line 272: {error}\n"
         assert not (tmp_path / "out").exists()
 
     def test_min_ratings_that_leaves_too_few_ratings_names_the_filter(self, tmp_path,
@@ -707,6 +731,64 @@ class TestNonFiniteCheckpointNumbers:
         assert captured.err.startswith("error category=parse: checkpoint ")
         assert path in captured.err
 
+    # A NaN or an infinity in the payload loaded, and the command printed
+    # numpy's RuntimeWarnings and reported NaN with exit 0.
+    @pytest.mark.parametrize("edit, name", [
+        (lambda ckpt: ckpt.tensors["embeddings"].__setitem__((0, 0), np.nan),
+         "tensor/embeddings"),
+        (lambda ckpt: ckpt.tensors["cf_item"].__setitem__((3, 1), -np.inf),
+         "tensor/cf_item"),
+        (lambda ckpt: ckpt.stats["bn_var"].__setitem__(2, np.inf), "stat/bn_var"),
+        (lambda ckpt: ckpt.adam["v"]["agg_user_b"].__setitem__(0, np.nan),
+         "adam_v/agg_user_b")],
+        ids=["tensor-nan", "tensor-minus-infinity", "stat-infinity", "moment-nan"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "attention"])
+    def test_a_payload_value_that_is_not_finite_exits_4(self, trained, capsys, edit,
+                                                         name, command):
+        run_config, tmp_path = trained
+        path = str(tmp_path / "out" / "model.ckpt")
+        ckpt = load_checkpoint(path)
+        edit(ckpt)
+        save_checkpoint(path, ckpt)
+        pair = [] if command == "evaluate" else ["--user", "u0", "--item", "i1"]
+        capsys.readouterr()
+        assert main([command, "--config", run_config] + pair) == 4
+        assert capsys.readouterr() == ("", f"error category=parse: checkpoint array "
+                                           f"{name!r} holds a value that is not finite: "
+                                           f"{path}\n")
+
+    # Finite weights so large that the scores overflow: numpy printed
+    # RuntimeWarnings and the command reported NaN with exit 0.
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "attention"])
+    def test_weights_that_overflow_exit_6_with_one_line(self, trained, capsys, command):
+        run_config, tmp_path = trained
+        path = str(tmp_path / "out" / "model.ckpt")
+        ckpt = load_checkpoint(path)
+        ckpt.tensors["embeddings"][:] = 1e200
+        save_checkpoint(path, ckpt)
+        pair = [] if command == "evaluate" else ["--user", "u0", "--item", "i1"]
+        capsys.readouterr()
+        assert main([command, "--config", run_config] + pair) == 6
+        assert capsys.readouterr() == ("", "error category=divergence: the checkpoint's "
+                                           "scores are not finite: its weights overflow\n")
+
+    def test_weights_that_overflow_a_biasedmf_score_exit_6(self, run_config, tmp_path,
+                                                          capsys):
+        assert main(["train", "--config", run_config, "--model", "biasedmf",
+                     "--output-dir", "mf"]) == 0
+        path = str(tmp_path / "mf" / "model.ckpt")
+        ckpt = load_checkpoint(path)
+        # Products of +inf and -inf sum to NaN, which clipping keeps.
+        ckpt.tensors["user_factors"][:] = 1e200
+        ckpt.tensors["item_factors"][:] = 1e200
+        ckpt.tensors["item_factors"][:, 0] = -1e200
+        save_checkpoint(path, ckpt)
+        capsys.readouterr()
+        for pair in ([], ["--user", "u0", "--item", "i1"]):
+            command = "predict" if pair else "evaluate"
+            assert main([command, "--config", run_config, "--output-dir", "mf"] + pair) == 6
+            assert capsys.readouterr().err.startswith("error category=divergence: ")
+
 
 class TestPredictCommand:
     def test_scores_one_pair(self, trained, capsys):
@@ -847,8 +929,27 @@ class TestTimingSidecar:
         assert [e["epoch"] for e in payload["epochs"]] == list(range(1, epochs + 1))
         assert all(e["train_seconds"] > 0.0 and e["eval_seconds"] > 0.0
                    for e in payload["epochs"])
-        assert sum(e["train_seconds"] + e["eval_seconds"]
-                   for e in payload["epochs"]) <= payload["wall_seconds"]
+        # Set-up, the epochs and the save are disjoint stretches of the run.
+        assert payload["prepare_seconds"] > 0.0 and payload["save_seconds"] > 0.0
+        assert payload["prepare_seconds"] + payload["save_seconds"] + sum(
+            e["train_seconds"] + e["eval_seconds"]
+            for e in payload["epochs"]) <= payload["wall_seconds"]
         meta = load_checkpoint(str(tmp_path / "out" / "model.ckpt")).meta
         assert payload["stop_reason"] == (
             "patience" if meta["stopped_early"] else "max_epochs")
+
+    def test_checkpoint_commands_time_their_set_up(self, trained):
+        # Loading the checkpoint, rebuilding the data and the drift check.
+        run_config, tmp_path = trained
+        outputs = {name: (tmp_path / "out" / name).read_bytes()
+                   for name in ("training_log.csv", "model.ckpt")}
+        assert main(["evaluate", "--config", run_config]) == 0
+        assert main(["attention", "--config", run_config, "--user", "u0",
+                     "--item", "i1"]) == 0
+        for command in ("evaluate", "attention"):
+            with open(tmp_path / "out" / f"{command}.timing.json") as f:
+                payload = json.load(f)
+            assert payload["command"] == command
+            assert 0.0 < payload["prepare_seconds"] <= payload["wall_seconds"]
+        assert outputs == {name: (tmp_path / "out" / name).read_bytes()
+                           for name in outputs}

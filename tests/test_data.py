@@ -49,6 +49,13 @@ def _columns(rows) -> Interactions:
         has_timestamp=np.array([r[3] is not None for r in rows], dtype=bool))
 
 
+def _ascii_number(text: str) -> str:
+    """`text` if it may be read as a number: ASCII without underscores."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return text
+
+
 def _row_loader(path, min_ratings=5):
     """The line-by-line loader the columnar one replaced: (rows, user_ids,
     item_ids) with rows as _rows gives them, or the same errors."""
@@ -65,7 +72,7 @@ def _row_loader(path, min_ratings=5):
                 raise ParseError(f"{path} line {lineno}: expected 3 or 4 tab-separated "
                                  f"fields, got {len(parts)}")
             try:
-                rating = float(parts[2])
+                rating = float(_ascii_number(parts[2]))
             except ValueError:
                 raise ParseError(f"{path} line {lineno}: bad rating {parts[2]!r}") from None
             if not np.isfinite(rating) or not (1.0 <= rating <= 5.0):
@@ -73,7 +80,7 @@ def _row_loader(path, min_ratings=5):
             ts = None
             if len(parts) == 4:
                 try:
-                    ts = int(parts[3])
+                    ts = int(_ascii_number(parts[3]))
                 except ValueError:
                     raise ParseError(f"{path} line {lineno}: bad timestamp "
                                      f"{parts[3]!r}") from None
@@ -643,7 +650,7 @@ _ODD = ["u{u}\ti{i}\t {r} \t+{t}", "u{u}\ti{i}\t{r}\t-{t}", "u{u}\ti{i}\t{r}\t1_
 _BAD = ["u{u}\ti{i}", "u{u}\ti{i}\t{r}\t{t}\t0", "u{u}\ti{i}\tthree", "u{u}\ti{i}\t",
         "u{u}\ti{i}\t6", "u{u}\ti{i}\t0.5", "u{u}\ti{i}\tnan", "u{u}\ti{i}\t-inf",
         "u{u}\ti{i}\t1_0", "u{u}\ti{i}\t{r}\tnoon", "u{u}\ti{i}\t{r}\t1.5",
-        "u{u}\ti{i}\t{r}\t", " ", "u{u}"]
+        "u{u}\ti{i}\t{r}\t", " ", "u{u}", "u{u}\ti{i}\t\u0663", "u{u}\ti{i}\t{r}\t1_0"]
 
 
 def _random_ratings_text(rng, lines, bad_share):
@@ -864,4 +871,57 @@ class TestDigest:
                                ratings=ratings, timestamps=stamps,
                                has_timestamp=rng.random(n) < 0.7)
         data = dataclasses.replace(prepared, interactions=columns)
+        assert data.digest() == _row_digest(data, _rows(columns))
+
+
+try:
+    import hypothesis
+    import hypothesis.strategies as st
+except ImportError:  # the digest property needs hypothesis
+    hypothesis = None
+
+if hypothesis is not None:
+    # Entity counts on both sides of 10, 100 and 1000, so that one example's
+    # id texts differ in width; rating values whose texts differ although
+    # some compare equal; timestamps at the int64 bounds and around 0.
+    COUNTS = st.sampled_from([1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1500])
+    RATINGS = st.sampled_from([-0.0, 0.0, 5e-324, 1.0000000000000002, 4.75, 1e22])
+    STAMPS = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                       st.sampled_from([-2 ** 63, -2 ** 63 + 1, 2 ** 63 - 1, 0, -1,
+                                        9, 10, -10, 999_999_999, 1_000_000_000]))
+
+    @st.composite
+    def interaction_columns(draw):
+        """(num_users, num_items, Interactions) with ids below the counts."""
+        counts = draw(COUNTS), draw(COUNTS)
+        n = draw(st.integers(0, 30))
+        ids = [draw(st.lists(st.one_of(st.integers(0, c - 1),
+                                       st.sampled_from([9, 10, 99, 100, 999, 1000, c - 1])
+                                       .filter(lambda j, c=c: j < c)),
+                             min_size=n, max_size=n)) for c in counts]
+        stamped = draw(st.sampled_from(["all", "none", "mixed"]))
+        has = {"all": st.just(True), "none": st.just(False),
+               "mixed": st.booleans()}[stamped]
+        def column(values, dtype):
+            return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+
+        columns = Interactions(
+            users=np.array(ids[0], dtype=np.int64), items=np.array(ids[1], dtype=np.int64),
+            ratings=column(RATINGS, np.float64), timestamps=column(STAMPS, np.int64),
+            has_timestamp=column(has, bool))
+        return *counts, columns
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(drawn=interaction_columns())
+    @hypothesis.example(drawn=(1, 1, Interactions(*(np.zeros(0, dtype) for dtype in (
+        np.int64, np.int64, np.float64, np.int64, bool))))).via("n = 0")
+    @hypothesis.example(drawn=(1001, 1, Interactions(
+        np.array([1000]), np.array([0]), np.array([-0.0]), np.array([-2 ** 63]),
+        np.array([True])))).via("n = 1")
+    def test_digest_equals_the_row_digest_on_any_columns(prepared, drawn):
+        num_users, num_items, columns = drawn
+        data = dataclasses.replace(
+            prepared, interactions=columns,
+            user_ids={f"u{j}": j for j in range(num_users)},
+            item_ids={f"i{j}": j for j in range(num_items)})
         assert data.digest() == _row_digest(data, _rows(columns))

@@ -1,10 +1,12 @@
-"""Property tests for four of the program's inputs: run configs, dataset
-manifests, feature files and the ratings file. Whatever JSON value one key
-takes, `sain evaluate` (which checks the whole run config and builds the
-data, without training) returns a documented exit code, prints exactly one
-`error category=` line when that code is not 0, and never raises. Whatever
-lines are spliced into one feature file or into the ratings file, `sain
-train` does the same. Skipped when hypothesis is not installed.
+"""Property tests for five of the program's inputs: run configs, dataset
+manifests, feature files, the ratings file and checkpoints. Whatever JSON
+value one key takes, `sain evaluate` (which checks the whole run config and
+builds the data, without training) returns a documented exit code, prints
+exactly one `error category=` line when that code is not 0, and never
+raises. Whatever lines are spliced into one feature file or into the
+ratings file, `sain train` does the same. Whatever edit is made to a
+trained checkpoint's header or payload, resealed with a valid sha256, `sain
+evaluate` does the same. Skipped when hypothesis is not installed.
 
 Path-valued keys (the run config's `dataset`, the manifest's `ratings` and a
 feature's `path`) take only names under the test's own directory: a missing
@@ -13,9 +15,12 @@ take drawn text, so no example reads a file outside that directory."""
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
+import math
 import os
+import struct
 import tempfile
 
 import pytest
@@ -23,6 +28,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from sain.checkpoint import MAGIC  # noqa: E402
 from sain.cli import main  # noqa: E402
 from sain.model import ModelConfig  # noqa: E402
 from sain.training import TrainConfig  # noqa: E402
@@ -121,12 +127,14 @@ def _edited(doc, slot, value):
     return doc
 
 
-def _main_once(run, config, command="evaluate") -> int:
-    """Run `sain evaluate` (or `sain train`) on `config`, check the property,
-    and return the exit code."""
+def _main_once(run, config, command="evaluate", checkpoint=None) -> int:
+    """Run `sain evaluate` on `config` (with `checkpoint`, by default the
+    trained one) or `sain train`, check the property, and return the exit
+    code."""
     with tempfile.TemporaryDirectory(dir=run["root"]) as out_dir:
         config_path = _write_json(os.path.join(out_dir, "run.json"), config)
-        checkpoint = ["--checkpoint", run["checkpoint"]] if command == "evaluate" else []
+        checkpoint = (["--checkpoint", checkpoint or run["checkpoint"]]
+                      if command == "evaluate" else [])
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, "--config", config_path, "--output-dir", out_dir]
@@ -189,7 +197,7 @@ def _train_spliced(run, slot, at, lines):
     kept = (data / _parent(run["manifest"], where)[key]).read_bytes().splitlines(True)
     (data / "drawn.tsv").write_bytes(b"".join(kept[:at] + lines + kept[at:]))
     manifest = _write_json(data / "edited.json", _edited(run["manifest"], slot, "drawn.tsv"))
-    _main_once(run, {**run["config"], "dataset": manifest}, command="train")
+    return _main_once(run, {**run["config"], "dataset": manifest}, command="train")
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
@@ -200,11 +208,120 @@ def test_any_feature_file_ends_in_a_code_and_one_line(run, feature, at, lines):
     _train_spliced(run, (("features", feature), "path"), at, lines)
 
 
+def _holds_a_non_ascii_number(data: bytes) -> bool:
+    """Whether some line of a UTF-8 ratings file has 3 or 4 fields and a
+    rating or timestamp text with a character outside ASCII or an underscore."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rows = [line.split("\t") for line in lines]
+    return any(len(row) in (3, 4) and any(not t.isascii() or "_" in t for t in row[2:])
+               for row in rows)
+
+
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(at=st.integers(0, 300), lines=st.lists(RATING_LINE, max_size=6))
 @hypothesis.example(at=0, lines=[b"x9\t\xd9\xa3\t1_0\t12345678901234567890\n"])
 @hypothesis.example(at=300, lines=[b"u0\ti3\t-0\n"])
 @hypothesis.example(at=5, lines=[b"u0\ti3\t4.5\t0x10\r"])
+@hypothesis.example(at=7, lines=["u0\ti3\t\u0663\n".encode()])
+@hypothesis.example(at=7, lines=[b"u0\ti3\t3\t1_0\n"])
 def test_any_ratings_file_ends_in_a_code_and_one_line(run, at, lines):
-    """The drawn lines go into the ratings file, and one epoch trains on it."""
-    _train_spliced(run, ((), "ratings"), at, lines)
+    """The drawn lines go into the ratings file, and one epoch trains on it.
+    A file with a rating or timestamp text that is not ASCII or holds an
+    underscore never trains, although float() and int() would read it."""
+    code = _train_spliced(run, ((), "ratings"), at, lines)
+    if _holds_a_non_ascii_number((run["root"] / "data" / "drawn.tsv").read_bytes()):
+        assert code != 0
+
+
+# Checkpoint edits. The header JSON is edited at one place: a value set to a
+# drawn one (or a drawn shape), a key or entry deleted, or a key renamed.
+# Then 8 payload bytes may be overwritten with a float that no training run
+# writes, or the payload cut short or lengthened. The file is sealed again
+# with a valid sha256, so the edit reaches the checks behind the checksum.
+HEADER_EDITS = st.sampled_from(["set", "set", "shape", "delete", "rename", "none"])
+SHAPES = st.lists(st.integers(-1, 70), max_size=3)
+PAYLOAD_EDITS = st.sampled_from(["none", "overwrite", "truncate", "extend"])
+WORDS = st.sampled_from([struct.pack("<d", v) for v in
+                         (math.nan, math.inf, -math.inf, 1e308, -0.0, 5e-324)]
+                        + [b"\xff" * 8])
+
+
+def _paths(doc, where=()):
+    """The path of every value inside a JSON document, parents first."""
+    if isinstance(doc, dict):
+        entries = doc.items()
+    elif isinstance(doc, list):
+        entries = enumerate(doc)
+    else:
+        return []
+    return [path for key, value in entries
+            for path in [(*where, key), *_paths(value, (*where, key))]]
+
+
+def _sealed(header, payload: bytes) -> bytes:
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = MAGIC + len(head).to_bytes(8, "little") + head + payload
+    return body + hashlib.sha256(body).digest()
+
+
+@pytest.fixture(scope="module")
+def checkpoints(run):
+    """kind -> (header, payload) of a trained checkpoint: the SAIN one of
+    `run`, and a BiasedMF one trained on the same data."""
+    config = {**run["config"], "model": "biasedmf", "output_dir": "out-mf"}
+    assert main(["train", "--config", _write_json(run["root"] / "mf.json", config)]) == 0
+    out = {}
+    for kind, path in (("sain", run["checkpoint"]),
+                       ("biasedmf", run["root"] / "out-mf" / "model.ckpt")):
+        with open(path, "rb") as f:
+            blob = f.read()
+        head_len = int.from_bytes(blob[len(MAGIC):len(MAGIC) + 8], "little")
+        start = len(MAGIC) + 8
+        out[kind] = json.loads(blob[start:start + head_len]), blob[start + head_len:-32]
+    return out
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(kind=st.sampled_from(["sain", "biasedmf"]), edit=HEADER_EDITS,
+                  place=st.integers(0, 10 ** 6), value=VALUES | SHAPES, key=TEXT,
+                  shape=SHAPES, payload_edit=PAYLOAD_EDITS,
+                  at=st.integers(0, 10 ** 6), word=WORDS)
+# An infinity at the payload's start, and a NaN's bytes 1 byte off the
+# alignment, which read as a finite weight large enough to overflow: both
+# evaluated with numpy's warnings and exit 0.
+@hypothesis.example(kind="sain", edit="none", place=0, value=None, key="", shape=[],
+                    payload_edit="overwrite", at=0, word=struct.pack("<d", math.inf))
+@hypothesis.example(kind="sain", edit="none", place=0, value=None, key="", shape=[],
+                    payload_edit="overwrite", at=2953, word=struct.pack("<d", math.nan))
+def test_any_checkpoint_edit_ends_in_a_code_and_one_line(run, checkpoints, kind, edit,
+                                                         place, value, key, shape,
+                                                         payload_edit, at, word):
+    header, payload = checkpoints[kind]
+    header = copy.deepcopy(header)
+    if edit == "shape":
+        entry = header["arrays"][place % len(header["arrays"])]
+        entry["shape"] = shape
+    elif edit != "none":
+        paths = _paths(header)
+        *where, last = paths[place % len(paths)]
+        parent = _parent(header, where)
+        if edit == "set":
+            parent[last] = value
+        elif edit == "delete":
+            del parent[last]
+        elif isinstance(parent, dict):
+            parent[key] = parent.pop(last)
+    at %= max(len(payload), 1)
+    if payload_edit == "overwrite":
+        payload = payload[:at] + word + payload[at + len(word):]
+    elif payload_edit == "truncate":
+        payload = payload[:at]
+    elif payload_edit == "extend":
+        payload = payload + word
+    path = run["root"] / "edited.ckpt"
+    path.write_bytes(_sealed(header, payload))
+    _main_once(run, run["config"], checkpoint=str(path))
