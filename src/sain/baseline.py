@@ -18,7 +18,9 @@ from .tensor import ParamSet, scatter_add_rows
 
 class MfParams(ParamSet):
     """Learnable tensors for the biased factor model, packed into one
-    ParamSet arena, plus the frozen mean."""
+    ParamSet arena, plus the frozen mean. All four are indexed by id."""
+
+    EMBEDDINGS = ("user_factors", "item_factors", "user_bias", "item_bias")
 
     def __init__(self, tensors: dict[str, np.ndarray], mu: float,
                  num_users: int, num_items: int, dim: int,

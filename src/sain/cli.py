@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .errors import (DivergenceError, ManifestDriftError, ParseError, SainError,
 from .gradcheck import TOLERANCE, run_suite
 from .model import L2_SCOPES, ModelConfig
 from .training import (TrainConfig, attention_matrices, evaluate_mf, evaluate_sain,
-                       fmt, load_model, predict_mf, predict_sain, save_model,
-                       sweep_top_k, train_biasedmf, train_sain,
+                       fmt, load_model, predict_mf, predict_sain, require_finite,
+                       save_model, sweep_top_k, train_biasedmf, train_sain,
                        write_attention_csv, write_sweep_csv, write_training_log)
 
 MODEL_KINDS = ("sain", "biasedmf")
@@ -63,8 +63,8 @@ class RunManifest:
         except ValueError as e:
             raise ParseError(f"run config {path}: {e}") from None
         base = os.path.dirname(os.path.abspath(path))
-        mc = {**ModelConfig().to_dict(), **top.pop("model_config")}
-        tc = {**TrainConfig().to_dict(), **top.pop("train_config")}
+        mc = {**asdict(ModelConfig()), **top.pop("model_config")}
+        tc = {**asdict(TrainConfig()), **top.pop("train_config")}
         for key, value in (overrides or {}).items():
             if value is None:
                 continue
@@ -75,19 +75,13 @@ class RunManifest:
                              f"expected one of {MODEL_KINDS}")
         try:
             model_config = ModelConfig.from_dict(mc)
-            train_config = TrainConfig.from_dict(tc)
+            train_config = TrainConfig(**tc)
         except TypeError as e:
             raise ParseError(f"run config {path}: {e}") from e
         return cls(dataset=os.path.join(base, top["dataset"]), model=top["model"],
                    output_dir=os.path.join(base, top["output_dir"]),
                    split_by_time=top["split_by_time"],
                    model_config=model_config, train_config=train_config)
-
-    def resolved(self) -> dict:
-        return {"dataset": self.dataset, "model": self.model,
-                "output_dir": self.output_dir, "split_by_time": self.split_by_time,
-                "model_config": self.model_config.to_dict(),
-                "train_config": self.train_config.to_dict()}
 
 
 # Config key -> argparse options of the flag that overrides it. The flag is
@@ -164,27 +158,23 @@ def _load_run(args: argparse.Namespace) -> tuple:
     return rm, kind, params, data
 
 
-def _require_finite(values) -> None:
-    """Refuse the scores of a loaded model unless all are finite. A
-    checkpoint's weights can be finite yet so large that the scores overflow
-    to NaN; the commands score under np.errstate(all="ignore"), so that this
-    is one error line, not numpy's warnings and a NaN report with exit 0."""
-    if not np.isfinite(np.asarray(values, dtype=np.float64)).all():
-        raise DivergenceError("the checkpoint's scores are not finite: its "
-                              "weights overflow")
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     rm = RunManifest.load(args.config, _overrides(args))
     t0 = time.perf_counter()
     data = _prepare(rm, rm.train_config.seed, rm.split_by_time)
     prepare_seconds = time.perf_counter() - t0
-    if rm.model == "sain":
-        result = train_sain(data, rm.model_config, rm.train_config)
-    else:
-        result = train_biasedmf(data, rm.model_config.embed_dim, rm.train_config,
-                                l2_scope=rm.model_config.l2_scope)
+    try:
+        if rm.model == "sain":
+            result = train_sain(data, rm.model_config, rm.train_config)
+        else:
+            result = train_biasedmf(data, rm.model_config.embed_dim, rm.train_config,
+                                    l2_scope=rm.model_config.l2_scope)
+    except DivergenceError:
+        os.makedirs(rm.output_dir, exist_ok=True)
+        _write_timing(rm.output_dir, "train", time.perf_counter() - started,
+                      prepare_seconds=prepare_seconds, stop_reason="divergence")
+        raise
     os.makedirs(rm.output_dir, exist_ok=True)
     t0 = time.perf_counter()
     meta = {"kind": rm.model, "seed": rm.train_config.seed,
@@ -198,7 +188,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_seconds = time.perf_counter() - t0
     write_training_log(os.path.join(rm.output_dir, "training_log.csv"),
                        result.history)
-    _write_json(os.path.join(rm.output_dir, "resolved.json"), rm.resolved())
+    _write_json(os.path.join(rm.output_dir, "resolved.json"), asdict(rm))
     _write_timing(rm.output_dir, "train", time.perf_counter() - started,
                   prepare_seconds=prepare_seconds, save_seconds=save_seconds,
                   stop_reason=result.stop_reason,
@@ -217,7 +207,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     evaluate = evaluate_sain if kind == "sain" else evaluate_mf
     with np.errstate(all="ignore"):
         report = evaluate(params, data, args.split)
-    _require_finite([value for pair in report.detail.values() for value in pair])
+    require_finite(*report.detail.values())
     os.makedirs(rm.output_dir, exist_ok=True)
     payload = {"split": args.split, "rmse": report.rmse, "mae": report.mae,
                "n": report.count,
@@ -243,7 +233,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     with np.errstate(all="ignore"):
         rows = (predict_sain(params, data, *ids) if kind == "sain"
                 else predict_mf(params, *ids))
-    _require_finite(list(rows[0].values()))
     print(" ".join(f"{key}={fmt(value)}" for key, value in rows[0].items()))
     return 0
 
@@ -257,7 +246,6 @@ def cmd_attention(args: argparse.Namespace) -> int:
     uid, iid = _dense_ids(data, args.user, args.item)
     with np.errstate(all="ignore"):
         matrices = attention_matrices(params, data, uid, iid)
-    _require_finite(matrices)
     os.makedirs(rm.output_dir, exist_ok=True)
     labels = params.layout.fields
     for h, matrix in enumerate(matrices):

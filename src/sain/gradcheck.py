@@ -11,7 +11,7 @@ decision boundary for the +/- eps probes to land on different branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .tensor import finite_diff_gradient, relative_error
 TOLERANCE = 1e-4
 FD_EPS = 1e-5
 BOUNDARY_MARGIN = 1e-3
+BASE_CONFIG = ModelConfig(embed_dim=4, num_heads=2, top_k=3, dropout_rate=0.0)
 
 
 @dataclass
@@ -93,21 +94,16 @@ def _boundary_safe(trace, k: int) -> bool:
     return True
 
 
-def build_sain_fixture(seed: int, top_k: int = 3, mode: str = "eval",
-                       batch: int = 3,
-                       loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-                       renormalize_topk: bool = True,
-                       gate_shared: bool = False) -> SainFixture:
-    """Deterministic random case; redraws until the boundary-safety check
-    passes (almost always on the first attempt)."""
+def build_sain_fixture(seed: int, mode: str = "eval", batch: int = 3,
+                       **config) -> SainFixture:
+    """Deterministic random case; `config` replaces fields of BASE_CONFIG.
+    Redraws until the boundary-safety check passes (almost always on the
+    first attempt)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 97]))
     vocab = _toy_vocab()
     num_users = num_items = 4
     layout = FieldLayout.from_vocab(vocab, num_users, num_items)
-    config = ModelConfig(embed_dim=4, num_heads=2, top_k=top_k, dropout_rate=0.0,
-                         loss_weights=loss_weights,
-                         renormalize_topk=renormalize_topk,
-                         gate_shared=gate_shared)
+    config = replace(BASE_CONFIG, **config)
     for _ in range(100):
         params = SainParams.init(layout, config, rng)
         # Wider embeddings than init so attention rows are not near-uniform.
@@ -122,7 +118,7 @@ def build_sain_fixture(seed: int, top_k: int = 3, mode: str = "eval",
         ratings = rng.uniform(1.0, 5.0, size=batch)
         trace = forward_batch(uids, iids, user_packed, item_packed, params,
                               config, mode=mode)
-        if _boundary_safe(trace, min(top_k, layout.seq_len)):
+        if _boundary_safe(trace, min(config.top_k, layout.seq_len)):
             return SainFixture(params, config, user_packed, item_packed,
                                uids, iids, ratings, mode)
     raise RuntimeError(f"no boundary-safe fixture found for seed {seed}")
@@ -142,16 +138,12 @@ def _worst_tensor(params, grads: dict[str, np.ndarray],
     return worst, worst_name
 
 
-def check_sain(seed: int, top_k: int = 3, mode: str = "eval",
-               loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-               renormalize_topk: bool = True, gate_shared: bool = False,
-               eps: float = FD_EPS) -> CaseReport:
-    """Compare analytic and finite-difference gradients for one random case.
-    Returns the worst relative error across parameter tensors."""
-    fx = build_sain_fixture(seed, top_k=top_k, mode=mode,
-                            loss_weights=loss_weights,
-                            renormalize_topk=renormalize_topk,
-                            gate_shared=gate_shared)
+def check_sain(seed: int, mode: str = "eval", eps: float = FD_EPS,
+               **config) -> CaseReport:
+    """Compare analytic and finite-difference gradients for one random case,
+    built by build_sain_fixture with `config`. Returns the worst relative
+    error across parameter tensors."""
+    fx = build_sain_fixture(seed, mode=mode, **config)
     trace = forward_batch(fx.uids, fx.iids, fx.user_packed, fx.item_packed,
                           fx.params, fx.config, mode=fx.mode)
     grads = backward(trace, fx.ratings, fx.params, fx.config)
@@ -166,7 +158,7 @@ def check_sain(seed: int, top_k: int = 3, mode: str = "eval",
 
     numeric = finite_diff_gradient(loss_at, fx.params.flatten(), eps=eps)
     worst, worst_name = _worst_tensor(fx.params, grads, numeric)
-    return CaseReport(model="sain", seed=seed, top_k=top_k,
+    return CaseReport(model="sain", seed=seed, top_k=fx.config.top_k,
                       max_rel_err=worst, worst_tensor=worst_name)
 
 

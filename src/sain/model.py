@@ -28,7 +28,7 @@ registered as their own (d,dh) tensors `attn{h}_w{q,k,v}`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .errors import ShapeError, is_json, json_value
 from .tensor import ParamSet, scatter_add_rows, softmax_rows, top_k_mask_rows
 
 L2_SCOPES = ("all", "embeddings", "projections")
-EMBEDDING_TENSORS = ("embeddings", "cf_user", "cf_item")
 SIDES = ("user", "item")
 
 
@@ -91,9 +90,6 @@ class ModelConfig:
     def head_dim(self) -> int:
         return self.embed_dim // self.num_heads
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "loss_weights": list(self.loss_weights)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         """Config from a run config's or a checkpoint header's dict. There is
@@ -146,9 +142,6 @@ class FieldLayout:
     def total_rows(self) -> int:
         return sum(self.sizes[f] for f in self.fields)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "FieldLayout":
         """Layout from a checkpoint header's dict, taken as stored: field lists
@@ -169,7 +162,10 @@ class SainParams(ParamSet):
     running statistics. Every learnable tensor is registered exactly once in
     `tensors`; the registration order drives initialization draws, the
     optimizer loop, and the flat vector used by the finite-difference oracle.
-    Running stats are excluded from gradients."""
+    Running stats are excluded from gradients. EMBEDDINGS are the tables
+    indexed by id."""
+
+    EMBEDDINGS = ("embeddings", "cf_user", "cf_item")
 
     def __init__(self, layout: FieldLayout, config: ModelConfig,
                  tensors: dict[str, np.ndarray], bn_mean: np.ndarray,
@@ -234,8 +230,7 @@ def decayed_names(params, scope: str) -> set[str]:
     names = set(params.tensors)
     if scope == "all":
         return names
-    embedding = {n for n in names if n in EMBEDDING_TENSORS or n in ("user_factors",
-                 "item_factors", "user_bias", "item_bias")}
+    embedding = set(params.EMBEDDINGS)
     return embedding if scope == "embeddings" else names - embedding
 
 
@@ -586,7 +581,7 @@ def backward(trace: ForwardTrace, ratings: np.ndarray, params: SainParams,
     r = np.asarray(ratings, dtype=np.float64)
     if r.shape[0] != trace.batch_size:
         raise ShapeError("ratings length does not match trace batch size")
-    grads = params.zero_grads(skip=EMBEDDING_TENSORS)
+    grads = params.zero_grads(skip=params.EMBEDDINGS)
     d_content, d_cf, d_combined = _scores_backward(trace, r, config)
     d_xbar = _sides_backward(trace, d_content, d_cf, d_combined, grads, params)
     d_resid = _residual_backward(trace, d_xbar)

@@ -15,7 +15,7 @@ import csv
 import ctypes
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +54,17 @@ def clip_ratings(scores: np.ndarray) -> np.ndarray:
     return np.clip(scores, RATING_MIN, RATING_MAX)
 
 
+def require_finite(*arrays) -> None:
+    """Refuse a model's outputs unless all are finite. Weights can be finite
+    yet so large that the scores overflow, to NaN or to an infinity that
+    clip_ratings would serve as a rating bound, so raw scores are checked
+    before clipping. The commands score under np.errstate(all="ignore"), so
+    that this is one error line, not numpy's warnings."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DivergenceError("the checkpoint's scores are not finite: its "
+                              "weights overflow")
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
@@ -79,16 +90,6 @@ class TrainConfig:
                              f"got {self.weight_decay!r}")
         if not math.isfinite(self.min_delta):
             raise ValueError(f"min_delta must be finite, got {self.min_delta!r}")
-
-    def to_dict(self) -> dict:
-        return {"learning_rate": self.learning_rate, "weight_decay": self.weight_decay,
-                "batch_size": self.batch_size, "max_epochs": self.max_epochs,
-                "patience": self.patience, "min_delta": self.min_delta,
-                "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -126,7 +127,6 @@ class TrainResult:
     best_epoch: int
     best_val_rmse: float
     stopped_early: bool
-    seed: int
     final_params: object
     epoch_seconds: list[tuple[float, float]] = field(default_factory=list)
 
@@ -173,24 +173,33 @@ def adam_update(params: ParamSet, grads: dict[str, np.ndarray], tcfg: TrainConfi
                   rows=rows.get(name))
 
 
-class SainEngine:
+class _Engine:
+    """What both engines set up: the heap setting, the training columns and
+    the names under decoupled decay."""
+
+    def __init__(self, data: PreparedData, params, tcfg: TrainConfig,
+                 l2_scope: str = "all"):
+        keep_heap()
+        self.data = data
+        self.params = params
+        self.tcfg = tcfg
+        self.users, self.items, self.ratings = interactions_to_arrays(data.split.train)
+        self.decay_set = decayed_names(params, l2_scope)
+
+    @property
+    def n_train(self) -> int:
+        return self.users.shape[0]
+
+
+class SainEngine(_Engine):
     """Attention-model steps: joint three-score loss, full backward, the
     shared in-place Adam update with scoped decoupled decay, and batch-norm
     running-stat commits."""
 
     def __init__(self, data: PreparedData, params: SainParams, tcfg: TrainConfig):
-        keep_heap()
-        self.data = data
-        self.params = params
+        super().__init__(data, params, tcfg, params.config.l2_scope)
         self.mcfg = params.config
-        self.tcfg = tcfg
-        self.users, self.items, self.ratings = interactions_to_arrays(data.split.train)
         self.dropout_rng = stream_rng(tcfg.seed, "dropout")
-        self.decay_set = decayed_names(params, self.mcfg.l2_scope)
-
-    @property
-    def n_train(self) -> int:
-        return self.users.shape[0]
 
     def step(self, idx: np.ndarray):
         u, i, r = self.users[idx], self.items[idx], self.ratings[idx]
@@ -212,22 +221,9 @@ class SainEngine:
         return self.params.clone()
 
 
-class MfEngine:
+class MfEngine(_Engine):
     """Baseline steps: single MSE loss; the log's content/preference columns
     stay empty because the model has one scoring head."""
-
-    def __init__(self, data: PreparedData, params: MfParams, tcfg: TrainConfig,
-                 l2_scope: str = "all"):
-        keep_heap()
-        self.data = data
-        self.params = params
-        self.tcfg = tcfg
-        self.users, self.items, self.ratings = interactions_to_arrays(data.split.train)
-        self.decay_set = decayed_names(params, l2_scope)
-
-    @property
-    def n_train(self) -> int:
-        return self.users.shape[0]
 
     def step(self, idx: np.ndarray):
         u, i, r = self.users[idx], self.items[idx], self.ratings[idx]
@@ -298,7 +294,7 @@ def run_training(engine, tcfg: TrainConfig) -> TrainResult:
     return TrainResult(params=best_params, adam=best_params.optimizer_state(),
                        history=history, best_epoch=best_epoch,
                        best_val_rmse=best_rmse, stopped_early=stopped_early,
-                       seed=tcfg.seed, final_params=engine.params,
+                       final_params=engine.params,
                        epoch_seconds=epoch_seconds)
 
 
@@ -361,6 +357,7 @@ def _eval_outputs(params: SainParams, data: PreparedData, uids: np.ndarray,
         outs["gate_user"][sl] = trace.gate_alpha["user"]
         outs["gate_item"][sl] = trace.gate_alpha["item"]
         del trace
+    require_finite(*outs.values())
     return outs
 
 
@@ -381,8 +378,9 @@ def evaluate_sain(params: SainParams, data: PreparedData,
 def evaluate_mf(params: MfParams, data: PreparedData,
                 split: str = "test") -> EvalReport:
     users, items, ratings = interactions_to_arrays(data.split.select(split))
-    pred = clip_ratings(mf_scores(users, items, params))
-    rmse, mae = rmse_mae(pred, ratings)
+    scores = mf_scores(users, items, params)
+    require_finite(scores)
+    rmse, mae = rmse_mae(clip_ratings(scores), ratings)
     return EvalReport(rmse=rmse, mae=mae, count=int(users.shape[0]),
                       detail={"combined": (rmse, mae)})
 
@@ -403,8 +401,9 @@ def predict_sain(params: SainParams, data: PreparedData, uids: np.ndarray,
 
 
 def predict_mf(params: MfParams, uids: np.ndarray, iids: np.ndarray) -> list[dict]:
-    pred = clip_ratings(mf_scores(uids, iids, params))
-    return [{"score": float(s)} for s in pred]
+    scores = mf_scores(uids, iids, params)
+    require_finite(scores)
+    return [{"score": float(s)} for s in clip_ratings(scores)]
 
 
 def sweep_top_k(data: PreparedData, mcfg: ModelConfig, tcfg: TrainConfig,
@@ -417,10 +416,9 @@ def sweep_top_k(data: PreparedData, mcfg: ModelConfig, tcfg: TrainConfig,
     rows = []
     for rep in range(repeats):
         run_seed = tcfg.seed if rep == 0 else derive_seed(tcfg.seed, "sweep", rep)
-        run_tcfg = TrainConfig.from_dict({**tcfg.to_dict(), "seed": run_seed})
+        run_tcfg = replace(tcfg, seed=run_seed)
         for k in k_values:
-            cfg_k = ModelConfig.from_dict({**mcfg.to_dict(), "top_k": int(k)})
-            result = train_sain(data, cfg_k, run_tcfg)
+            result = train_sain(data, replace(mcfg, top_k=int(k)), run_tcfg)
             test = evaluate_sain(result.params, data, "test")
             rows.append({"k": int(k), "repeat": rep, "seed": run_seed,
                          "best_epoch": result.best_epoch,
@@ -438,6 +436,7 @@ def attention_matrices(params: SainParams, data: PreparedData, uid: int,
     trace = forward_batch(np.asarray([uid], dtype=np.int64),
                           np.asarray([iid], dtype=np.int64), data.user_packed,
                           data.item_packed, params, params.config, mode="eval")
+    require_finite(trace.alpha_full[0])
     return [trace.alpha_full[0, h] for h in range(params.config.num_heads)]
 
 
@@ -477,8 +476,8 @@ def save_model(path: str, kind: str, params, adam: dict | None = None,
     `adam`, an optimizer state in the form ParamSet.optimizer_state() returns,
     when given."""
     if kind == "sain":
-        ckpt = Checkpoint(kind=kind, config=params.config.to_dict(),
-                          layout=params.layout.to_dict(), tensors=params.tensors,
+        ckpt = Checkpoint(kind=kind, config=asdict(params.config),
+                          layout=asdict(params.layout), tensors=params.tensors,
                           stats={"bn_mean": params.bn_mean, "bn_var": params.bn_var},
                           adam=adam, meta=meta or {})
     elif kind == "biasedmf":

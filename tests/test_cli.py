@@ -2,6 +2,7 @@
 outputs and exit codes, flag overrides, and deterministic reruns."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -200,6 +201,30 @@ class TestTrainCommand:
         assert resolved["model"] == want["model"]
         assert resolved["output_dir"] == str(tmp_path / want["output_dir"])
         assert resolved["split_by_time"] is want["split_by_time"]
+
+    def test_resolved_json_holds_every_config_field(self, tmp_path, synthetic_manifest):
+        # Exactly the fields of both configs, by dataclasses.fields, so that a
+        # hand-kept field list cannot drop one unseen. The file sets the four
+        # that no flag reaches.
+        path = _write_config(
+            tmp_path, synthetic_manifest,
+            model_config={"embed_dim": 8, "num_heads": 2, "top_k": 2, "bn_epsilon": 0.001,
+                          "bn_momentum": 0.25, "loss_weights": [0.5, 2, 1]},
+            train_config={"max_epochs": 1, "batch_size": 64, "min_delta": 0.01})
+        assert main(["train", "--config", path]) == 0
+        with open(tmp_path / "out" / "resolved.json") as f:
+            resolved = json.load(f)
+        rm = RunManifest.load(path)
+        assert sorted(resolved) == sorted(f.name for f in dataclasses.fields(rm))
+        for scope in ("model_config", "train_config"):
+            config = getattr(rm, scope)
+            names = [f.name for f in dataclasses.fields(config)]
+            assert sorted(resolved[scope]) == sorted(names)
+            for name in names:
+                assert resolved[scope][name] == json.loads(json.dumps(getattr(config, name)))
+        assert [resolved["model_config"][key] for key in
+                ("bn_epsilon", "bn_momentum", "loss_weights")] == [0.001, 0.25, [0.5, 2.0, 1.0]]
+        assert resolved["train_config"]["min_delta"] == 0.01
 
     def test_reruns_are_byte_identical(self, run_config, tmp_path):
         assert main(["train", "--config", run_config, "--output-dir", "a"]) == 0
@@ -789,6 +814,29 @@ class TestNonFiniteCheckpointNumbers:
             assert main([command, "--config", run_config, "--output-dir", "mf"] + pair) == 6
             assert capsys.readouterr().err.startswith("error category=divergence: ")
 
+    # Scores that overflow to +inf, not NaN: clipping served them as 5.0, and
+    # the command printed a finite RMSE or score with exit 0.
+    @pytest.mark.parametrize("kind, tables, command", [
+        ("biasedmf", ("user_factors", "item_factors"), "evaluate"),
+        ("biasedmf", ("user_factors", "item_factors"), "predict"),
+        ("sain", ("cf_user", "cf_item"), "predict")],
+        ids=["biasedmf-evaluate", "biasedmf-predict", "sain-predict"])
+    def test_scores_that_overflow_to_infinity_exit_6(self, run_config, tmp_path, capsys,
+                                                      kind, tables, command):
+        assert main(["train", "--config", run_config, "--model", kind,
+                     "--output-dir", kind]) == 0
+        path = str(tmp_path / kind / "model.ckpt")
+        ckpt = load_checkpoint(path)
+        for name in tables:
+            ckpt.tensors[name][:] = 1e200
+        save_checkpoint(path, ckpt)
+        pair = [] if command == "evaluate" else ["--user", "u0", "--item", "i1"]
+        capsys.readouterr()
+        assert main([command, "--config", run_config, "--output-dir", kind] + pair) == 6
+        assert capsys.readouterr() == ("", "error category=divergence: the checkpoint's "
+                                           "scores are not finite: its weights overflow\n")
+        assert not (tmp_path / kind / "eval_test.json").exists()
+
 
 class TestPredictCommand:
     def test_scores_one_pair(self, trained, capsys):
@@ -937,6 +985,26 @@ class TestTimingSidecar:
         meta = load_checkpoint(str(tmp_path / "out" / "model.ckpt")).meta
         assert payload["stop_reason"] == (
             "patience" if meta["stopped_early"] else "max_epochs")
+
+    def test_a_diverged_run_writes_its_timing_and_nothing_else(self, run_config,
+                                                              tmp_path, capsys):
+        # It exited 6 and left no record of where its time went or why it
+        # stopped.
+        assert main(["train", "--config", run_config, "--learning-rate", "1e3",
+                     "--weight-decay", "0", "--max-epochs", "50", "--patience", "50",
+                     "--output-dir", "diverged"]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error category=divergence: training diverged at "
+                            r"epoch \d+: loss=\S+\n", captured.err)
+        assert os.listdir(tmp_path / "diverged") == ["train.timing.json"]
+        with open(tmp_path / "diverged" / "train.timing.json") as f:
+            payload = json.load(f)
+        assert sorted(payload) == ["command", "prepare_seconds", "stop_reason",
+                                   "wall_seconds"]
+        assert payload["command"] == "train"
+        assert payload["stop_reason"] == "divergence"
+        assert 0.0 < payload["prepare_seconds"] <= payload["wall_seconds"]
 
     def test_checkpoint_commands_time_their_set_up(self, trained):
         # Loading the checkpoint, rebuilding the data and the drift check.

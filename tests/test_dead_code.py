@@ -12,7 +12,10 @@ the name, wherever it appears. So a function whose name is also an attribute
 name used elsewhere passes unreferenced; the trace fields `score_content` and
 `score_preference` hid the scoring functions of that name this way. A member
 is read when some ast.Attribute in a load context carries its name, on any
-object; dunder methods, which Python calls itself, are not checked."""
+object; dunder methods, which Python calls itself, are not checked. So a
+member sharing its name with a read member of another class passes unread:
+`TrainResult.seed` stayed unread this way, because the CLI reads
+`CaseReport.seed`."""
 
 import ast
 import pathlib

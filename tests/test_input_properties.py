@@ -22,6 +22,7 @@ import math
 import os
 import struct
 import tempfile
+from dataclasses import asdict
 
 import pytest
 
@@ -36,8 +37,8 @@ from sain.training import TrainConfig  # noqa: E402
 from conftest import write_synthetic_dataset  # noqa: E402
 
 EXIT_CODES = {0, 1, 3, 4, 5, 6, 7}
-MODEL_CONFIG = ModelConfig(embed_dim=8, num_heads=2, top_k=2).to_dict()
-TRAIN_CONFIG = TrainConfig(max_epochs=1, batch_size=64, seed=3).to_dict()
+MODEL_CONFIG = asdict(ModelConfig(embed_dim=8, num_heads=2, top_k=2))
+TRAIN_CONFIG = asdict(TrainConfig(max_epochs=1, batch_size=64, seed=3))
 TOP_KEYS = ("dataset", "model", "output_dir", "split_by_time", "model_config",
             "train_config")
 CONFIG_SLOTS = ([((), key) for key in TOP_KEYS]

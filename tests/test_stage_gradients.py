@@ -20,7 +20,7 @@ a global of sain.model, where a spy or the benchmark's tracer can wrap it,
 and pin the public signatures of the passes."""
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -200,8 +200,7 @@ def test_embed_stage(train_case):
 @pytest.mark.parametrize("renormalize", [True, False])
 def test_attention_stage(train_case, renormalize):
     case = train_case
-    config = ModelConfig.from_dict({**case.config.to_dict(),
-                                    "renormalize_topk": renormalize})
+    config = replace(case.config, renormalize_topk=renormalize)
 
     def forward(inputs, params):
         trace = case.trace()

@@ -105,7 +105,7 @@ class TestTrainConfig:
 
     def test_dict_round_trip(self):
         tcfg = TrainConfig(learning_rate=0.01, max_epochs=7, seed=3)
-        assert TrainConfig.from_dict(tcfg.to_dict()) == tcfg
+        assert TrainConfig(**dataclasses.asdict(tcfg)) == tcfg
 
 
 class _Marker:
@@ -532,9 +532,7 @@ class TestSweep:
         mcfg = ModelConfig(embed_dim=8, num_heads=2, top_k=2, dropout_rate=0.0)
         tcfg = TrainConfig(max_epochs=2, batch_size=80, seed=9)
         rows = sweep_top_k(memo_data, mcfg, tcfg, [4])
-        direct = train_sain(memo_data,
-                            ModelConfig.from_dict({**mcfg.to_dict(), "top_k": 4}),
-                            tcfg)
+        direct = train_sain(memo_data, dataclasses.replace(mcfg, top_k=4), tcfg)
         report = evaluate_sain(direct.params, memo_data, "test")
         assert rows[0]["test_rmse"] == report.rmse
         assert rows[0]["test_mae"] == report.mae
