@@ -18,18 +18,20 @@ from .tensor import ParamSet, scatter_add_rows
 
 class MfParams(ParamSet):
     """Learnable tensors for the biased factor model, packed into one
-    ParamSet arena, plus the frozen mean. All four are indexed by id."""
+    ParamSet arena, plus the frozen mean. All four are indexed by id; the
+    entity counts and the dimension are the factor tables' shapes."""
 
     EMBEDDINGS = ("user_factors", "item_factors", "user_bias", "item_bias")
 
     def __init__(self, tensors: dict[str, np.ndarray], mu: float,
-                 num_users: int, num_items: int, dim: int,
                  adam: dict | None = None):
         super().__init__(tensors, adam)
         self.mu = float(mu)
-        self.num_users = num_users
-        self.num_items = num_items
-        self.dim = dim
+        self.num_users, self.dim = self._shapes["user_factors"]
+        self.num_items = self._shapes["item_factors"][0]
+        if list(self._shapes.items()) != list(
+                self.shapes(self.num_users, self.num_items, self.dim).items()):
+            raise ShapeError("factor model tensors do not agree on their sizes")
 
     @staticmethod
     def shapes(num_users: int, num_items: int, dim: int) -> dict[str, tuple]:
@@ -47,7 +49,7 @@ class MfParams(ParamSet):
         t = {name: rng.uniform(-scale, scale, size=shape)
              if name.endswith("_factors") else np.zeros(shape)
              for name, shape in cls.shapes(num_users, num_items, dim).items()}
-        return cls(t, mu=mu, num_users=num_users, num_items=num_items, dim=dim)
+        return cls(t, mu=mu)
 
 
 def mf_scores(uids: np.ndarray, iids: np.ndarray, params: MfParams) -> np.ndarray:

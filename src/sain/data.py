@@ -122,9 +122,6 @@ class DatasetManifest:
         except (ValueError, ParseError) as e:
             raise ParseError(f"dataset manifest {path}: {e}") from e
 
-    def fields_for(self, owner: str) -> list[FieldSpec]:
-        return [f for f in self.features if f.owner == owner]
-
 
 def read_json_object(path: str, what: str) -> dict:
     """The JSON object in the UTF-8 file at `path`. A missing or unreadable
@@ -643,10 +640,9 @@ def build_dataset(manifest: DatasetManifest, seed: int,
                                                     manifest.min_ratings)
     population = {"user": set(user_ids), "item": set(item_ids)}
     vocab = build_feature_vocab(manifest.features, manifest.tag_top_t, population)
-    user_columns = {s.name: parse_feature_file(s.path) for s in manifest.fields_for("user")}
-    item_columns = {s.name: parse_feature_file(s.path) for s in manifest.fields_for("item")}
-    user_packed = encode_entity_features(user_columns, vocab, user_ids, "user")
-    item_packed = encode_entity_features(item_columns, vocab, item_ids, "item")
+    columns = {s.name: parse_feature_file(s.path) for s in manifest.features}
+    user_packed = encode_entity_features(columns, vocab, user_ids, "user")
+    item_packed = encode_entity_features(columns, vocab, item_ids, "item")
     try:
         split = split_dataset(interactions, derive_seed(seed, "split"), by_time=by_time)
     except ValueError as e:

@@ -7,6 +7,8 @@ oracle. Dropout is off and batch norm runs on stored statistics so the loss is
 a smooth deterministic function of the parameters. Fixtures are redrawn when a
 top-K selection margin or a ReLU pre-activation sits close enough to a
 decision boundary for the +/- eps probes to land on different branches.
+A SAIN fixture's config is its params' `config`. Both model kinds share one
+comparison, which probes clones of the params and names the worst tensor.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ def _toy_entities(rng: np.random.Generator, count: int):
 @dataclass
 class SainFixture:
     params: SainParams
-    config: ModelConfig
     user_packed: object
     item_packed: object
     uids: np.ndarray
@@ -116,18 +117,26 @@ def build_sain_fixture(seed: int, mode: str = "eval", batch: int = 3,
         uids = rng.integers(0, num_users, size=batch)
         iids = rng.integers(0, num_items, size=batch)
         ratings = rng.uniform(1.0, 5.0, size=batch)
-        trace = forward_batch(uids, iids, user_packed, item_packed, params,
-                              config, mode=mode)
+        trace = forward_batch(uids, iids, user_packed, item_packed, params, mode=mode)
         if _boundary_safe(trace, min(config.top_k, layout.seq_len)):
-            return SainFixture(params, config, user_packed, item_packed,
-                               uids, iids, ratings, mode)
+            return SainFixture(params, user_packed, item_packed, uids, iids,
+                               ratings, mode)
     raise RuntimeError(f"no boundary-safe fixture found for seed {seed}")
 
 
-def _worst_tensor(params, grads: dict[str, np.ndarray],
-                  numeric: np.ndarray) -> tuple[float, str]:
-    """The largest relative error between a tensor's analytic gradient and its
-    slice of the flat numeric gradient, and that tensor's name."""
+def _compare(model: str, seed: int, top_k: int | None, params,
+             grads: dict[str, np.ndarray], loss_of_params, eps: float) -> CaseReport:
+    """Compare each tensor's analytic gradient with its slice of the
+    central-difference gradient of `loss_of_params` (a loss of a params
+    object), taken at params over probes that clone it; the report names the
+    tensor with the largest relative error."""
+
+    def loss_at(vec: np.ndarray) -> float:
+        probe = params.clone()
+        probe.set_flat(vec)
+        return loss_of_params(probe)
+
+    numeric = finite_diff_gradient(loss_at, params.flatten(), eps=eps)
     worst, worst_name = 0.0, ""
     pos = 0
     for name, tensor in params.tensors.items():
@@ -135,7 +144,8 @@ def _worst_tensor(params, grads: dict[str, np.ndarray],
         if err > worst:
             worst, worst_name = err, name
         pos += tensor.size
-    return worst, worst_name
+    return CaseReport(model=model, seed=seed, top_k=top_k,
+                      max_rel_err=worst, worst_tensor=worst_name)
 
 
 def check_sain(seed: int, mode: str = "eval", eps: float = FD_EPS,
@@ -144,22 +154,15 @@ def check_sain(seed: int, mode: str = "eval", eps: float = FD_EPS,
     built by build_sain_fixture with `config`. Returns the worst relative
     error across parameter tensors."""
     fx = build_sain_fixture(seed, mode=mode, **config)
-    trace = forward_batch(fx.uids, fx.iids, fx.user_packed, fx.item_packed,
-                          fx.params, fx.config, mode=fx.mode)
-    grads = backward(trace, fx.ratings, fx.params, fx.config)
 
-    def loss_at(vec: np.ndarray) -> float:
-        probe = fx.params.clone()
-        probe.set_flat(vec)
-        t = forward_batch(fx.uids, fx.iids, fx.user_packed, fx.item_packed,
-                          probe, fx.config, mode=fx.mode)
-        loss, _ = joint_loss(t, fx.ratings, fx.config.loss_weights)
-        return loss
+    def forward(params: SainParams):
+        return forward_batch(fx.uids, fx.iids, fx.user_packed, fx.item_packed,
+                             params, mode=fx.mode)
 
-    numeric = finite_diff_gradient(loss_at, fx.params.flatten(), eps=eps)
-    worst, worst_name = _worst_tensor(fx.params, grads, numeric)
-    return CaseReport(model="sain", seed=seed, top_k=fx.config.top_k,
-                      max_rel_err=worst, worst_tensor=worst_name)
+    grads = backward(forward(fx.params), fx.ratings, fx.params)
+    return _compare("sain", seed, fx.params.config.top_k, fx.params, grads,
+                    lambda p: joint_loss(forward(p), fx.ratings,
+                                         p.config.loss_weights)[0], eps)
 
 
 def check_biasedmf(seed: int, eps: float = FD_EPS) -> CaseReport:
@@ -173,16 +176,8 @@ def check_biasedmf(seed: int, eps: float = FD_EPS) -> CaseReport:
     ratings = rng.uniform(1.0, 5.0, size=batch)
     scores = mf_scores(uids, iids, params)
     grads = mf_backward(uids, iids, scores, ratings, params)
-
-    def loss_at(vec: np.ndarray) -> float:
-        probe = params.clone()
-        probe.set_flat(vec)
-        return mf_loss(mf_scores(uids, iids, probe), ratings)
-
-    numeric = finite_diff_gradient(loss_at, params.flatten(), eps=eps)
-    worst, worst_name = _worst_tensor(params, grads, numeric)
-    return CaseReport(model="biasedmf", seed=seed, top_k=None,
-                      max_rel_err=worst, worst_tensor=worst_name)
+    return _compare("biasedmf", seed, None, params, grads,
+                    lambda p: mf_loss(mf_scores(uids, iids, p), ratings), eps)
 
 
 def run_suite(num_seeds: int = 20, k_values: tuple[int, ...] = (2, 3, 4)) -> SuiteReport:

@@ -16,7 +16,8 @@ returns the gradient of its input.
 Stages 5 and 6 leave their outputs in the trace, whose per-side fields
 `content`, `cf`, `gate_alpha` and `combined` are dicts keyed by side.
 Training, evaluation, prediction and the attention export all run this one
-pass; a single pair is a batch of one.
+pass; a single pair is a batch of one. The passes and their stages read the
+model's ModelConfig from `params.config`, its only holder.
 
 Shapes: B batch, S = m + n feature positions (m user fields then n item
 fields), d embed dim, H heads, dh = d // H. The heads run as one tensor axis:
@@ -314,11 +315,12 @@ def _embed_backward(trace: ForwardTrace, d_x: np.ndarray, grads: dict,
                                            len(params.tensors["embeddings"]))
 
 
-def _attention_forward(trace: ForwardTrace, x: np.ndarray, params: SainParams,
-                       config: ModelConfig) -> np.ndarray:
+def _attention_forward(trace: ForwardTrace, x: np.ndarray,
+                       params: SainParams) -> np.ndarray:
     """Scaled dot-product attention with top-K row filtering, all heads at
     once; returns the head outputs concatenated in head order (B,S,d). The
     columns of the one QKV product reshape to (3,H,dh)."""
+    config = params.config
     B, S, d = x.shape
     H, dh = config.num_heads, config.head_dim
     trace.x = x
@@ -340,12 +342,13 @@ def _attention_forward(trace: ForwardTrace, x: np.ndarray, params: SainParams,
 
 
 def _attention_backward(trace: ForwardTrace, d_concat: np.ndarray, grads: dict,
-                        params: SainParams, config: ModelConfig) -> np.ndarray:
+                        params: SainParams) -> np.ndarray:
     """Returns the gradient of x through the attention alone. d_q, d_k, d_v
     are (B,H,S,dh) views of one (B,S,3,H,dh) buffer, whose rows reshape to
     (B*S,3d) in the column order of w_qkv. The renormalization and softmax
     backward run in d_logits' buffer with one (B,H,S,S) scratch array for
     the row products."""
+    config = params.config
     B, S, d = trace.x.shape
     H, dh = config.num_heads, config.head_dim
     d_out = d_concat.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
@@ -376,13 +379,13 @@ def _attention_backward(trace: ForwardTrace, d_concat: np.ndarray, grads: dict,
 
 
 def _batch_norm_forward(trace: ForwardTrace, z: np.ndarray, params: SainParams,
-                        config: ModelConfig, mode: str,
-                        dropout_rng: np.random.Generator | None) -> np.ndarray:
+                        mode: str, dropout_rng: np.random.Generator | None) -> np.ndarray:
     """Channel-wise batch norm over the batch x feature-position axis, then
     dropout. Train mode normalizes with batch statistics (biased variance),
     records updated running stats and, when dropout_rate is positive, draws
     an inverted-scale dropout mask; eval mode uses the stored running stats.
     xhat is computed in z's buffer, so z is consumed."""
+    config = params.config
     flat = z.reshape(-1, z.shape[-1])
     trace.mode = mode
     if mode == "train":
@@ -512,10 +515,10 @@ def _scores_forward(trace: ForwardTrace) -> None:
 
 
 def _scores_backward(trace: ForwardTrace, ratings: np.ndarray,
-                     config: ModelConfig) -> tuple[dict, dict, dict]:
+                     params: SainParams) -> tuple[dict, dict, dict]:
     """Starts from joint_loss: each side's content, CF and combined vector
     gradients are a score's loss gradient times the other side's vector."""
-    w1, w2, w3 = config.loss_weights
+    w1, w2, w3 = params.config.loss_weights
 
     def through(weight: float, score: np.ndarray, vectors: dict) -> dict:
         g = (2.0 * weight * (score - ratings) / trace.batch_size)[:, None]
@@ -527,12 +530,13 @@ def _scores_backward(trace: ForwardTrace, ratings: np.ndarray,
 
 
 def forward_batch(uids: np.ndarray, iids: np.ndarray, user_packed: PackedFeatures,
-                  item_packed: PackedFeatures, params: SainParams,
-                  config: ModelConfig, mode: str = "eval",
+                  item_packed: PackedFeatures, params: SainParams, *,
+                  mode: str = "eval",
                   dropout_rng: np.random.Generator | None = None) -> ForwardTrace:
-    """Full batched forward pass. Eval mode is a pure deterministic function of
-    (inputs, params); train mode uses batch statistics and, when dropout_rate
-    is positive, a recorded inverted-scale dropout mask."""
+    """Full batched forward pass of the model that params.config sets up.
+    Eval mode is a pure deterministic function of (inputs, params); train mode
+    uses batch statistics and, when dropout_rate is positive, a recorded
+    inverted-scale dropout mask."""
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
     trace = ForwardTrace()
@@ -550,8 +554,8 @@ def forward_batch(uids: np.ndarray, iids: np.ndarray, user_packed: PackedFeature
                              f"{int(ids[(ids < 0) | (ids >= n)][0])}")
 
     x = _embed_forward(trace, packed, params)
-    heads = _attention_forward(trace, x, params, config)
-    h = _batch_norm_forward(trace, heads, params, config, mode, dropout_rng)
+    heads = _attention_forward(trace, x, params)
+    h = _batch_norm_forward(trace, heads, params, mode, dropout_rng)
     _sides_forward(trace, _residual_forward(trace, x, h), params)
     _scores_forward(trace)
     return trace
@@ -573,8 +577,8 @@ def joint_loss(trace: ForwardTrace, ratings: np.ndarray,
     return w1 * mse_c + w2 * mse_p + w3 * mse_m, (mse_c, mse_p, mse_m)
 
 
-def backward(trace: ForwardTrace, ratings: np.ndarray, params: SainParams,
-             config: ModelConfig) -> dict[str, np.ndarray]:
+def backward(trace: ForwardTrace, ratings: np.ndarray,
+             params: SainParams) -> dict[str, np.ndarray]:
     """Exact gradients of joint_loss w.r.t. every learnable tensor, following
     the recorded forward pass (including the fixed top-K selection, the
     renormalization, the batch-norm mode used, and the dropout mask)."""
@@ -582,12 +586,12 @@ def backward(trace: ForwardTrace, ratings: np.ndarray, params: SainParams,
     if r.shape[0] != trace.batch_size:
         raise ShapeError("ratings length does not match trace batch size")
     grads = params.zero_grads(skip=params.EMBEDDINGS)
-    d_content, d_cf, d_combined = _scores_backward(trace, r, config)
+    d_content, d_cf, d_combined = _scores_backward(trace, r, params)
     d_xbar = _sides_backward(trace, d_content, d_cf, d_combined, grads, params)
     d_resid = _residual_backward(trace, d_xbar)
     d_heads = _batch_norm_backward(trace, d_resid, grads, params)
     # x feeds both the attention and the residual sum
-    d_x = _attention_backward(trace, d_heads, grads, params, config)
+    d_x = _attention_backward(trace, d_heads, grads, params)
     d_x += d_resid
     _embed_backward(trace, d_x, grads, params)
     return grads

@@ -60,9 +60,10 @@ def require_finite(*arrays) -> None:
     clip_ratings would serve as a rating bound, so raw scores are checked
     before clipping. The commands score under np.errstate(all="ignore"), so
     that this is one error line, not numpy's warnings."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise DivergenceError("the checkpoint's scores are not finite: its "
-                              "weights overflow")
+    for a in arrays:
+        if not np.logical_and.reduce(np.isfinite(a), axis=None):
+            raise DivergenceError("the checkpoint's scores are not finite: its "
+                                  "weights overflow")
 
 
 @dataclass
@@ -198,16 +199,14 @@ class SainEngine(_Engine):
 
     def __init__(self, data: PreparedData, params: SainParams, tcfg: TrainConfig):
         super().__init__(data, params, tcfg, params.config.l2_scope)
-        self.mcfg = params.config
         self.dropout_rng = stream_rng(tcfg.seed, "dropout")
 
     def step(self, idx: np.ndarray):
         u, i, r = self.users[idx], self.items[idx], self.ratings[idx]
         trace = forward_batch(u, i, self.data.user_packed, self.data.item_packed,
-                              self.params, self.mcfg, mode="train",
-                              dropout_rng=self.dropout_rng)
-        loss, parts = joint_loss(trace, r, self.mcfg.loss_weights)
-        grads = backward(trace, r, self.params, self.mcfg)
+                              self.params, mode="train", dropout_rng=self.dropout_rng)
+        loss, parts = joint_loss(trace, r, self.params.config.loss_weights)
+        grads = backward(trace, r, self.params)
         rows = {"cf_user": sorted_distinct(u), "cf_item": sorted_distinct(i)}
         adam_update(self.params, grads, self.tcfg, self.decay_set, rows)
         self.params.bn_mean = trace.bn_new_mean
@@ -350,7 +349,7 @@ def _eval_outputs(params: SainParams, data: PreparedData, uids: np.ndarray,
     for lo, hi in zip(bounds, bounds[1:]):
         sl = slice(lo, hi)
         trace = forward_batch(uids[sl], iids[sl], data.user_packed,
-                              data.item_packed, params, params.config, mode="eval")
+                              data.item_packed, params)
         outs["content"][sl] = trace.score_content
         outs["preference"][sl] = trace.score_preference
         outs["combined"][sl] = trace.score_combined
@@ -435,7 +434,7 @@ def attention_matrices(params: SainParams, data: PreparedData, uid: int,
     runs, on a batch of one."""
     trace = forward_batch(np.asarray([uid], dtype=np.int64),
                           np.asarray([iid], dtype=np.int64), data.user_packed,
-                          data.item_packed, params, params.config, mode="eval")
+                          data.item_packed, params)
     require_finite(trace.alpha_full[0])
     return [trace.alpha_full[0, h] for h in range(params.config.num_heads)]
 
@@ -536,7 +535,7 @@ def load_model(path: str):
                                 ckpt.stats["bn_mean"].copy(),
                                 ckpt.stats["bn_var"].copy(), adam=ckpt.adam)
         else:
-            params = MfParams(ckpt.tensors, mu, *sizes, adam=ckpt.adam)
+            params = MfParams(ckpt.tensors, mu, adam=ckpt.adam)
     except ShapeError as e:
         raise ParseError(f"checkpoint optimizer state unusable: {path}: {e}") from e
     adam = None if ckpt.adam is None else params.optimizer_state()

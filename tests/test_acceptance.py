@@ -93,7 +93,7 @@ def test_criterion_02_attention_rows_are_filtered_distributions():
         b = int(rng.integers(1, 5))
         trace = forward_batch(rng.integers(0, 4, size=b),
                               rng.integers(0, 4, size=b),
-                              user_packed, item_packed, params, config)
+                              user_packed, item_packed, params)
         for h in range(config.num_heads):
             sums = trace.alpha_full[:, h].sum(axis=-1)
             worst_sum_err = max(worst_sum_err, float(np.max(np.abs(sums - 1.0))))
@@ -126,10 +126,14 @@ def test_criterion_03_full_k_equals_unfiltered_attention():
         item_packed = pack_features(*_toy_entities(rng, 4), vocab, "item")
         uids = rng.integers(0, 4, size=3)
         iids = rng.integers(0, 4, size=3)
-        args = (uids, iids, user_packed, item_packed, params)
-        t_full = forward_batch(*args, cfg_full)
-        t_plain = forward_batch(*args, cfg_plain)
-        t_big = forward_batch(*args, cfg_big)
+
+        def under(config):
+            # the same weights, run as the model that `config` sets up
+            p = params.clone()
+            p.config = config
+            return forward_batch(uids, iids, user_packed, item_packed, p)
+
+        t_full, t_plain, t_big = map(under, (cfg_full, cfg_plain, cfg_big))
         out_full, out_plain = head_outputs(t_full), head_outputs(t_plain)
         worst = max(worst,
                     float(np.max(np.abs(scores(t_full) - scores(t_plain)))),
@@ -148,7 +152,7 @@ def test_criterion_04_saturated_gates_recover_each_pure_score():
     for seed in range(20):
         fx = build_sain_fixture(seed, batch=1)
         trace = forward_batch(fx.uids, fx.iids, fx.user_packed, fx.item_packed,
-                              fx.params, fx.config, mode="eval")
+                              fx.params)
         du = (trace.cf["user"] - trace.content["user"])[0]
         di = (trace.cf["item"] - trace.content["item"])[0]
         if du @ du > 1e-6 and di @ di > 1e-6:
@@ -163,7 +167,7 @@ def test_criterion_04_saturated_gates_recover_each_pure_score():
         params.tensors["gate_user_w"] = sign * 40.0 * du / (du @ du)
         params.tensors["gate_item_w"] = sign * 40.0 * di / (di @ di)
         trace = forward_batch(fx.uids, fx.iids, fx.user_packed, fx.item_packed,
-                              params, fx.config, mode="eval")
+                              params)
         for side in ("user", "item"):
             a = trace.gate_alpha[side][0]
             assert (a > 1.0 - 1e-12) if sign > 0 else (a < 1e-12)

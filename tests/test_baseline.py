@@ -21,7 +21,7 @@ def _params(num_users=3, num_items=3, dim=2):
          "item_factors": np.zeros((num_items, dim)),
          "user_bias": np.zeros(num_users),
          "item_bias": np.zeros(num_items)}
-    return MfParams(t, mu=3.0, num_users=num_users, num_items=num_items, dim=dim)
+    return MfParams(t, mu=3.0)
 
 
 class TestScoring:
@@ -47,7 +47,7 @@ class TestScoring:
                             "item_factors": p.tensors["user_factors"].copy(),
                             "user_bias": p.tensors["item_bias"].copy(),
                             "item_bias": p.tensors["user_bias"].copy()},
-                           mu=3.5, num_users=4, num_items=4, dim=3)
+                           mu=3.5)
         uids = np.asarray([0, 1, 3])
         iids = np.asarray([2, 2, 0])
         np.testing.assert_allclose(mf_scores(uids, iids, p),
@@ -63,6 +63,25 @@ class TestScoring:
     def test_init_validation(self):
         with pytest.raises(ShapeError):
             MfParams.init(0, 3, 2, mu=3.0, rng=np.random.default_rng(0))
+
+    def test_sizes_are_the_tensors_shapes(self):
+        # The entity counts and the dimension are read from the tables, so
+        # the id check bounds ids by the rows that exist.
+        p = _params(num_users=3, num_items=4, dim=2)
+        assert (p.num_users, p.num_items, p.dim) == (3, 4, 2)
+        assert (p.clone().num_users, p.clone().num_items) == (3, 4)
+        with pytest.raises(ShapeError, match="user"):
+            mf_scores(np.asarray([3]), np.asarray([0]), p)
+        with pytest.raises(ShapeError, match="item"):
+            mf_scores(np.asarray([0]), np.asarray([4]), p)
+        np.testing.assert_array_equal(mf_scores(np.asarray([2]), np.asarray([3]), p), [3.0])
+
+    def test_tables_that_disagree_are_refused(self):
+        t = _params(num_users=3, num_items=4, dim=2).tensors
+        for name, shape in (("user_bias", (5,)), ("item_factors", (4, 3))):
+            bad = {k: np.zeros(shape) if k == name else v.copy() for k, v in t.items()}
+            with pytest.raises(ShapeError, match="agree"):
+                MfParams(bad, mu=3.0)
 
 
 class TestLossAndGradients:

@@ -75,10 +75,10 @@ class TestStructuralProperties:
         # loss sits at an exact minimum of value zero.
         fx = build_sain_fixture(10, loss_weights=(0.0, 0.0, 1.0))
         trace = forward_batch(fx.uids, fx.iids, fx.user_packed, fx.item_packed,
-                              fx.params, fx.config, mode="eval")
-        loss, _ = joint_loss(trace, trace.score_combined, fx.config.loss_weights)
+                              fx.params)
+        loss, _ = joint_loss(trace, trace.score_combined, fx.params.config.loss_weights)
         assert loss == 0.0
-        grads = backward(trace, trace.score_combined, fx.params, fx.config)
+        grads = backward(trace, trace.score_combined, fx.params)
         for name, g in grads.items():
             assert np.max(np.abs(g)) < 1e-12, name
 
@@ -87,8 +87,8 @@ class TestStructuralProperties:
         # the difference and can never receive gradient.
         fx = build_sain_fixture(11)
         trace = forward_batch(fx.uids, fx.iids, fx.user_packed, fx.item_packed,
-                              fx.params, fx.config, mode="eval")
-        grads = backward(trace, fx.ratings, fx.params, fx.config)
+                              fx.params)
+        grads = backward(trace, fx.ratings, fx.params)
         np.testing.assert_array_equal(grads["gate_user_b"], [0.0])
         np.testing.assert_array_equal(grads["gate_item_b"], [0.0])
 
@@ -97,13 +97,13 @@ class TestStructuralProperties:
         # loss equals the average of per-row gradients.
         fx = build_sain_fixture(12, batch=3)
         whole = forward_batch(fx.uids, fx.iids, fx.user_packed, fx.item_packed,
-                              fx.params, fx.config, mode="eval")
-        grads_whole = backward(whole, fx.ratings, fx.params, fx.config)
+                              fx.params)
+        grads_whole = backward(whole, fx.ratings, fx.params)
         summed = {k: np.zeros_like(v) for k, v in grads_whole.items()}
         for j in range(3):
             one = forward_batch(fx.uids[j:j + 1], fx.iids[j:j + 1], fx.user_packed,
-                                fx.item_packed, fx.params, fx.config, mode="eval")
-            g = backward(one, fx.ratings[j:j + 1], fx.params, fx.config)
+                                fx.item_packed, fx.params)
+            g = backward(one, fx.ratings[j:j + 1], fx.params)
             for k in summed:
                 summed[k] += g[k] / 3.0
         for k in grads_whole:

@@ -186,7 +186,7 @@ class TestEmbedPair:
         emb = params.tensors["embeddings"]
         offsets = prepared.vocab.offsets()
         users, items = _one_pair(prepared, [[1], [0]], [[0, 2], [1]])
-        x = forward_batch([0], [0], users, items, params, cfg).x[0]
+        x = forward_batch([0], [0], users, items, params).x[0]
         assert x.shape == (4, 8)
         np.testing.assert_array_equal(x[0], emb[offsets["gender"] + 1])
         np.testing.assert_allclose(
@@ -280,9 +280,9 @@ def _batch(prepared, size, seed):
     return uids, iids
 
 
-def _run(prepared, params, cfg, uids=(3,), iids=(2,), **kwargs):
+def _run(prepared, params, uids=(3,), iids=(2,), **kwargs):
     return forward_batch(np.asarray(uids), np.asarray(iids), prepared.user_packed,
-                         prepared.item_packed, params, cfg, **kwargs)
+                         prepared.item_packed, params, **kwargs)
 
 
 class TestInteractionBlock:
@@ -294,30 +294,30 @@ class TestInteractionBlock:
         params, cfg = small_params(prepared, seed=15)
         for h in range(cfg.num_heads):
             params.tensors[f"attn{h}_wv"][:] = 0.0
-        trace = _run(prepared, params, cfg, *_batch(prepared, 4, seed=16))
+        trace = _run(prepared, params, *_batch(prepared, 4, seed=16))
         np.testing.assert_allclose(trace.xbar, np.maximum(trace.x, 0.0), atol=1e-9)
 
     def test_train_dropout_requires_rng(self, prepared):
         params, cfg = small_params(prepared, seed=17, dropout_rate=0.5)
         with pytest.raises(ValueError, match="rng"):
-            _run(prepared, params, cfg, mode="train")
+            _run(prepared, params, mode="train")
 
     def test_eval_ignores_dropout(self, prepared):
         params, cfg = small_params(prepared, seed=18, dropout_rate=0.5)
-        a = _run(prepared, params, cfg, *_batch(prepared, 4, seed=18))
-        b = _run(prepared, params, cfg, *_batch(prepared, 4, seed=18))
+        a = _run(prepared, params, *_batch(prepared, 4, seed=18))
+        b = _run(prepared, params, *_batch(prepared, 4, seed=18))
         assert a.dropout_mask is None
         np.testing.assert_array_equal(a.xbar, b.xbar)
 
     def test_train_dropout_zeroes_and_rescales(self, prepared):
         params, cfg = small_params(prepared, seed=19, dropout_rate=0.4)
         pairs = _batch(prepared, 6, seed=19)
-        a = _run(prepared, params, cfg, *pairs, mode="train",
+        a = _run(prepared, params, *pairs, mode="train",
                  dropout_rng=stream_rng(0, "dropout"))
-        b = _run(prepared, params, cfg, *pairs, mode="train",
+        b = _run(prepared, params, *pairs, mode="train",
                  dropout_rng=stream_rng(0, "dropout"))
         np.testing.assert_array_equal(a.xbar, b.xbar)
-        c = _run(prepared, params, cfg, *pairs, mode="train",
+        c = _run(prepared, params, *pairs, mode="train",
                  dropout_rng=stream_rng(1, "dropout"))
         assert not np.array_equal(a.xbar, c.xbar)
 
@@ -352,7 +352,7 @@ class TestAggregationAndScores:
         t["agg_user_w"][d, 0] = 1.0
         t["agg_user_b"][:] = 0.0
         t["agg_user_b"][1] = 0.25
-        trace = _run(prepared, params, cfg)
+        trace = _run(prepared, params)
         assert (trace.xbar[0, 0, 0], trace.xbar[0, 1, 0]) == (3.0, 4.0)
         xu = trace.content["user"][0]
         assert math.isclose(xu[0], 7.0, abs_tol=1e-15)
@@ -364,7 +364,7 @@ class TestAggregationAndScores:
         params, cfg = small_params(prepared, seed=20)
         _set_vectors(params, cfg, "user", cf=a, content=a)
         _set_vectors(params, cfg, "item", cf=b, content=b)
-        trace = _run(prepared, params, cfg)
+        trace = _run(prepared, params)
         assert math.isclose(trace.score_content[0], -1.0, abs_tol=1e-15)
         assert math.isclose(trace.score_preference[0], np.dot(a, b), abs_tol=1e-15)
 
@@ -377,7 +377,7 @@ def integration_gate(prepared, x_cf, x_bar, w, b=0.0):
     _set_vectors(params, cfg, "user", cf=x_cf, content=x_bar)
     params.tensors["gate_user_w"] = _padded(w, cfg.embed_dim)
     params.tensors["gate_user_b"] = [b]
-    trace = _run(prepared, params, cfg)
+    trace = _run(prepared, params)
     return trace.gate_alpha["user"][0], trace.combined["user"][0, :len(x_cf)]
 
 
@@ -426,7 +426,7 @@ class TestForward:
         params, cfg = small_params(prepared, seed=21, top_k=2)
         uids, iids = _batch(prepared, 6, seed=22)
         trace = forward_batch(uids, iids, prepared.user_packed,
-                              prepared.item_packed, params, cfg)
+                              prepared.item_packed, params)
         S = params.layout.seq_len
         assert trace.x.shape == (6, S, cfg.embed_dim)
         assert scores(trace).shape == (6, 3)
@@ -449,7 +449,7 @@ class TestForward:
                                    top_k=top_k, renormalize_topk=renormalize)
         uids, iids = _batch(prepared, 7, seed=41)
         trace = forward_batch(uids, iids, prepared.user_packed,
-                              prepared.item_packed, params, cfg)
+                              prepared.item_packed, params)
         S, H, dh = params.layout.seq_len, cfg.num_heads, cfg.head_dim
         assert trace.alpha_full.shape == trace.alpha_topk.shape == (7, H, S, S)
         assert trace.topk_mask.shape == (7, H, S, S)
@@ -475,7 +475,7 @@ class TestForward:
         params, cfg = small_params(prepared, seed=23)
         uids, iids = _batch(prepared, 8, seed=24)
         trace = forward_batch(uids, iids, prepared.user_packed,
-                              prepared.item_packed, params, cfg)
+                              prepared.item_packed, params)
         for side in ("user", "item"):
             a = trace.gate_alpha[side]
             cf, ct, comb = trace.cf[side], trace.content[side], trace.combined[side]
@@ -488,16 +488,16 @@ class TestForward:
         params, cfg = small_params(prepared, seed=25)
         uids, iids = _batch(prepared, 5, seed=26)
         a = forward_batch(uids, iids, prepared.user_packed, prepared.item_packed,
-                          params, cfg)
+                          params)
         b = forward_batch(uids, iids, prepared.user_packed, prepared.item_packed,
-                          params, cfg)
+                          params)
         np.testing.assert_array_equal(scores(a), scores(b))
 
     def test_eval_mode_leaves_running_stats_alone(self, prepared):
         params, cfg = small_params(prepared, seed=27)
         uids, iids = _batch(prepared, 5, seed=28)
         trace = forward_batch(uids, iids, prepared.user_packed,
-                              prepared.item_packed, params, cfg)
+                              prepared.item_packed, params)
         np.testing.assert_array_equal(trace.bn_new_mean, params.bn_mean)
         np.testing.assert_array_equal(trace.bn_new_var, params.bn_var)
 
@@ -505,7 +505,7 @@ class TestForward:
         params, cfg = small_params(prepared, seed=29)
         uids, iids = _batch(prepared, 5, seed=30)
         trace = forward_batch(uids, iids, prepared.user_packed,
-                              prepared.item_packed, params, cfg, mode="train")
+                              prepared.item_packed, params, mode="train")
         flat = head_outputs(trace).reshape(-1, cfg.embed_dim)
         np.testing.assert_allclose(
             trace.bn_new_mean, 0.9 * params.bn_mean + 0.1 * flat.mean(axis=0),
@@ -519,8 +519,8 @@ class TestForward:
         params, cfg = small_params(prepared, seed=31)
         uids, iids = _batch(prepared, 9, seed=31)
         uids[4], iids[4] = 3, 2
-        trace_b = _run(prepared, params, cfg, uids, iids)
-        trace_1 = _run(prepared, params, cfg)
+        trace_b = _run(prepared, params, uids, iids)
+        trace_1 = _run(prepared, params)
         np.testing.assert_allclose(scores(trace_1), scores(trace_b)[4:5], atol=1e-12)
         assert trace_1.ids["user"][0] == 3 and trace_1.ids["item"][0] == 2
 
@@ -528,11 +528,11 @@ class TestForward:
         params, cfg = small_params(prepared, seed=32)
         with pytest.raises(ValueError, match="mode"):
             forward_batch(np.asarray([0]), np.asarray([0]), prepared.user_packed,
-                          prepared.item_packed, params, cfg, mode="test")
+                          prepared.item_packed, params, mode="test")
         with pytest.raises(ValueError, match="empty"):
             forward_batch(np.asarray([], dtype=np.int64),
                           np.asarray([], dtype=np.int64), prepared.user_packed,
-                          prepared.item_packed, params, cfg)
+                          prepared.item_packed, params)
 
 
 def _padded_embedding_grad(d_x, rows, weights, bounds, num_rows):
@@ -578,9 +578,9 @@ class TestEmbeddingGradient:
             params, cfg = small_params(prepared, seed=40, dropout_rate=dropout)
             uids, iids = _batch(prepared, 64, seed=41)
             trace = forward_batch(uids, iids, prepared.user_packed,
-                                  prepared.item_packed, params, cfg, mode=mode,
+                                  prepared.item_packed, params, mode=mode,
                                   dropout_rng=np.random.default_rng(42))
-            grads = backward(trace, np.full(64, 3.0), params, cfg)
+            grads = backward(trace, np.full(64, 3.0), params)
             (args, got), = calls
             calls.clear()
             assert got is grads["embeddings"]
@@ -627,7 +627,7 @@ class TestJointLoss:
         params, cfg = small_params(prepared, seed=34)
         uids, iids = _batch(prepared, 4, seed=35)
         trace = forward_batch(uids, iids, prepared.user_packed,
-                              prepared.item_packed, params, cfg)
+                              prepared.item_packed, params)
         ratings = trace.score_content + 2.0
         loss, parts = joint_loss(trace, ratings, (1.0, 0.0, 0.0))
         assert math.isclose(parts[0], 4.0, abs_tol=1e-12)
@@ -637,7 +637,7 @@ class TestJointLoss:
         params, cfg = small_params(prepared, seed=36)
         uids, iids = _batch(prepared, 4, seed=37)
         trace = forward_batch(uids, iids, prepared.user_packed,
-                              prepared.item_packed, params, cfg)
+                              prepared.item_packed, params)
         ratings = np.full(4, 3.0)
         loss, parts = joint_loss(trace, ratings, (0.25, 0.5, 2.0))
         assert math.isclose(loss, 0.25 * parts[0] + 0.5 * parts[1] + 2.0 * parts[2],
@@ -649,10 +649,10 @@ class TestJointLoss:
         params, cfg = small_params(prepared, seed=38)
         uids, iids = _batch(prepared, 4, seed=39)
         trace = forward_batch(uids, iids, prepared.user_packed,
-                              prepared.item_packed, params, cfg)
+                              prepared.item_packed, params)
         with pytest.raises(ValueError):
             joint_loss(trace, np.asarray([]), cfg.loss_weights)
         with pytest.raises(ShapeError):
             joint_loss(trace, np.ones(3), cfg.loss_weights)
         with pytest.raises(ShapeError):
-            backward(trace, np.ones(3), params, cfg)
+            backward(trace, np.ones(3), params)

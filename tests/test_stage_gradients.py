@@ -45,7 +45,6 @@ class Case:
     every probe draws the same dropout mask."""
 
     params: SainParams
-    config: ModelConfig
     mode: str
     packed: dict
     ids: dict
@@ -112,16 +111,16 @@ def build_case(mode: str, seed: int = 0, **config) -> Case:
         trace = ForwardTrace()
         trace.ids = ids
         x = model._embed_forward(trace, packed, params)
-        heads = model._attention_forward(trace, x, params, config)
-        h = model._batch_norm_forward(trace, heads.copy(), params, config, mode,
+        heads = model._attention_forward(trace, x, params)
+        h = model._batch_norm_forward(trace, heads.copy(), params, mode,
                                       np.random.default_rng(attempt))
         xbar = model._residual_forward(trace, x, h.copy())
         model._sides_forward(trace, xbar, params)
         vectors = [d[side] for d in (trace.content, trace.cf, trace.combined)
                    for side in model.SIDES]
         if _safe(trace, config.top_k):
-            return Case(params, config, mode, packed, ids, ratings, x, heads, h,
-                        xbar, vectors, dropout_seed=attempt)
+            return Case(params, mode, packed, ids, ratings, x, heads, h, xbar,
+                        vectors, dropout_seed=attempt)
     raise RuntimeError(f"no boundary-safe case for seed {seed}")
 
 
@@ -199,16 +198,18 @@ def test_embed_stage(train_case):
 
 @pytest.mark.parametrize("renormalize", [True, False])
 def test_attention_stage(train_case, renormalize):
-    case = train_case
-    config = replace(case.config, renormalize_topk=renormalize)
+    # The same weights, run with or without the renormalization; every probe
+    # clones these params, so it keeps their config.
+    params = train_case.params.clone()
+    params.config = replace(params.config, renormalize_topk=renormalize)
+    case = replace(train_case, params=params)
 
     def forward(inputs, params):
         trace = case.trace()
-        return trace, [model._attention_forward(trace, inputs[0], params, config)]
+        return trace, [model._attention_forward(trace, inputs[0], params)]
 
     def backward(trace, cotangents, grads):
-        return [model._attention_backward(trace, cotangents[0], grads, case.params,
-                                          config)]
+        return [model._attention_backward(trace, cotangents[0], grads, case.params)]
 
     own = [n for n in case.params.tensors if n.startswith("attn")]
     assert vjp_error(case, forward, backward, [case.x], own) < TOLERANCE
@@ -217,8 +218,7 @@ def test_attention_stage(train_case, renormalize):
 def test_batch_norm_stage(case):
     def forward(inputs, params):
         trace = case.trace()
-        out = model._batch_norm_forward(trace, inputs[0].copy(), params, case.config,
-                                        case.mode,
+        out = model._batch_norm_forward(trace, inputs[0].copy(), params, case.mode,
                                         np.random.default_rng(case.dropout_seed))
         return trace, [out]
 
@@ -235,8 +235,8 @@ def test_batch_norm_stage(case):
 
 def test_batch_norm_stage_drops_out_in_train_mode_only(case):
     trace = case.trace()
-    model._batch_norm_forward(trace, case.heads.copy(), case.params, case.config,
-                              case.mode, np.random.default_rng(case.dropout_seed))
+    model._batch_norm_forward(trace, case.heads.copy(), case.params, case.mode,
+                              np.random.default_rng(case.dropout_seed))
     assert (trace.dropout_mask is not None) == (case.mode == "train")
     if case.mode == "train":
         assert (trace.dropout_mask == 0.0).any()
@@ -284,9 +284,9 @@ def test_scores_stage_starts_from_the_loss(case):
 
     def loss(inputs, params):
         return model.joint_loss(scored(inputs), case.ratings,
-                                case.config.loss_weights)[0]
+                                params.config.loss_weights)[0]
 
-    d_vectors = model._scores_backward(scored(case.vectors), case.ratings, case.config)
+    d_vectors = model._scores_backward(scored(case.vectors), case.ratings, case.params)
     d_inputs = [d[side] for d in d_vectors for side in model.SIDES]
     err = _worst_error(loss, case.vectors, d_inputs, case.params, {}, [])
     assert err < TOLERANCE
@@ -304,15 +304,19 @@ def test_the_passes_call_every_stage_as_a_module_global(monkeypatch):
                 return _real(*args)
 
             monkeypatch.setattr(model, name, spy)
-    # mode and the dropout rng by position: the tracer reads mode as args[6].
-    trace = model.forward_batch(case.ids["user"], case.ids["item"],
-                                case.packed["user"], case.packed["item"],
-                                case.params, case.config, "train",
-                                np.random.default_rng(0))
+    args = (case.ids["user"], case.ids["item"], case.packed["user"],
+            case.packed["item"], case.params)
+    # mode and the dropout rng only by keyword: the benchmark's tracer names a
+    # forward span by the mode it finds in the keyword arguments.
+    trace = model.forward_batch(*args, mode="train", dropout_rng=np.random.default_rng(0))
     assert calls == [f"_{stage}_forward" for stage in STAGES]
     calls.clear()
-    model.backward(trace, case.ratings, case.params, case.config)
+    model.backward(trace, case.ratings, case.params)
     assert calls == [f"_{stage}_backward" for stage in reversed(STAGES)]
+    calls.clear()
+    with pytest.raises(TypeError):
+        model.forward_batch(*args, "train")
+    assert calls == []
 
 
 def test_the_pass_signatures_are_pinned():
@@ -320,6 +324,9 @@ def test_the_pass_signatures_are_pinned():
         return list(inspect.signature(fn).parameters)
 
     assert names(model.forward_batch) == ["uids", "iids", "user_packed", "item_packed",
-                                          "params", "config", "mode", "dropout_rng"]
-    assert names(model.backward) == ["trace", "ratings", "params", "config"]
+                                          "params", "mode", "dropout_rng"]
+    forward = inspect.signature(model.forward_batch).parameters
+    for name in ("mode", "dropout_rng"):
+        assert forward[name].kind is inspect.Parameter.KEYWORD_ONLY, name
+    assert names(model.backward) == ["trace", "ratings", "params"]
     assert names(model.joint_loss) == ["trace", "ratings", "weights"]

@@ -508,8 +508,7 @@ class TestEvalBlocks:
         tracemalloc.start()
         try:
             trace = forward_batch(uids[:block], iids[:block], prepared.user_packed,
-                                  prepared.item_packed, params, params.config,
-                                  mode="eval")
+                                  prepared.item_packed, params)
             _, one_block = tracemalloc.get_traced_memory()
             del trace
             tracemalloc.reset_peak()
@@ -843,7 +842,7 @@ class TestGoldenBits:
         users, items = prepared.interactions.users, prepared.interactions.items
         outs = training._eval_outputs(final, prepared, users, items)
         trace = forward_batch(users, items, prepared.user_packed,
-                              prepared.item_packed, final, mcfg, mode="eval")
+                              prepared.item_packed, final)
         return {"flat": _sha(final.flat), "m": _sha(final.m), "v": _sha(final.v),
                 "bn_mean": _sha(final.bn_mean), "bn_var": _sha(final.bn_var),
                 "eval": _sha(np.stack([outs[k] for k in TestEvalBlocks.NAMES])),
