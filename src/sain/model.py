@@ -177,6 +177,23 @@ class SainParams(ParamSet):
         self.bn_mean = bn_mean
         self.bn_var = bn_var
 
+    @property
+    def config(self) -> ModelConfig:
+        return self._config
+
+    @config.setter
+    def config(self, config: ModelConfig) -> None:
+        """Take a config only if the tensors have the names, order and shapes
+        it implies, so that a config with other heads or gates is refused
+        here rather than deep in a pass."""
+        want = self.shapes(self.layout, config)
+        if list(want.items()) != list(self._shapes.items()):
+            wrong = next((f"{name} {shape}" for name, shape in want.items()
+                          if self._shapes.get(name) != shape),
+                         "the tensor names or their order")
+            raise ShapeError(f"the config does not fit the tensors: it needs {wrong}")
+        self._config = config
+
     @staticmethod
     def shapes(layout: FieldLayout, config: ModelConfig) -> dict[str, tuple]:
         """Every learnable tensor's shape, in registration order."""

@@ -31,13 +31,16 @@ from .tensor import ParamSet, adam_step, sorted_distinct
 RATING_MIN, RATING_MAX = 1.0, 5.0
 # Pairs per eval-mode forward pass. A block's trace (q/k/v, four (B,H,S,S)
 # arrays, the batch-norm and residual arrays) is what an eval holds at its
-# peak: about 28 MB at 512 pairs with S=10, d=64 and H=4, against about
-# 220 MB at the former 4096. On perfbench's `wide-topk` workload (2 cores,
-# one BLAS thread, 10 runs each) the median peak RSS fell from 338 to 115
-# MB and eval pairs/s rose 5%. 256 saved another ~7 MB but was slower
-# in-process; 1024 peaked at ~145 MB. Any multiple of 4 gives the same
-# output bits (see _eval_outputs).
-EVAL_BATCH = 512
+# peak: 12 MB at 256 pairs with S=10, d=64 and H=4 (tracemalloc), 24 MB at
+# 512 and about 220 MB at the former 4096. On perfbench's `wide-topk`
+# workload (2 cores, one BLAS thread, 10 runs each), going from 4096 to 512
+# cut the median peak RSS from 338 to 115 MB and raised eval pairs/s 5%;
+# 1024 peaked at ~145 MB. With the keys-first attention kernels (256 pairs
+# are 10240 rows there, above tensor.KEYS_FIRST_ROWS), an in-process
+# test-split pass took a median 114.6 ms at 256 pairs and 119.3 ms at 512
+# (12 interleaved rounds, 256 faster in 10). Any multiple of 4 gives the
+# same output bits (see _eval_outputs).
+EVAL_BATCH = 256
 DIVERGENCE_LIMIT = 1e8
 # glibc mallopt parameters and the values keep_heap() sets.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3

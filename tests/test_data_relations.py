@@ -8,7 +8,12 @@ split's columns, byte for byte. Skipped when hypothesis is not installed.
     pooling depend on the order in which ids first appear, never on their
     text.
 (b) Ratings appended for a new user whom `min_ratings` drops, some of items
-    that no kept user rated: the drop comes before any id is numbered."""
+    that no kept user rated: the drop comes before any id is numbered.
+(c) Feature lines appended, after every other line, for new users and items
+    that have no ratings, with closed-field tokens that the field already
+    names and any open-field tokens: a closed field indexes its tokens in
+    order of first appearance, which such lines cannot change, and an open
+    field counts tokens over the rated entities only."""
 
 import os
 import tempfile
@@ -125,4 +130,36 @@ def dropped_users(draw):
 def test_ratings_of_a_dropped_user_keep_the_prepared_data(case):
     files, manifest, extra = case
     appended = {**files, "ratings.tsv": files["ratings.tsv"] + extra}
+    assert _bytes(_prepared(appended, manifest)) == _bytes(_prepared(files, manifest))
+
+
+# Any text the feature reader takes as one token: no tab, line end or "|".
+TOKEN_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters="\t\n\r|"), max_size=4)
+
+
+@st.composite
+def unrated_entities(draw):
+    """Feature lines for new users and items that have no ratings, appended
+    after every other line: closed-field lines hold only tokens that the
+    field's file already names, open-field lines any tokens."""
+    files, manifest = _base(draw(st.integers(0, 3)), draw(st.sampled_from([5, 8])))
+    ids = _raw_ids(files)
+    new = {side: draw(st.lists(ID_TEXT.filter(lambda text, s=side: text not in ids[s]),
+                               min_size=1, max_size=3, unique=True))
+           for side in ids}
+    appended = dict(files)
+    for name, owner in FEATURE_FILES.items():
+        known = sorted({tok for row in files[name] for tok in row[1].split("|") if tok})
+        tokens = TOKEN_TEXT if name == "item_tag.tsv" else st.sampled_from(known)
+        lines = draw(st.lists(st.tuples(st.sampled_from(new[owner]),
+                                        st.lists(tokens, max_size=3)), max_size=4))
+        appended[name] = files[name] + [[entity, "|".join(toks)] for entity, toks in lines]
+    return files, manifest, appended
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(case=unrated_entities())
+def test_feature_lines_of_unrated_entities_keep_the_prepared_data(case):
+    files, manifest, appended = case
     assert _bytes(_prepared(appended, manifest)) == _bytes(_prepared(files, manifest))

@@ -5,7 +5,8 @@ the trace of the batched pass, forward_batch; hand examples set the
 parameter tensors that the stage reads."""
 
 import math
-from dataclasses import asdict
+import re
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -158,6 +159,23 @@ class TestParams:
         assert params.gate_name("item") == "gate_item_w"
         shared, _ = small_params(prepared, seed=4, gate_shared=True)
         assert shared.gate_name("user") == shared.gate_name("item") == "gate_w"
+
+    @pytest.mark.parametrize("field, value, needs", [
+        ("num_heads", 4, "attn0_wq (8, 2)"), ("gate_shared", True, "gate_w (8,)")])
+    def test_a_config_that_does_not_fit_the_tensors_is_refused(
+            self, prepared, field, value, needs):
+        params, cfg = small_params(prepared, seed=4)
+        other = replace(cfg, **{field: value})
+        want = f"the config does not fit the tensors: it needs {needs}"
+        with pytest.raises(ShapeError, match=re.escape(want)):
+            SainParams(params.layout, other, params.tensors, params.bn_mean,
+                       params.bn_var)
+        probe = params.clone()
+        with pytest.raises(ShapeError, match=re.escape(want)):
+            probe.config = other
+        assert probe.config is cfg
+        probe.config = replace(cfg, top_k=1, renormalize_topk=False)
+        assert probe.config.top_k == 1
 
     def test_same_seed_same_init(self, prepared):
         a, _ = small_params(prepared, seed=5)

@@ -1,0 +1,32 @@
+"""softmax_rows and top_k_mask_rows choose their path by the row count of
+their input (tensor.KEYS_FIRST_ROWS). The benchmark's `wide-topk` workload
+gates both sides of that choice: its single-pair predictions must run
+rows-first, its train steps and eval blocks keys-first. This test reads the
+workload from perfbench/synth.py, so that a retuned threshold, batch or eval
+block cannot move a gated workload across the choice unnoticed."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for path in (ROOT, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
+
+from perfbench.synth import WORKLOADS  # noqa: E402
+from sain.tensor import KEYS_FIRST_ROWS  # noqa: E402
+from sain.training import EVAL_BATCH, TrainConfig  # noqa: E402
+
+
+def test_wide_topk_runs_each_path():
+    w = WORKLOADS["wide-topk"]
+    heads, seq_len = w.model_config["num_heads"], len(w.fields)
+    assert w.model_config["top_k"] < seq_len  # so the mask drops entries
+
+    def rows(pairs):
+        # The attention's (B, H, S, S) arrays have B*H*S rows of S entries.
+        return pairs * heads * seq_len
+
+    assert rows(1) < KEYS_FIRST_ROWS
+    assert rows(TrainConfig().batch_size) >= KEYS_FIRST_ROWS
+    assert rows(EVAL_BATCH) >= KEYS_FIRST_ROWS

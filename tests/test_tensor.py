@@ -8,13 +8,23 @@ import math
 import numpy as np
 import pytest
 
+from sain import tensor
 from sain.errors import ShapeError
 from sain.tensor import (ADAM_BLOCK, ParamSet, adam_step,
                          finite_diff_gradient, relative_error, scatter_add_rows,
-                         softmax_rows, sorted_distinct, top_k_mask_rows)
+                         slab_sum, softmax_rows, sorted_distinct, top_k_mask_rows)
 from sain.training import TrainConfig, adam_update
 
 from oracles import softmax_row, top_k_indices
+
+
+@pytest.fixture(params=["rows-first", "keys-first"])
+def row_path(request, monkeypatch):
+    """Runs a test once as the kernels run on small inputs and once with
+    KEYS_FIRST_ROWS at 0, so that every input takes the keys-first path."""
+    if request.param == "keys-first":
+        monkeypatch.setattr(tensor, "KEYS_FIRST_ROWS", 0)
+    return request.param
 
 
 class TestSoftmax:
@@ -55,16 +65,47 @@ class TestSoftmax:
         np.testing.assert_allclose(softmax_rows(z).sum(axis=-1),
                                    np.ones((3, 4)), atol=1e-12)
 
-    def test_out_gives_the_same_bits(self):
-        rng = np.random.default_rng(3)
-        z = rng.normal(0.0, 4.0, size=(6, 4, 10, 10))
-        z[0, 0, 0] = [-0.0, 0.0, 700.0, -700.0, 1e-300, 5.0, 5.0, 5.0, -1.0, 2.0]
-        want = softmax_rows(z)
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        assert want.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
-        buf = np.empty_like(z)
-        assert softmax_rows(z, out=buf) is buf and buf.tobytes() == want.tobytes()
-        assert softmax_rows(z, out=z) is z and z.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("n", [1, 3, 7, 8, 10, 17, 130])
+    def test_out_gives_the_same_bits(self, row_path, n):
+        rng = np.random.default_rng(3 + n)
+        z = rng.normal(0.0, 4.0, size=(6, 4, 10, n)) * 10.0 ** rng.integers(-3, 3, n)
+        z[0, 0, 0] = np.resize([-0.0, 0.0, 700.0, -700.0, 1e-300, 5.0, 5.0, 5.0,
+                                -1.0, 2.0], n)
+        z[0, 0, 1] = np.resize([np.inf, 1.0, -np.inf, np.inf], n)
+        z[0, 0, 2] = -np.inf
+        z[0, 0, 3] = np.resize([-np.inf, 0.0], n)
+        z[0, 1, 0] = np.resize([1.0, np.nan, -np.nan, np.inf], n)
+        z[0, 1, 1] = np.resize([-np.nan, 2.0, np.nan], n)
+        with np.errstate(invalid="ignore"):
+            e = np.exp(z - z.max(axis=-1, keepdims=True))
+            want = e / e.sum(axis=-1, keepdims=True)
+            assert softmax_rows(z).tobytes() == want.tobytes()
+            buf = np.empty_like(z)
+            assert softmax_rows(z, out=buf) is buf and buf.tobytes() == want.tobytes()
+            view = np.empty((6, 4, 10, n + 2))[..., 1:-1]
+            assert softmax_rows(z, out=view) is view
+            assert view.tobytes() == want.tobytes()
+            # Non-contiguous inputs, each against the sums of its contiguous copy.
+            for part in (z[:, ::2], z.transpose(1, 0, 2, 3), z[..., ::-1]):
+                e = np.exp(part - part.max(axis=-1, keepdims=True))
+                sums = np.ascontiguousarray(e).sum(axis=-1, keepdims=True)
+                assert softmax_rows(part).tobytes() == (e / sums).tobytes()
+            assert softmax_rows(z, out=z) is z and z.tobytes() == want.tobytes()
+
+    def test_empty_rows_raise_and_no_rows_give_no_rows(self, row_path):
+        with pytest.raises(ValueError):
+            softmax_rows(np.zeros((3, 0)))
+        assert softmax_rows(np.zeros((0, 4))).shape == (0, 4)
+
+    def test_slab_sum_is_numpys_row_sum(self):
+        # Every row length up to 300: below 8, 8..128 and the split past 128.
+        rng = np.random.default_rng(12)
+        for n in range(1, 301):
+            x = rng.normal(size=(17, n)) * 10.0 ** rng.integers(-8, 8, (17, n))
+            x[0] = -0.0
+            x[1, ::3] = -0.0
+            keys_first = np.ascontiguousarray(x.T)
+            assert slab_sum(keys_first).tobytes() == x.sum(axis=-1).tobytes(), n
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -114,6 +155,19 @@ class TestTopK:
                 want[top_k_indices(w[i], k)] = True
                 np.testing.assert_array_equal(mask[i], want)
 
+    def test_the_keys_first_count_falls_back_only_on_nan(self):
+        # Without NaN the count is the mask itself, ties, ±0 and ±inf included;
+        # only a row holding a NaN leaves the order to the argsort.
+        rng = np.random.default_rng(6)
+        w = rng.integers(0, 3, size=(40, 6)).astype(float)
+        w[0] = [0.0, -0.0, 0.0, -0.0, 1.0, 1.0]
+        w[1] = [np.inf, -np.inf, np.inf, 2.0, -np.inf, 2.0]
+        for k in range(1, 6):
+            np.testing.assert_array_equal(tensor._top_k_keys_first(w, k),
+                                          _top_k_mask_put_along_axis(w, k))
+        w[7, 2] = np.nan
+        assert tensor._top_k_keys_first(w, 2) is None
+
     def test_mask_works_on_3d_batches(self):
         rng = np.random.default_rng(5)
         w = rng.normal(size=(2, 3, 5))
@@ -150,6 +204,7 @@ def _special_rows(rng, shape):
     return w
 
 
+@pytest.mark.usefixtures("row_path")
 class TestTopKMaskMatchesPutAlongAxis:
     @pytest.mark.parametrize("shape", [(1,), (7,), (9, 6), (1, 6), (3, 4, 5, 5),
                                        (2, 3, 10, 10), (0, 4), (3, 0)],

@@ -470,18 +470,20 @@ class TestEvalBlocks:
         params = self._params(prepared)
         uids, iids = _eval_pairs(prepared, 1100, seed=21)
         want = self._outputs(monkeypatch, 4096, params, prepared, uids, iids)
-        for size in (4, 8, 100, 512, 1100):
+        for size in (4, 8, 100, 256, 512, 1100):
             got = self._outputs(monkeypatch, size, params, prepared, uids, iids)
             for name in self.NAMES:
                 assert got[name].tobytes() == want[name].tobytes(), (size, name)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 512, 513, 517, 1025, 4097, 4096 + 513,
-                                   4096 + 517])
-    def test_512_blocks_give_the_4096_block_bits(self, prepared, monkeypatch, n):
+    @pytest.mark.parametrize("n", [1, 2, 5, 256, 257, 261, 512, 513, 517, 1025,
+                                   4097, 4096 + 513, 4096 + 517])
+    @pytest.mark.parametrize("size", [256, 512])
+    def test_eval_blocks_give_the_4096_block_bits(self, prepared, monkeypatch,
+                                                  size, n):
         params = self._params(prepared, dim=8)
         uids, iids = _eval_pairs(prepared, n, seed=n)
         want = self._outputs(monkeypatch, 4096, params, prepared, uids, iids)
-        got = self._outputs(monkeypatch, 512, params, prepared, uids, iids)
+        got = self._outputs(monkeypatch, size, params, prepared, uids, iids)
         for name in self.NAMES:
             assert got[name].tobytes() == want[name].tobytes(), name
 
@@ -490,14 +492,14 @@ class TestEvalBlocks:
         params = self._params(prepared)
         uids, iids = _eval_pairs(prepared, 3, seed=23)
         rows = {}
-        for size in (1, 512, 4096):
+        for size in (1, 256, 4096):
             monkeypatch.setattr(training, "EVAL_BATCH", size)
             rows[size] = [training.predict_sain(params, prepared, uids[j:j + 1],
                                                 iids[j:j + 1]) for j in range(3)]
-        assert rows[1] == rows[512] == rows[4096]
+        assert rows[1] == rows[256] == rows[4096]
 
-    def test_block_size_is_512(self):
-        assert training.EVAL_BATCH == 512
+    def test_block_size_is_256(self):
+        assert training.EVAL_BATCH == 256
 
     def test_peak_memory_is_one_block_trace(self, prepared):
         params, _ = small_params(prepared, seed=4, embed_dim=32, num_heads=4,
