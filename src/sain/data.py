@@ -13,17 +13,21 @@ A JSON document (a manifest here, a run config in the CLI) is read by one
 reader, `read_json_object`, and its values are checked by the JSON value
 rule of `errors`.
 
-Every data file is read whole by one reader, in text mode as UTF-8, so CRLF
-and lone-CR line ends count as line ends; blank lines are skipped but keep
-their place in the line numbers of error messages. The ratings are held as
-columns (`Interactions`): the rating and timestamp columns are converted and
-validated in bulk, and a bad file is reported at the first line that a
-line-by-line parse would reject, with the same message. Users and items get
-dense ids in order of first appearance, found in one pass over the codes.
-The features are columnar too: each feature file parses into one record
-(`FeatureColumns`: entities, token counts, flat tokens), and from it the
-vocabulary is counted, and each side encoded straight into its packed tables
-(`PackedFeatures`), a field at a time on arrays, with no object per entity.
+Every data file is read by one reader, in text mode as UTF-8, so CRLF and
+lone-CR line ends count as line ends, and a leading byte-order mark is
+dropped; blank lines are skipped but keep their place in the line numbers of
+error messages. The reader decodes the file once and splits it into fields
+in blocks of BLOCK_LINES lines, so that set-up holds the field strings of a
+block or two at a time, not one string per field of the file. The ratings
+are held as columns (`Interactions`): each block's rating and timestamp
+columns are converted and validated in bulk, and a bad file is reported at
+the first line that a line-by-line parse would reject, with the same
+message. Users and items get dense ids in order of first appearance, found
+in one pass over the codes. The features are columnar too: each feature
+file parses into one record (`FeatureColumns`: entities, token counts, flat
+tokens), and from it the vocabulary is counted, and each side encoded
+straight into its packed tables (`PackedFeatures`), a field at a time on
+arrays, with no object per entity.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 
@@ -42,6 +47,8 @@ from .tensor import sorted_distinct
 
 OWNERS = ("user", "item")
 INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+# Lines per block in which a data file is split into fields (_read_table).
+BLOCK_LINES = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +200,10 @@ class DatasetSplit:
 
 @dataclass
 class _Table:
-    """The non-blank lines of a text file split on tabs, held flat: every
-    field of the file in one list, and per row (non-blank line) the index of
-    its first field, its number of fields and its 1-based line number."""
+    """The non-blank lines of a block of a text file split on tabs, held
+    flat: every field of the block in one list, and per row (non-blank line)
+    the index of its first field, its number of fields and its 1-based line
+    number in the file."""
 
     fields: list[str]
     start: np.ndarray
@@ -212,11 +220,14 @@ class _Table:
 
 def _read_text(path: str) -> str:
     """The whole of a UTF-8 text file, read in text mode, so CRLF and lone-CR
-    line ends read as "\\n". A file that cannot be read is an IoError and
-    one that is not UTF-8 a ParseError, each naming the path."""
+    line ends read as "\\n", without a leading byte-order mark (U+FEFF),
+    which is not part of the first line's text. A file that cannot be read
+    is an IoError and one that is not UTF-8 a ParseError, each naming the
+    path; the ParseError gives the bad byte's offset in the file, the mark
+    counted."""
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
+            return f.read().removeprefix("\ufeff")
     except FileNotFoundError:
         raise IoError(f"file not found: {path}") from None
     except UnicodeDecodeError as e:
@@ -226,23 +237,31 @@ def _read_text(path: str) -> str:
         raise IoError(f"cannot read {path}: {e.strerror or e}") from None
 
 
-def _read_table(path: str) -> _Table:
-    """Read a data file once and split it into a _Table. Lines are split on
-    "\\n" alone, as iterating the file would split them; str.splitlines
-    would also split on form feeds, vertical tabs and other separators. A
-    tab or a newline is one byte in UTF-8, so their byte offsets locate the
-    fields and the lines."""
-    text = _read_text(path)
-    fields = text.replace("\n", "\t").split("\t")
-    raw = np.frombuffer(text.encode("utf-8"), np.uint8)
-    sep = np.flatnonzero((raw == 9) | (raw == 10))  # the byte after each field but the last
-    ends = np.flatnonzero(raw[sep] == 10)           # the last field of each line but the last
-    first = np.concatenate(([0], ends + 1))         # the first field of each line
-    width = np.diff(np.append(first, len(fields)))
-    line_start = np.concatenate(([0], sep[ends] + 1))
-    line_end = np.append(sep[ends], raw.size)
-    nonblank = np.flatnonzero(line_end > line_start)
-    return _Table(fields, first[nonblank], width[nonblank], nonblank + 1)
+def _read_table(path: str) -> Iterator[_Table]:
+    """Read a data file once and yield its lines split on tabs, in blocks of
+    BLOCK_LINES lines (blank lines count, and the last block may be short),
+    each block a _Table. The caller's block stays alive while the next one
+    is split, so at most two blocks' fields are held as strings at a time.
+    Lines are split on "\\n" alone, as iterating the file would split
+    them; str.splitlines would also split on form feeds, vertical tabs and
+    other separators. A tab or a newline is one byte in UTF-8, so their byte
+    offsets locate the blocks, the fields and the lines."""
+    data = memoryview(_read_text(path).encode("utf-8"))
+    whole = np.frombuffer(data, np.uint8)
+    line_ends = np.append(np.flatnonzero(whole == 10), whole.size)
+    for top in range(0, line_ends.size, BLOCK_LINES):
+        lo = int(line_ends[top - 1]) + 1 if top else 0
+        hi = int(line_ends[min(top + BLOCK_LINES, line_ends.size) - 1])
+        raw = whole[lo:hi]
+        fields = str(data[lo:hi], "utf-8").replace("\n", "\t").split("\t")
+        sep = np.flatnonzero((raw == 9) | (raw == 10))  # the byte after each field but the last
+        ends = np.flatnonzero(raw[sep] == 10)           # the last field of each line but the last
+        first = np.concatenate(([0], ends + 1))         # the first field of each line
+        width = np.diff(np.append(first, len(fields)))
+        line_start = np.concatenate(([0], sep[ends] + 1))
+        line_end = np.append(sep[ends], raw.size)
+        nonblank = np.flatnonzero(line_end > line_start)
+        yield _Table(fields, first[nonblank], width[nonblank], top + nonblank + 1)
 
 
 def _convert(convert, texts: list[str]) -> tuple[list, int]:
@@ -274,11 +293,15 @@ def _first(bad: np.ndarray, default: int) -> int:
     return int(hits[0]) if hits.size else default
 
 
-def _codes(keys: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct keys in first-appearance order, and each key's index
-    among them."""
-    index = {key: j for j, key in enumerate(dict.fromkeys(keys))}
-    return list(index), np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+def _codes(keys: list[str], index: dict[str, int]) -> np.ndarray:
+    """Each key's index in `index`, after the keys it lacks join it, numbered
+    on in order of first appearance. Fed the blocks of a column in file
+    order, `index` numbers the column's distinct keys in that order."""
+    fresh = dict.fromkeys(keys)
+    if index:  # skipped for a first block, often the whole file
+        fresh = [key for key in fresh if key not in index]
+    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+    return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
 
 
 def _dense_ids(names: list[str], code: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
@@ -302,13 +325,38 @@ def load_ratings(path: str, min_ratings: int = 5):
     (once, before any split), and index surviving users/items in
     first-appearance order. Returns (interactions, user_ids, item_ids).
 
+    The file is parsed a block of lines at a time (_read_table): each block
+    is checked and its user and item ids coded before the next is split, so
+    the field strings of at most two blocks are alive. The blocks' columns
+    are joined once at the end, and the filter and the dense ids run on
+    them as on one table."""
+    user_index, item_index, blocks = {}, {}, []
+    for table in _read_table(path):
+        columns = _rating_block(path, table)
+        blocks.append((_codes(table.column(0), user_index),
+                       _codes(table.column(1), item_index), *columns))
+    user_code, item_code, ratings, timestamps, has_timestamp = map(np.concatenate,
+                                                                   zip(*blocks))
+    keep = (np.bincount(user_code) >= min_ratings)[user_code]
+    user_ids, users = _dense_ids(list(user_index), user_code[keep])
+    item_ids, items = _dense_ids(list(item_index), item_code[keep])
+    interactions = Interactions(users=users, items=items, ratings=ratings[keep],
+                                timestamps=timestamps[keep],
+                                has_timestamp=has_timestamp[keep])
+    return interactions, user_ids, item_ids
+
+
+def _rating_block(path: str, table: _Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ratings, timestamps and has-timestamp flags of one block of a
+    ratings file, or a ParseError naming its first bad line. Every block
+    before it is clean, so that line is the file's first bad line.
+
     Ratings are parsed with float() and timestamps with int(), a column at a
     time, from ASCII text without underscores only: "٣" or "1_0" is a bad
     rating or timestamp, although float() and int() read them. Each check
     runs over the rows before the first bad row found so far, in the order a
     line-by-line parse applies them, so the error names the first bad line
     and what a line-by-line parse would say of it."""
-    table = _read_table(path)
     width = table.width
     n, error = _first((width < 3) | (width > 4), len(table)), None
     if n < len(table):
@@ -336,16 +384,7 @@ def load_ratings(path: str, min_ratings: int = 5):
         raise ParseError(f"{path} line {table.line[n]}: {error}")
     timestamps = np.zeros(n, dtype=np.int64)
     timestamps[has_timestamp] = values
-
-    user_names, user_code = _codes(table.column(0))
-    keep = (np.bincount(user_code) >= min_ratings)[user_code]
-    user_ids, users = _dense_ids(user_names, user_code[keep])
-    item_names, item_code = _codes(table.column(1))
-    item_ids, items = _dense_ids(item_names, item_code[keep])
-    interactions = Interactions(users=users, items=items, ratings=ratings[keep],
-                                timestamps=timestamps[keep],
-                                has_timestamp=has_timestamp[keep])
-    return interactions, user_ids, item_ids
+    return ratings, timestamps, has_timestamp
 
 
 def split_dataset(interactions: Interactions, seed: int,
@@ -387,30 +426,34 @@ def parse_feature_file(path: str) -> FeatureColumns:
     """entity<TAB>token1|token2|... per line; the token list may be empty,
     and empty tokens (as in "a||b") are dropped. An entity on several lines
     gets the tokens of all of them, in file order, at the place of its first
-    line. The token column is parsed in bulk: its lines are joined by tabs
+    line. The file is read a block of lines at a time (_read_table). A
+    block's token column is parsed in bulk: its lines are joined by tabs
     into one string, which is split once, and the entity of each non-empty
     token comes from the byte offsets of the tabs and pipes (one byte each
     in UTF-8)."""
-    table = _read_table(path)
-    j = _first(table.width != 2, len(table))
-    if j < len(table):
-        raise ParseError(f"{path} line {table.line[j]}: expected 2 tab-separated "
-                         f"fields, got {table.width[j]}")
-    entities, code = _codes(table.column(0))
-    joined = "\t".join(table.column(1))
-    raw = np.frombuffer(joined.encode("utf-8"), np.uint8)
-    sep = np.flatnonzero((raw == 9) | (raw == 124))  # the byte after each piece but the last
-    kept = np.append(sep, raw.size) > np.concatenate(([0], sep + 1))  # the non-empty pieces
-    line = np.concatenate(([0], np.cumsum(raw[sep] == 9)))  # the line of each piece
-    entity = code[line[kept]]  # the entity of each token
-    lengths = np.bincount(entity, minlength=len(entities))
-    tokens = list(filter(None, joined.replace("\t", "|").split("|")))
-    if len(entities) < code.size:
+    index, entity, tokens, rows = {}, [], [], 0
+    for table in _read_table(path):
+        j = _first(table.width != 2, len(table))
+        if j < len(table):
+            raise ParseError(f"{path} line {table.line[j]}: expected 2 tab-separated "
+                             f"fields, got {table.width[j]}")
+        code = _codes(table.column(0), index)
+        joined = "\t".join(table.column(1))
+        raw = np.frombuffer(joined.encode("utf-8"), np.uint8)
+        sep = np.flatnonzero((raw == 9) | (raw == 124))  # the byte after each piece but the last
+        kept = np.append(sep, raw.size) > np.concatenate(([0], sep + 1))  # the non-empty pieces
+        line = np.concatenate(([0], np.cumsum(raw[sep] == 9)))  # the line of each piece
+        entity.append(code[line[kept]])  # the entity of each token
+        tokens += filter(None, joined.replace("\t", "|").split("|"))
+        rows += len(table)
+    entity = np.concatenate(entity)
+    lengths = np.bincount(entity, minlength=len(index))
+    if len(index) < rows:
         # Some entity is on several lines: a stable sort by entity gathers
         # its tokens, in file order, to the place of its first line.
         tokens = list(map(tokens.__getitem__,
                           np.argsort(entity, kind="stable").tolist()))
-    return FeatureColumns(entities, lengths, tokens)
+    return FeatureColumns(list(index), lengths, tokens)
 
 
 def build_feature_vocab(specs: list[FieldSpec], tag_top_t: int,
@@ -434,7 +477,9 @@ def build_feature_vocab(specs: list[FieldSpec], tag_top_t: int,
             member = np.fromiter(map(population[spec.owner].__contains__,
                                      columns.entities), bool, n)[entity]
             flat, entity = list(compress(flat, member.tolist())), entity[member]
-        names, code = _codes(flat)
+        index = {}
+        code = _codes(flat, index)
+        names = list(index)
         # one key per distinct (entity, token) pair, so an entity counts once
         pairs = sorted_distinct(entity * len(names) + code)
         users = np.bincount(pairs % max(len(names), 1), minlength=len(names))

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from sain import data
 from sain.data import DatasetManifest, build_dataset
 from sain.model import FieldLayout, ModelConfig, SainParams
 from sain.seeding import stream_rng
@@ -95,6 +96,18 @@ def write_memorization_dataset(root, n=100, seed=3):
     with open(path, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2)
     return path
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3, data.BLOCK_LINES],
+                ids=lambda lines: f"block{lines}")
+def block_lines(request):
+    """Runs a module's tests with the data files split into blocks of 1, 2
+    and 3 lines, and of the default BLOCK_LINES, so that their lines fall on
+    every side of a block boundary. Module-scoped, so that hypothesis
+    properties can use it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "BLOCK_LINES", request.param)
+        yield request.param
 
 
 @pytest.fixture(scope="session")

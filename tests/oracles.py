@@ -88,9 +88,10 @@ def dense_ids(names, code):
 def feature_dict(path) -> dict:
     """parse_feature_file line by line, as a dict from each entity, in order
     of first appearance, to its non-empty tokens in file order; a line
-    without exactly two tab-separated fields raises the same ParseError."""
+    without exactly two tab-separated fields raises the same ParseError. A
+    leading byte-order mark is not part of the first line."""
     with open(path, encoding="utf-8") as f:
-        lines = f.read().split("\n")
+        lines = f.read().removeprefix("\ufeff").split("\n")
     out = {}
     for lineno, line in enumerate(lines, start=1):
         if not line:

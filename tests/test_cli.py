@@ -19,6 +19,10 @@ from sain.data import DatasetManifest, build_dataset
 
 from conftest import write_synthetic_dataset
 
+# Every test runs with the data files read in blocks of 1, 2, 3 and the
+# default number of lines (conftest.block_lines).
+pytestmark = pytest.mark.usefixtures("block_lines")
+
 
 def _write_config(tmp_path, dataset_path, name="run.json", **overrides):
     cfg = {

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -21,8 +22,11 @@ from sain.errors import IoError, ParseError, ShapeError
 from sain.gradcheck import _toy_vocab
 from sain.model import FieldLayout
 
-from conftest import write_feature_file, write_rating_file
-from oracles import columns_dict, dense_ids, encoded, feature_columns, slots_of
+from conftest import write_feature_file, write_rating_file, write_synthetic_dataset
+from oracles import (columns_dict, dense_ids, encoded, feature_columns, feature_dict,
+                     slots_of)
+
+BOM = "\ufeff".encode()
 
 
 def _ratings(tmp_path, rows, name="r.tsv"):
@@ -58,13 +62,16 @@ def _ascii_number(text: str) -> str:
 
 def _row_loader(path, min_ratings=5):
     """The line-by-line loader the columnar one replaced: (rows, user_ids,
-    item_ids) with rows as _rows gives them, or the same errors."""
+    item_ids) with rows as _rows gives them, or the same errors. A leading
+    byte-order mark is not part of the first line."""
     if not os.path.exists(path):
         raise IoError(f"file not found: {path}")
     rows = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\r\n")
+            if lineno == 1:
+                line = line.removeprefix("\ufeff")
             if not line:
                 continue
             parts = line.split("\t")
@@ -117,6 +124,7 @@ def _write_text(tmp_path, text, name="r.tsv"):
     return path
 
 
+@pytest.mark.usefixtures("block_lines")
 class TestLoadRatings:
     def test_parses_and_indexes_in_first_appearance_order(self, tmp_path):
         rows = [("bob", "x", 4, 10), ("ann", "y", 2, 20), ("bob", "y", 5, 30)]
@@ -297,6 +305,7 @@ def _assert_columns(columns, want):
     assert list(columns_dict(columns).items()) == list(want.items())
 
 
+@pytest.mark.usefixtures("block_lines")
 class TestFeatureFiles:
     def test_parse_pipe_separated_tokens(self, tmp_path):
         path = str(tmp_path / "f.tsv")
@@ -317,6 +326,7 @@ class TestFeatureFiles:
             parse_feature_file(path)
 
 
+@pytest.mark.usefixtures("block_lines")
 class TestVocab:
     def test_closed_field_first_appearance_order(self, tmp_path):
         path = str(tmp_path / "g.tsv")
@@ -386,6 +396,7 @@ class TestVocab:
         assert FieldLayout.from_vocab(vocab, 0, 0).total_rows == 6
 
 
+@pytest.mark.usefixtures("block_lines")
 class TestEncode:
     def _vocab(self, tmp_path):
         g = str(tmp_path / "genre.tsv")
@@ -524,6 +535,7 @@ class TestPack:
         assert packed.rows.dtype == np.int64 and packed.weights.dtype == np.float64
 
 
+@pytest.mark.usefixtures("block_lines")
 class TestBuildDataset:
     def test_prepared_invariants(self, prepared):
         n = len(prepared.interactions)
@@ -672,6 +684,7 @@ def _random_ratings_text(rng, lines, bad_share):
     return "".join(out)
 
 
+@pytest.mark.usefixtures("block_lines")
 class TestColumnarLoader:
     def test_crlf_and_lone_cr_end_lines(self, tmp_path):
         path = _write_text(tmp_path, "a\tx\t3\t1\r\nb\ty\t4\r\na\ty\t5\t2\rb\tx\t1\t0")
@@ -781,6 +794,7 @@ class TestColumnarLoader:
                 column[0] = column[0]
 
 
+@pytest.mark.usefixtures("block_lines")
 class TestReadErrors:
     def test_directory_is_an_io_error_naming_it(self, tmp_path):
         with pytest.raises(IoError, match=f"cannot read {tmp_path}"):
@@ -816,6 +830,113 @@ class TestReadErrors:
             DatasetManifest.from_file(str(listed))
 
 
+class TestBlocks:
+    """Cases placed at the block boundaries of each BLOCK_LINES that
+    `block_lines` sets."""
+
+    def test_the_first_bad_line_may_open_a_later_block(self, tmp_path, block_lines):
+        # The first block ends with a blank line; the next opens with a bad
+        # timestamp, followed by a line that fails an earlier check.
+        good = [f"u{j % 3}\ti{j % 4}\t3\t{j}" for j in range(block_lines - 1)]
+        path = _write_text(tmp_path, "\n".join(good + ["", "u0\ti0\t3\tnoon", "u1\ti1"]))
+        with pytest.raises(ParseError, match=rf"line {block_lines + 1}: "
+                                             r"bad timestamp 'noon'$"):
+            load_ratings(path, min_ratings=1)
+        _same_as_oracle(path, 1)
+        good = [f"e{j % 3}\ta|b" for j in range(block_lines)]
+        path = _write_text(tmp_path, "\n".join(good + ["e0\ta\tb", "e1"]), name="f.tsv")
+        with pytest.raises(ParseError, match=rf"line {block_lines + 1}: expected 2 "):
+            parse_feature_file(path)
+
+    def test_an_id_may_first_appear_in_a_later_block(self, tmp_path, block_lines):
+        rows = [("a", "x", 3, j) for j in range(block_lines)]
+        rows += [("b", "y", 4, 0), ("a", "y", 5, 1), ("b", "x", 2, 2), ("c", "z", 1, 3)]
+        path = _ratings(tmp_path, rows)
+        inter, users, items = load_ratings(path, min_ratings=1)
+        assert list(users.items()) == [("a", 0), ("b", 1), ("c", 2)]
+        assert list(items.items()) == [("x", 0), ("y", 1), ("z", 2)]
+        assert inter.users[-4:].tolist() == [1, 0, 1, 2]
+        assert inter.items[-4:].tolist() == [1, 1, 0, 2]
+        for min_ratings in (1, 2):
+            _same_as_oracle(path, min_ratings)
+        lines = [f"e{j % 2}\tt{j}" for j in range(block_lines)] + ["e2\tu|v", "e0\tw"]
+        path = _write_text(tmp_path, "\n".join(lines) + "\n", name="f.tsv")
+        _assert_columns(parse_feature_file(path), feature_dict(path))
+
+    @pytest.mark.parametrize("end", ["", "\n"], ids=["no-final-newline", "final-newline"])
+    def test_a_file_of_exactly_one_block(self, tmp_path, block_lines, end):
+        lines = [f"u{j % 2}\ti{j % 3}\t{1 + j % 5}" for j in range(block_lines)]
+        path = _write_text(tmp_path, "\n".join(lines) + end)
+        inter, _ = _same_as_oracle(path, 1)
+        assert len(inter) == block_lines
+        lines[-1] = "u0\ti0\tbad"
+        path = _write_text(tmp_path, "\n".join(lines) + end, name="bad.tsv")
+        with pytest.raises(ParseError, match=rf"line {block_lines}: bad rating"):
+            load_ratings(path, min_ratings=1)
+        path = _write_text(tmp_path, "\n".join(f"e{j}\tt" for j in range(block_lines))
+                           + end, name="f.tsv")
+        assert len(parse_feature_file(path).entities) == block_lines
+
+
+def test_set_up_memory_is_bounded_by_the_block(tmp_path, monkeypatch):
+    """load_ratings holds the field strings of at most two blocks at a
+    time, so its traced peak grows by the file's bytes and columns, not by a
+    string per field. On this file (32 blocks of 1024 lines, 3,000 users,
+    2,500 items) the peak read 128 B per line in blocks, and 363 B per line
+    when the whole file was split into one table at once."""
+    monkeypatch.setattr("sain.data.BLOCK_LINES", 1024)
+    lines = 32 * 1024
+    path = _ratings(tmp_path, [(j * 7919 % 3000 + 1, j * 104729 % 2500 + 1, 1 + j % 5,
+                                874000000 + 37 * j) for j in range(lines)])
+    tracemalloc.start()
+    try:
+        inter, _, _ = load_ratings(path, min_ratings=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(inter) == lines
+    assert peak / lines < 200
+
+
+@pytest.mark.usefixtures("block_lines")
+class TestByteOrderMark:
+    """A leading U+FEFF is dropped by every reader: a file saved as "UTF-8
+    with BOM" reads as the same file without it."""
+
+    @pytest.mark.parametrize("name", ["ratings.tsv", "user_gender.tsv", "item_genre.tsv"])
+    def test_a_bom_changes_no_id_feature_or_digest(self, tmp_path, name):
+        # Kept, it would make the ratings file's first user another user,
+        # and lose the first entity's token in a feature file.
+        plain = DatasetManifest.from_file(write_synthetic_dataset(str(tmp_path / "plain")))
+        marked = DatasetManifest.from_file(write_synthetic_dataset(str(tmp_path / "bom")))
+        path = tmp_path / "bom" / name
+        path.write_bytes(BOM + path.read_bytes())
+        a, b = build_dataset(plain, seed=11), build_dataset(marked, seed=11)
+        assert list(b.user_ids.items()) == list(a.user_ids.items())
+        assert list(b.item_ids.items()) == list(a.item_ids.items())
+        for x, y in ((a.user_packed, b.user_packed), (a.item_packed, b.item_packed)):
+            assert y.rows.tobytes() == x.rows.tobytes()
+            assert y.weights.tobytes() == x.weights.tobytes() and y.bounds == x.bounds
+        assert b.digest() == a.digest()
+
+    def test_only_a_leading_bom_is_dropped(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_bytes(BOM + b"a\tx\t3\n" + BOM + b"a\tx\t4\n")
+        _, users, _ = load_ratings(str(path), min_ratings=1)
+        assert list(users) == ["a", "\ufeffa"]
+
+    def test_a_bad_byte_after_a_bom_keeps_its_file_offset(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_bytes(BOM + b"a\tx\t3\n\xff\ty\t4\n")
+        with pytest.raises(ParseError, match=f"{path}: not UTF-8 text .* at byte 9"):
+            load_ratings(str(path))
+
+    def test_a_json_manifest_with_a_bom_loads(self, tmp_path):
+        path = tmp_path / "dataset.json"
+        path.write_bytes(BOM + json.dumps({"ratings": "r.tsv", "min_ratings": 2}).encode())
+        assert DatasetManifest.from_file(str(path)).min_ratings == 2
+
+
 def _row_digest(data, rows) -> str:
     """PreparedData.digest as the row pipeline computed it."""
     h = hashlib.sha256()
@@ -829,6 +950,7 @@ def _row_digest(data, rows) -> str:
     return h.hexdigest()
 
 
+@pytest.mark.usefixtures("block_lines")
 class TestDigest:
     # The hex of the conftest datasets before ratings became columns: a
     # checkpoint written then must still pass the CLI's drift check.

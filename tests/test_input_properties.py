@@ -36,6 +36,10 @@ from sain.training import TrainConfig  # noqa: E402
 
 from conftest import write_synthetic_dataset  # noqa: E402
 
+# Every test runs with the data files read in blocks of 1, 2, 3 and the
+# default number of lines (conftest.block_lines).
+pytestmark = pytest.mark.usefixtures("block_lines")
+
 EXIT_CODES = {0, 1, 3, 4, 5, 6, 7}
 MODEL_CONFIG = asdict(ModelConfig(embed_dim=8, num_heads=2, top_k=2))
 TRAIN_CONFIG = asdict(TrainConfig(max_epochs=1, batch_size=64, seed=3))

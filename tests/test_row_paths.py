@@ -1,9 +1,14 @@
-"""softmax_rows and top_k_mask_rows choose their path by the row count of
+"""Paths chosen by input size, and the benchmark workloads that gate them.
+
+softmax_rows and top_k_mask_rows choose their path by the row count of
 their input (tensor.KEYS_FIRST_ROWS). The benchmark's `wide-topk` workload
 gates both sides of that choice: its single-pair predictions must run
-rows-first, its train steps and eval blocks keys-first. This test reads the
-workload from perfbench/synth.py, so that a retuned threshold, batch or eval
-block cannot move a gated workload across the choice unnoticed."""
+rows-first, its train steps and eval blocks keys-first. The data readers
+split a file into blocks of data.BLOCK_LINES lines, and both gated
+workloads' ratings files must span several blocks. These tests read the
+workloads from perfbench/synth.py, so that a retuned threshold, batch, eval
+block or block size cannot move a gated workload across a choice
+unnoticed."""
 
 import os
 import sys
@@ -14,6 +19,7 @@ for path in (ROOT, os.path.join(ROOT, "src")):
         sys.path.insert(0, path)
 
 from perfbench.synth import WORKLOADS  # noqa: E402
+from sain.data import BLOCK_LINES  # noqa: E402
 from sain.tensor import KEYS_FIRST_ROWS  # noqa: E402
 from sain.training import EVAL_BATCH, TrainConfig  # noqa: E402
 
@@ -30,3 +36,12 @@ def test_wide_topk_runs_each_path():
     assert rows(1) < KEYS_FIRST_ROWS
     assert rows(TrainConfig().batch_size) >= KEYS_FIRST_ROWS
     assert rows(EVAL_BATCH) >= KEYS_FIRST_ROWS
+
+
+def test_the_gated_ratings_files_span_several_blocks():
+    # The generator writes each workload's `ratings` lines to within
+    # rounding (60,021 and 160,171 at seed 9401), so twice BLOCK_LINES
+    # keeps both files on the block path: read, checked and coded across
+    # block boundaries.
+    for name in ("wide-topk", "mf-large-catalog"):
+        assert WORKLOADS[name].ratings > 2 * BLOCK_LINES, name
