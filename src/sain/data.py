@@ -22,12 +22,15 @@ block or two at a time, not one string per field of the file. The ratings
 are held as columns (`Interactions`): each block's rating and timestamp
 columns are converted and validated in bulk, and a bad file is reported at
 the first line that a line-by-line parse would reject, with the same
-message. Users and items get dense ids in order of first appearance, found
-in one pass over the codes. The features are columnar too: each feature
-file parses into one record (`FeatureColumns`: entities, token counts, flat
-tokens), and from it the vocabulary is counted, and each side encoded
-straight into its packed tables (`PackedFeatures`), a field at a time on
-arrays, with no object per entity.
+message. A block whose numbers are all whole numbers in plain digits is
+read from its bytes a digit place at a time, with the values float() and
+int() give; any other block, so every bad one, is converted by float()
+and int(). Users and items get dense ids in order of first appearance,
+found in one pass over the codes. The features are columnar too: each
+feature file parses into one record (`FeatureColumns`: entities, token
+counts, flat tokens), and from it the vocabulary is counted, and each side
+encoded straight into its packed tables (`PackedFeatures`), a field at a
+time on arrays, with no object per entity.
 """
 
 from __future__ import annotations
@@ -203,12 +206,15 @@ class _Table:
     """The non-blank lines of a block of a text file split on tabs, held
     flat: every field of the block in one list, and per row (non-blank line)
     the index of its first field, its number of fields and its 1-based line
-    number in the file."""
+    number in the file. The block's UTF-8 bytes are kept too, with the byte
+    bounds of its fields: field f is raw[bound[f] + 1:bound[f + 1]]."""
 
     fields: list[str]
     start: np.ndarray
     width: np.ndarray
     line: np.ndarray
+    raw: np.ndarray    # (bytes,) uint8
+    bound: np.ndarray  # (len(fields) + 1,) int64
 
     def __len__(self) -> int:
         return self.line.shape[0]
@@ -216,6 +222,12 @@ class _Table:
     def column(self, k: int, rows=slice(None)) -> list[str]:
         """Field k of the given rows (an index array or a slice)."""
         return list(map(self.fields.__getitem__, (self.start[rows] + k).tolist()))
+
+    def byte_bounds(self, k: int, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """The first and past-the-end byte offsets in `raw` of field k of
+        the given rows."""
+        field = self.start[rows] + k
+        return self.bound[field] + 1, self.bound[field + 1]
 
 
 def _read_text(path: str) -> str:
@@ -254,14 +266,14 @@ def _read_table(path: str) -> Iterator[_Table]:
         hi = int(line_ends[min(top + BLOCK_LINES, line_ends.size) - 1])
         raw = whole[lo:hi]
         fields = str(data[lo:hi], "utf-8").replace("\n", "\t").split("\t")
-        sep = np.flatnonzero((raw == 9) | (raw == 10))  # the byte after each field but the last
+        bound = np.concatenate(([-1], np.flatnonzero((raw == 9) | (raw == 10)), [raw.size]))
+        sep = bound[1:-1]                               # the byte after each field but the last
         ends = np.flatnonzero(raw[sep] == 10)           # the last field of each line but the last
         first = np.concatenate(([0], ends + 1))         # the first field of each line
         width = np.diff(np.append(first, len(fields)))
-        line_start = np.concatenate(([0], sep[ends] + 1))
-        line_end = np.append(sep[ends], raw.size)
-        nonblank = np.flatnonzero(line_end > line_start)
-        yield _Table(fields, first[nonblank], width[nonblank], top + nonblank + 1)
+        nonblank = np.flatnonzero(bound[first + width] > bound[first] + 1)
+        yield _Table(fields, first[nonblank], width[nonblank], top + nonblank + 1,
+                     raw, bound)
 
 
 def _convert(convert, texts: list[str]) -> tuple[list, int]:
@@ -327,15 +339,14 @@ def load_ratings(path: str, min_ratings: int = 5):
 
     The file is parsed a block of lines at a time (_read_table): each block
     is checked and its user and item ids coded before the next is split, so
-    the field strings of at most two blocks are alive. The blocks' columns
-    are joined once at the end, and the filter and the dense ids run on
-    them as on one table."""
-    user_index, item_index, blocks = {}, {}, []
-    for table in _read_table(path):
-        columns = _rating_block(path, table)
-        blocks.append((_codes(table.column(0), user_index),
-                       _codes(table.column(1), item_index), *columns))
-    user_code, item_code, ratings, timestamps, has_timestamp = map(np.concatenate,
+    the field strings of at most two blocks are alive, and none outlives the
+    loop, so the file's bytes are freed before the blocks' columns are
+    joined. The filter and the dense ids run on those columns as on one
+    table."""
+    user_index, item_index = {}, {}
+    blocks = [(*_rating_block(path, table), _codes(table.column(0), user_index),
+               _codes(table.column(1), item_index)) for table in _read_table(path)]
+    ratings, timestamps, has_timestamp, user_code, item_code = map(np.concatenate,
                                                                    zip(*blocks))
     keep = (np.bincount(user_code) >= min_ratings)[user_code]
     user_ids, users = _dense_ids(list(user_index), user_code[keep])
@@ -346,17 +357,71 @@ def load_ratings(path: str, min_ratings: int = 5):
     return interactions, user_ids, item_ids
 
 
+def _plain_numbers(raw: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The whole numbers written in the texts raw[begin:end], as an int64
+    array, if every text is 1 to 18 ASCII digits, which cannot overflow
+    int64; None if some text is not. The texts are read right-aligned, one
+    byte place at a time: each place is an O(rows) gather and multiply-add,
+    the places before a shorter text read as leading zeros, and the first
+    place holding a byte that is not a digit ends the read."""
+    size = end - begin
+    number = np.zeros(size.size, np.int64)
+    if not size.size:
+        return number
+    longest, shortest = int(size.max()), int(size.min())
+    if shortest < 1 or longest > 18:
+        return None
+    at = end - longest
+    for place in range(longest):
+        digit = raw.take(at, mode="clip") - np.uint8(48)  # a byte below "0" wraps above 9
+        at += 1
+        if place < longest - shortest:
+            digit[size < longest - place] = 0
+        if digit.max() > 9:
+            return None
+        number *= 10
+        number += digit
+    return number
+
+
+def _plain_block(table: _Table) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The ratings, timestamps and has-timestamp flags of a block whose
+    lines all have 3 or 4 fields, every rating and timestamp 1 to 18 ASCII
+    digits and every rating in [1,5], read from the block's bytes; None for
+    any other block. A whole rating in [1,5] is an exact double, the value
+    float() gives."""
+    width = table.width
+    if not np.all((width == 3) | (width == 4)):
+        return None
+    ratings = _plain_numbers(table.raw, *table.byte_bounds(2))
+    if ratings is None or not np.all((ratings >= 1) & (ratings <= 5)):
+        return None
+    has_timestamp = width == 4
+    stamps = _plain_numbers(table.raw, *table.byte_bounds(3, has_timestamp))
+    if stamps is None:
+        return None
+    timestamps = np.zeros(len(table), dtype=np.int64)
+    timestamps[has_timestamp] = stamps
+    return ratings.astype(np.float64), timestamps, has_timestamp
+
+
 def _rating_block(path: str, table: _Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ratings, timestamps and has-timestamp flags of one block of a
     ratings file, or a ParseError naming its first bad line. Every block
     before it is clean, so that line is the file's first bad line.
 
-    Ratings are parsed with float() and timestamps with int(), a column at a
-    time, from ASCII text without underscores only: "٣" or "1_0" is a bad
-    rating or timestamp, although float() and int() read them. Each check
-    runs over the rows before the first bad row found so far, in the order a
+    A block of whole numbers in plain digits is read from its bytes
+    (_plain_block), with the values float() and int() give. Any other
+    block, and so every bad one, takes the text path: ratings are parsed
+    with float() and timestamps with int(), a column at a time, from ASCII
+    text without underscores only: "٣" or "1_0" is a bad rating or
+    timestamp, although float() and int() read them. Each check runs over
+    the rows before the first bad row found so far, in the order a
     line-by-line parse applies them, so the error names the first bad line
     and what a line-by-line parse would say of it."""
+    plain = _plain_block(table)
+    if plain is not None:
+        return plain
     width = table.width
     n, error = _first((width < 3) | (width > 4), len(table)), None
     if n < len(table):

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import tempfile
 import tracemalloc
 from collections import Counter
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from sain.data import (DatasetManifest, FieldSpec, Interactions, _dense_ids,
-                       build_dataset, build_feature_vocab,
+                       _plain_block, _read_table, build_dataset, build_feature_vocab,
                        encode_entity_features, interactions_to_arrays,
                        load_ratings, pack_features, parse_feature_file,
                        split_dataset)
@@ -91,6 +92,9 @@ def _row_loader(path, min_ratings=5):
                 except ValueError:
                     raise ParseError(f"{path} line {lineno}: bad timestamp "
                                      f"{parts[3]!r}") from None
+                if not -2 ** 63 <= ts < 2 ** 63:
+                    raise ParseError(f"{path} line {lineno}: timestamp outside the "
+                                     f"int64 range: {parts[3]}")
             rows.append((parts[0], parts[1], rating, ts))
     counts = Counter(r[0] for r in rows)
     user_ids, item_ids, out = {}, {}, []
@@ -653,6 +657,42 @@ def _same_as_oracle(path, min_ratings):
     return inter, want[0]
 
 
+def _byte_path(path) -> list[bool]:
+    """Per block of a ratings file, whether its numbers are read from its
+    bytes (_plain_block) rather than by float() and int()."""
+    return [_plain_block(table) is not None for table in _read_table(path)]
+
+
+# (rating text, timestamp text or None, whether a block holding the line is
+# read from its bytes): the limits of whole numbers in plain digits, and the
+# texts that float() and int() read, or refuse, beyond them.
+NUMBER_TEXTS = [
+    ("000000000000003", None, True),       # 15 digits, leading zeros
+    ("0000000000000003", "1", True),       # 16 digits, leading zeros
+    ("000000000000000003", "1", True),     # 18 digits, leading zeros
+    ("0000000000000000003", "1", False),   # 19 digits
+    ("123456789012345", "1", False),       # 15 digits, outside [1,5]
+    ("1.234567890123456", "1", False),     # 16 digits and a point
+    ("0003", "0007", True),
+    ("4.75", "0", False),
+    ("3.", "1", False),
+    (".5", "1", False),
+    ("+3", "1", False),
+    ("3", "999999999999999999", True),     # 18 digits
+    ("3", "1000000000000000000", False),   # 19 digits that fit int64
+    ("3", "9999999999999999999", False),   # 19 digits past int64
+    ("3", "-0", False),
+    (" 3 ", "1", False),
+    ("3", " 3 ", False),
+    ("\u0663", "1", False),                # an Arabic-Indic three
+    ("3", "\u0663", False),
+    ("1_0", "1", False),
+    ("3", "1_0", False),
+    ("", "1", False),
+    ("3", "", False),
+]
+
+
 # Line bodies for the random files: ordinary lines, lines that parse but look
 # odd, and lines that a loader must reject.
 _GOOD = ["u{u}\ti{i}\t{r}", "u{u}\ti{i}\t{r}\t{t}"]
@@ -782,6 +822,17 @@ class TestColumnarLoader:
                         _rows(split.test)) == _row_split(want, case, by_time)
         assert outcomes["error"] >= 20 and outcomes["parsed"] >= 20
 
+    @pytest.mark.parametrize("rating, stamp, plain", NUMBER_TEXTS,
+                             ids=[repr(case[:2]) for case in NUMBER_TEXTS])
+    def test_number_texts_at_the_edge_of_the_byte_path(self, tmp_path, block_lines,
+                                                        rating, stamp, plain):
+        # Line 2 of 3 (index 1); only its block may leave the byte path.
+        case = f"b\ty\t{rating}" + ("" if stamp is None else f"\t{stamp}")
+        path = _write_text(tmp_path, "\n".join(["a\tx\t3\t1", case, "c\tz\t5"]))
+        _same_as_oracle(path, 1)
+        assert _byte_path(path) == [plain or not top <= 1 < top + block_lines
+                                    for top in range(0, 3, block_lines)]
+
     def test_columns_are_shared_read_only_arrays(self, tmp_path):
         inter, _, _ = load_ratings(_ratings(tmp_path, [("a", "x", 3, 1)] * 3), 1)
         users, items, ratings = interactions_to_arrays(inter)
@@ -876,6 +927,30 @@ class TestBlocks:
         path = _write_text(tmp_path, "\n".join(f"e{j}\tt" for j in range(block_lines))
                            + end, name="f.tsv")
         assert len(parse_feature_file(path).entities) == block_lines
+
+    def test_a_plain_block_whose_only_fault_is_a_rating_of_6(self, tmp_path,
+                                                             block_lines):
+        # Every text is plain digits, so only the range check can send the
+        # block, the last line of the first one, to the text path.
+        lines = [f"u{j % 3}\ti{j % 4}\t{1 + j % 5}\t{j}" for j in range(2 * block_lines)]
+        lines[block_lines - 1] = f"u0\ti0\t6\t{block_lines - 1}"
+        path = _write_text(tmp_path, "\n".join(lines))
+        with pytest.raises(ParseError, match=rf"line {block_lines}: rating outside "
+                                             r"\[1,5\]: 6$"):
+            load_ratings(path, min_ratings=1)
+        _same_as_oracle(path, 1)
+        assert _byte_path(path) == [False, True]
+
+    @pytest.mark.parametrize("first", [0, 1], ids=["text-then-bytes", "bytes-then-text"])
+    def test_text_path_and_byte_path_blocks_in_either_order(self, tmp_path, block_lines,
+                                                            first):
+        # One block holds a rating written "+3", which float() reads.
+        lines = [f"u{j % 3}\ti{j % 4}\t{1 + j % 5}\t{j}" for j in range(2 * block_lines)]
+        lines[first * block_lines] = f"u1\ti2\t+3\t{first * block_lines}"
+        path = _write_text(tmp_path, "\n".join(lines))
+        inter, _ = _same_as_oracle(path, 1)
+        assert inter.ratings[first * block_lines] == 3.0
+        assert _byte_path(path) == [first == 1, first == 0]
 
 
 def test_set_up_memory_is_bounded_by_the_block(tmp_path, monkeypatch):
@@ -1032,6 +1107,25 @@ if hypothesis is not None:
             ratings=column(RATINGS, np.float64), timestamps=column(STAMPS, np.int64),
             has_timestamp=column(has, bool))
         return *counts, columns
+
+    # Number texts from digits and the characters that float() or int()
+    # read beyond plain digits, or refuse.
+    NUMBER_TEXT = st.lists(st.sampled_from([*"0123456789", ".", "+", "-", " ", "e", "_",
+                                            "\u0663", "nan", "inf"]),
+                           max_size=20).map("".join)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(rating=NUMBER_TEXT, stamp=st.none() | NUMBER_TEXT)
+    @hypothesis.example(rating="1.000000000000003", stamp=None).via("16 digits")
+    @hypothesis.example(rating="0000000000000000003", stamp=None).via("19 digits")
+    @hypothesis.example(rating="3", stamp="9999999999999999999").via("19 digits")
+    def test_any_one_line_ratings_file_loads_as_the_row_loader_does(rating, stamp):
+        line = f"u\ti\t{rating}" + ("" if stamp is None else f"\t{stamp}")
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "r.tsv")
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.write(line + "\n")
+            _same_as_oracle(path, 1)
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(drawn=interaction_columns())

@@ -5,10 +5,11 @@ their input (tensor.KEYS_FIRST_ROWS). The benchmark's `wide-topk` workload
 gates both sides of that choice: its single-pair predictions must run
 rows-first, its train steps and eval blocks keys-first. The data readers
 split a file into blocks of data.BLOCK_LINES lines, and both gated
-workloads' ratings files must span several blocks. These tests read the
-workloads from perfbench/synth.py, so that a retuned threshold, batch, eval
-block or block size cannot move a gated workload across a choice
-unnoticed."""
+workloads' ratings files must span several blocks, each of which must be
+read from its bytes (data._plain_block), not by float() and int(). These
+tests read the workloads from perfbench/synth.py, so that a retuned
+threshold, batch, eval block, block size or generator cannot move a gated
+workload across a choice unnoticed."""
 
 import os
 import sys
@@ -18,8 +19,8 @@ for path in (ROOT, os.path.join(ROOT, "src")):
     if path not in sys.path:
         sys.path.insert(0, path)
 
-from perfbench.synth import WORKLOADS  # noqa: E402
-from sain.data import BLOCK_LINES  # noqa: E402
+from perfbench.synth import WORKLOADS, generate  # noqa: E402
+from sain.data import BLOCK_LINES, DatasetManifest, load_ratings  # noqa: E402
 from sain.tensor import KEYS_FIRST_ROWS  # noqa: E402
 from sain.training import EVAL_BATCH, TrainConfig  # noqa: E402
 
@@ -45,3 +46,17 @@ def test_the_gated_ratings_files_span_several_blocks():
     # block boundaries.
     for name in ("wide-topk", "mf-large-catalog"):
         assert WORKLOADS[name].ratings > 2 * BLOCK_LINES, name
+
+
+def test_the_gated_ratings_files_take_the_byte_path(tmp_path, monkeypatch):
+    # _rating_block reads a block by float() and int() only through
+    # _convert, so with it refused every block must take the byte path.
+    def refuse(convert, texts):
+        raise AssertionError(f"a block was read by {convert.__name__}()")
+
+    monkeypatch.setattr("sain.data._convert", refuse)
+    for name in ("wide-topk", "mf-large-catalog"):
+        path = generate(WORKLOADS[name].scaled(0.02), 0, str(tmp_path / name))
+        manifest = DatasetManifest.from_file(path)
+        interactions, _, _ = load_ratings(manifest.ratings_path, manifest.min_ratings)
+        assert len(interactions) > 0, name
