@@ -52,6 +52,8 @@ OWNERS = ("user", "item")
 INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
 # Lines per block in which a data file is split into fields (_read_table).
 BLOCK_LINES = 16384
+# Bytes per chunk in which _block_ends counts a file's newlines.
+NEWLINE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,10 +262,8 @@ def _read_table(path: str) -> Iterator[_Table]:
     offsets locate the blocks, the fields and the lines."""
     data = memoryview(_read_text(path).encode("utf-8"))
     whole = np.frombuffer(data, np.uint8)
-    line_ends = np.append(np.flatnonzero(whole == 10), whole.size)
-    for top in range(0, line_ends.size, BLOCK_LINES):
-        lo = int(line_ends[top - 1]) + 1 if top else 0
-        hi = int(line_ends[min(top + BLOCK_LINES, line_ends.size) - 1])
+    lo = 0
+    for block, hi in enumerate(_block_ends(whole)):
         raw = whole[lo:hi]
         fields = str(data[lo:hi], "utf-8").replace("\n", "\t").split("\t")
         bound = np.concatenate(([-1], np.flatnonzero((raw == 9) | (raw == 10)), [raw.size]))
@@ -272,8 +272,25 @@ def _read_table(path: str) -> Iterator[_Table]:
         first = np.concatenate(([0], ends + 1))         # the first field of each line
         width = np.diff(np.append(first, len(fields)))
         nonblank = np.flatnonzero(bound[first + width] > bound[first] + 1)
-        yield _Table(fields, first[nonblank], width[nonblank], top + nonblank + 1,
-                     raw, bound)
+        yield _Table(fields, first[nonblank], width[nonblank],
+                     block * BLOCK_LINES + nonblank + 1, raw, bound)
+        lo = hi + 1
+
+
+def _block_ends(whole: np.ndarray) -> list[int]:
+    """The byte offset at which each of _read_table's blocks ends: the
+    newline after every BLOCK_LINES-th line, then the end of the file. The
+    newlines are counted a chunk of NEWLINE_CHUNK bytes at a time and
+    located only in the chunks where a block ends; each block finds its own
+    among its field separators."""
+    ends, need = [], BLOCK_LINES        # need: newlines up to the next block end
+    for lo in range(0, whole.size, NEWLINE_CHUNK):
+        hits = whole[lo:lo + NEWLINE_CHUNK] == 10
+        count = np.count_nonzero(hits)
+        if count >= need:
+            ends += (lo + np.flatnonzero(hits)[need - 1::BLOCK_LINES]).tolist()
+        need = BLOCK_LINES - (count - need) % BLOCK_LINES
+    return ends + [whole.size]
 
 
 def _convert(convert, texts: list[str]) -> tuple[list, int]:

@@ -6,9 +6,14 @@ batch did not touch), and a central finite-difference oracle used to
 certify every analytic gradient in this package.
 
 The softmax and the top-k mask run rows-first on small inputs and, from
-KEYS_FIRST_ROWS rows on, keys-first: on a (n, rows) copy, as elementwise
-passes over n slabs, with the row sums in numpy's pairwise order
-(slab_sum). Both forms give the same bits.
+KEYS_FIRST_ROWS rows on, keys-first: as elementwise passes over the n slabs
+of an (n, rows) array, with the row sums in numpy's pairwise order
+(slab_sum). Both forms give the same bits. A keys-first result is handed
+back as the rows-first view t.T.reshape(shape) of the array it was computed
+in, not copied back, and an input stored that way (such a view, or an
+empty_rows buffer) is read in place. row_sums gives np.sum(axis=-1)'s bits
+in either layout, so a caller can keep its arrays keys-first between the
+kernels, as the attention stage does.
 
 A ParamSet is the one holder of a model's tensors and Adam state; its
 optimizer_state() is the form a checkpoint stores, and its constructor takes
@@ -29,22 +34,64 @@ from .errors import ShapeError
 
 
 # Rows (the product of all but the last axis) from which softmax_rows and
-# top_k_mask_rows work keys-first, on a contiguous (n, rows) copy of their
+# top_k_mask_rows work keys-first, on the contiguous (n, rows) form of their
 # input: every step is then one elementwise pass over n slabs of `rows`
 # values, where the rows-first form runs numpy's reductions and argsort over
-# many short rows. Both forms give the same bits. On a 2-core Xeon (one BLAS
-# thread, (B, 4, 10, 10) attention logits, heap kept as in training) the two
+# many short rows. Both forms give the same bits, and from here on both
+# kernels return the rows-first view of their (n, rows) result, and
+# empty_rows stores keys-first. On a 2-core Xeon (one BLAS thread,
+# (B, 4, 10, 10) attention logits, heap kept as in training) the two forms
 # cross near 160 rows for the softmax, 400 for the top-k mask and 350 for
-# the two together; at 10240 rows (B=256) the softmax takes 434 against 914
-# µs and the mask 381 against 1677 µs. Single-pair predict (H*S = 40 rows on
-# perfbench's wide-topk) stays rows-first.
+# the two together. At 10240 rows (B=256) the rows-first forms take 914 µs
+# for the softmax and 1677 µs for the mask. Keys-first, the softmax takes
+# 230 µs in place in an empty_rows buffer, against 405 µs when it copies a
+# C-order input in and its result back out; the mask takes 203 µs on the
+# softmax's result, against 252 µs on a C-order one that it copies.
+# Single-pair predict (H*S = 40 rows on perfbench's wide-topk) stays
+# rows-first.
 KEYS_FIRST_ROWS = 512
 
 
+def _slabs(a: np.ndarray) -> np.ndarray:
+    """The (n, rows) slabs of a, slab j holding entry j of every row: a view
+    when a is stored keys-first (then contiguous) or is a contiguous
+    rows-first array (then strided); a copy otherwise."""
+    return a.reshape(math.prod(a.shape[:-1]), a.shape[-1]).T
+
+
+def _slab_view(a: np.ndarray) -> np.ndarray | None:
+    """a's own (n, rows) storage when a is stored keys-first, that is when a
+    is t.T.reshape(a.shape) for a contiguous (n, rows) t, as the row
+    kernels return it and empty_rows makes it; otherwise None."""
+    t = _slabs(a)
+    return t if t.flags.c_contiguous and np.may_share_memory(t, a) else None
+
+
 def _keys_first(a: np.ndarray) -> np.ndarray:
-    """A contiguous (n, rows) copy of a: slab j holds entry j of every row."""
-    n = a.shape[-1]
-    return a.reshape(math.prod(a.shape[:-1]), n).T.copy()
+    """The contiguous (n, rows) keys-first form of a: a's own storage when
+    it is stored keys-first, else a copy."""
+    t = _slab_view(a)
+    return np.ascontiguousarray(_slabs(a)) if t is None else t
+
+
+def empty_rows(shape: tuple) -> np.ndarray:
+    """An uninitialised float64 array of `shape`, stored as the row kernels
+    store their results for that many rows: from KEYS_FIRST_ROWS rows on
+    keys-first, as the rows-first view of an (n, rows) array, so that
+    softmax_rows works in it in place; below, in C order."""
+    rows = math.prod(shape[:-1])
+    if rows >= KEYS_FIRST_ROWS:
+        return np.empty((shape[-1], rows)).T.reshape(shape)
+    return np.empty(shape)
+
+
+def row_sums(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=-1, keepdims=True), with its bits in any layout:
+    numpy's own sum when a is in C order, else slab_sum over a's slabs,
+    which are contiguous when a is stored keys-first."""
+    if a.flags.c_contiguous:
+        return a.sum(axis=-1, keepdims=True)
+    return slab_sum(_slabs(a)).reshape(a.shape[:-1] + (1,))
 
 
 def slab_sum(t: np.ndarray) -> np.ndarray:
@@ -55,7 +102,7 @@ def slab_sum(t: np.ndarray) -> np.ndarray:
     j, j + 8, ... of the leading multiple of 8, joins them as
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), adds the rest in order
     and adds that to +0. Past 128 it sums the halves, split at a multiple of
-    8, the same way, and adds the two."""
+    8, the same way, and adds the two. t is only read."""
     n = len(t)
     if n < 8:
         total = np.zeros(t.shape[1:])
@@ -66,9 +113,11 @@ def slab_sum(t: np.ndarray) -> np.ndarray:
         half = n // 2 - n // 2 % 8
         return slab_sum(t[:half]) + slab_sum(t[half:])
     end = n - n % 8
-    r = t[:8].copy()
-    for i in range(8, end, 8):
-        r += t[i:i + 8]
+    r = t[:8]
+    if end > 8:
+        r = r.copy()
+        for i in range(8, end, 8):
+            r += t[i:i + 8]
     r = r[0::2] + r[1::2]
     total = r[0::2] + r[1::2]
     total = total[0] + total[1]
@@ -84,26 +133,36 @@ def softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     operations are exp(z - max) / sum in that order either way, so `out`
     changes no bit.
 
-    From KEYS_FIRST_ROWS rows it works on a keys-first copy: the row max is
-    one elementwise maximum over the slabs, and slab_sum adds the slabs in
-    numpy's order, so every value has the bits of the rows-first form. A
-    row max that is NaN sends the input rows-first, because which NaN a
-    maximum keeps depends on the order of its comparisons."""
+    From KEYS_FIRST_ROWS rows it works keys-first: the row max is one
+    elementwise maximum over the slabs, and slab_sum adds the slabs in
+    numpy's order, so every value has the bits of the rows-first form. The
+    result is then the rows-first view of the (n, rows) array it was
+    computed in: a new one when `out` is None; `out`'s own storage, with no
+    copy, when `out` is `logits` and stored keys-first (empty_rows);
+    otherwise it is copied into `out`. A row max that is NaN sends the input
+    rows-first, because which NaN a maximum keeps depends on the order of
+    its comparisons; that result is in `out`, or C order."""
     z = np.asarray(logits, dtype=np.float64)
     if math.prod(z.shape[:-1]) >= KEYS_FIRST_ROWS:
-        t = _keys_first(z)
+        t = _slab_view(z) if out is z else None
+        in_out = t is not None
+        if not in_out:
+            t = np.array(_slabs(z), order="C")
         peak = np.maximum.reduce(t, axis=0)
         if not np.isnan(peak).any():
             t -= peak
             np.exp(t, out=t)
             t /= slab_sum(t)
             if out is None:
-                out = np.empty(z.shape)
-            out[...] = t.T.reshape(z.shape)
+                return t.T.reshape(z.shape)
+            if not in_out:
+                out[...] = t.T.reshape(z.shape)
             return out
+    if not z.flags.c_contiguous and _slab_view(z) is not None:
+        z = np.ascontiguousarray(z)     # for the max's NaN, as on C order
     e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= row_sums(e)
     return e
 
 
@@ -113,8 +172,10 @@ def top_k_mask_rows(weights: np.ndarray, k: int) -> np.ndarray:
     of at least the row length keeps every entry. Below KEYS_FIRST_ROWS
     rows, the mask is written through its (rows, n) view with one fancy
     assignment, which has less fixed cost than np.put_along_axis (about 20
-    against 32 µs on one (4,10,10) pair); from there it is counted
-    keys-first (_top_k_keys_first)."""
+    against 32 µs on one (4,10,10) pair), and is C order. From there it is
+    counted keys-first (_top_k_keys_first) and is the rows-first view of an
+    (n, rows) array; a row holding NaN sends the input back to the C-order
+    form."""
     if k < 1:
         raise ValueError("k must be positive")
     n = weights.shape[-1]
@@ -132,13 +193,14 @@ def top_k_mask_rows(weights: np.ndarray, k: int) -> np.ndarray:
 
 
 def _top_k_keys_first(weights: np.ndarray, k: int) -> np.ndarray | None:
-    """The top-k mask by counting, over n passes on a keys-first copy, how
-    many entries of its row beat each entry: entry i beats entry j when
-    w_i > w_j, or w_i == w_j and i < j. The entries beaten fewer than k
-    times are kept. Without NaN those counts are the positions of a stable
-    descending sort, so the mask is the argsort's. A NaN is beaten by
-    nothing, so a row holding one keeps more than k entries; then the total
-    is off and this returns None, for the argsort to order the NaNs last."""
+    """The top-k mask by counting, over n passes on the keys-first form of
+    weights (its own storage when it is stored keys-first), how many entries
+    of its row beat each entry: entry i beats entry j when w_i > w_j, or
+    w_i == w_j and i < j. The entries beaten fewer than k times are kept.
+    Without NaN those counts are the positions of a stable descending sort,
+    so the mask is the argsort's. A NaN is beaten by nothing, so a row
+    holding one keeps more than k entries; then the total is off and this
+    returns None, for the argsort to order the NaNs last."""
     t = _keys_first(weights)
     n, r = t.shape
     beaten = np.zeros((n, r), dtype=np.min_scalar_type(n))
@@ -148,12 +210,10 @@ def _top_k_keys_first(weights: np.ndarray, k: int) -> np.ndarray | None:
         hit[i] = False
         np.greater_equal(t[i], t[i + 1:], out=hit[i + 1:])
         beaten += hit.view(np.uint8)
-    keep = beaten < k
+    keep = np.less(beaten, k, out=hit)
     if np.count_nonzero(keep) != r * k:
         return None
-    mask = np.empty(weights.shape, dtype=bool)
-    mask.reshape(r, n)[...] = keep.T
-    return mask
+    return keep.T.reshape(weights.shape)
 
 
 def scatter_add_rows(rows: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
@@ -293,15 +353,41 @@ class TensorViews(dict):
         view[...] = value
 
 
+class GradViews(TensorViews):
+    """ParamSet.zero_grads' gradients: name -> a view into one vector `flat`,
+    in which `offsets[name]` is where the view starts. Assigning to one of
+    those names copies into its view (`grads[name] += g` leaves it as it
+    is), so `flat` stays the gradient that adam_update reads; any other name
+    (a table the caller builds whole, by a scatter) is stored as given."""
+
+    def __init__(self, views: dict[str, np.ndarray], flat: np.ndarray):
+        super().__init__(views)
+        self.flat = flat
+        self.offsets, pos = {}, 0
+        for name, view in views.items():
+            self.offsets[name] = pos
+            pos += view.size
+
+    def __setitem__(self, name: str, value) -> None:
+        if name not in self.offsets:
+            dict.__setitem__(self, name, value)
+        elif value is not self[name]:
+            super().__setitem__(name, value)
+
+
 class ParamSet:
     """Named float64 tensors packed, in registration order, into one vector
     `flat`; `tensors[name]` is a view into it, so `flat` is also the order of
     flatten() and set_flat(). Adam's moments live in vectors `m` and `v` of
     the same layout (`moments[name]` gives the two views), with one step
-    counter `t` for the whole set.
+    counter `t` for the whole set. A subclass names in EMBEDDINGS its tables
+    indexed by id, which the optimizer updates one by one; it sweeps each
+    run of the other tensors as one slice.
 
     `adam`, when given, is an optimizer state in the form optimizer_state()
     returns; it is copied into `m` and `v`."""
+
+    EMBEDDINGS: tuple[str, ...] = ()
 
     def __init__(self, tensors: dict[str, np.ndarray], adam: dict | None = None):
         arrays = {k: np.asarray(a, dtype=np.float64) for k, a in tensors.items()}
@@ -315,9 +401,12 @@ class ParamSet:
         if adam is not None:
             self._set_adam(adam)
 
-    def _views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+    def _views(self, vec: np.ndarray, names=None) -> dict[str, np.ndarray]:
+        """Views of consecutive slices of vec, shaped as the named tensors
+        (all of them when names is None), in order."""
         out, pos = {}, 0
-        for name, shape in self._shapes.items():
+        for name in self._shapes if names is None else names:
+            shape = self._shapes[name]
             size = math.prod(shape)
             out[name] = vec[pos:pos + size].reshape(shape)
             pos += size
@@ -366,11 +455,13 @@ class ParamSet:
         other._bind()
         return other
 
-    def zero_grads(self, skip=()) -> dict[str, np.ndarray]:
+    def zero_grads(self, skip=()) -> GradViews:
         """A zero gradient per tensor, leaving out the names in `skip` (the
-        tables whose gradient the caller builds by a scatter)."""
-        return {k: np.zeros(shape) for k, shape in self._shapes.items()
-                if k not in skip}
+        tables whose gradient the caller builds by a scatter), as views into
+        one zero vector laid out like the arena without them."""
+        names = [k for k in self._shapes if k not in skip]
+        flat = np.zeros(sum(math.prod(self._shapes[k]) for k in names))
+        return GradViews(self._views(flat, names), flat)
 
     def flatten(self) -> np.ndarray:
         return self.flat.copy()

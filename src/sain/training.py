@@ -1,12 +1,13 @@
 """Mini-batch training with Adam, seeded shuffles, validation-driven early
 stopping, divergence detection, and deterministic reporting. One generic loop
 drives both model kinds through a small engine interface, and both engines
-share one optimizer update: an in-place Adam step per tensor on the views of
-the model's ParamSet arena, so a step allocates nothing the size of the
-model. Each engine names the batch's distinct ids as the rows of its
-entity-id tables, so Adam leaves out the zero-gradient terms of the rest,
-with the same bits. Evaluation clips predictions to the rating range; every emitted number
-is formatted with repr() so logs are byte-stable across runs.
+share one optimizer update: an in-place Adam step on the views of the
+model's ParamSet arena, one per entity table and one per run of the other
+tensors, so a step allocates nothing the size of the model. Each engine
+names the batch's distinct ids as the rows of its entity-id tables, so Adam
+leaves out the zero-gradient terms of the rest, with the same bits.
+Evaluation clips predictions to the rating range; every emitted number is
+formatted with repr() so logs are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import ctypes
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -31,15 +33,16 @@ from .tensor import ParamSet, adam_step, sorted_distinct
 RATING_MIN, RATING_MAX = 1.0, 5.0
 # Pairs per eval-mode forward pass. A block's trace (q/k/v, four (B,H,S,S)
 # arrays, the batch-norm and residual arrays) is what an eval holds at its
-# peak: 12 MB at 256 pairs with S=10, d=64 and H=4 (tracemalloc), 24 MB at
-# 512 and about 220 MB at the former 4096. On perfbench's `wide-topk`
-# workload (2 cores, one BLAS thread, 10 runs each), going from 4096 to 512
-# cut the median peak RSS from 338 to 115 MB and raised eval pairs/s 5%;
-# 1024 peaked at ~145 MB. With the keys-first attention kernels (256 pairs
-# are 10240 rows there, above tensor.KEYS_FIRST_ROWS), an in-process
-# test-split pass took a median 114.6 ms at 256 pairs and 119.3 ms at 512
-# (12 interleaved rounds, 256 faster in 10). Any multiple of 4 gives the
-# same output bits (see _eval_outputs).
+# peak: 12.3 MB at 256 pairs with S=10, d=64 and H=4 (tracemalloc), 24.3 MB
+# at 512 and about 220 MB at the former 4096; storing the attention arrays
+# keys-first changed neither figure. On perfbench's `wide-topk` workload
+# (2 cores, one BLAS thread, 10 runs each), going from 4096 to 512 cut the
+# median peak RSS from 338 to 115 MB and raised eval pairs/s 5%; 1024
+# peaked at ~145 MB. 256 pairs are 10240 attention rows there, above
+# tensor.KEYS_FIRST_ROWS. With those arrays stored keys-first, an in-process
+# test-split pass took a median 84.0 ms at 256 pairs and 83.2 ms at 512
+# (8 interleaved rounds), so 256 keeps the smaller trace for a 1% slower
+# pass. Any multiple of 4 gives the same output bits (see _eval_outputs).
 EVAL_BATCH = 256
 DIVERGENCE_LIMIT = 1e8
 # glibc mallopt parameters and the values keep_heap() sets.
@@ -162,19 +165,48 @@ def keep_heap() -> None:
 def adam_update(params: ParamSet, grads: dict[str, np.ndarray], tcfg: TrainConfig,
                 decay_set: set[str], rows: dict[str, np.ndarray] | None = None) -> None:
     """One optimizer step of every tensor, in place: the set's step counter
-    advances once, then adam_step runs on each tensor's arena view with its
-    moment views, decoupled decay on the names in decay_set. `rows` maps a
-    tensor to the sorted distinct rows outside which its gradient is exactly
-    zero (the batch's ids, for a table indexed by entity id); adam_step then
-    leaves out the zero-gradient terms elsewhere, with the same bits."""
+    advances once, then adam_step runs with decoupled decay on the names in
+    decay_set. Each entity table (params.EMBEDDINGS) gets its own call, on
+    its arena view with its moment views; `rows` maps a table to the sorted
+    distinct rows outside which its gradient is exactly zero (the batch's
+    ids), and adam_step then leaves out the zero-gradient terms elsewhere,
+    with the same bits. Every run of other tensors that sit next to each
+    other in the arena and share their decay gets one call on its slice of
+    the arena, as adam_step is elementwise: one call for SAIN's dense tail
+    under every l2_scope. Its gradient is the same run's slice of
+    grads.flat when zero_grads made the gradients, else they are joined."""
     params.t += 1
     rows = rows or {}
-    for name, tensor in params.tensors.items():
-        m, v = params.moments[name]
-        wd = tcfg.weight_decay if name in decay_set else 0.0
-        adam_step(tensor, grads[name], m, v, params.t, tcfg.learning_rate, wd,
-                  params.beta1, params.beta2, params.eps, params.scratch,
-                  rows=rows.get(name))
+
+    def kind(item) -> tuple[str | None, bool]:
+        name = item[0]
+        return (name if name in params.EMBEDDINGS else None), name in decay_set
+
+    lo = 0
+    for (table, decayed), run in groupby(params.tensors.items(), key=kind):
+        if table is not None:
+            param, grad, table_rows = params.tensors[table], grads[table], rows.get(table)
+            m, v = params.moments[table]
+            hi = lo + param.size
+        else:
+            names = [name for name, _ in run]
+            hi = lo + sum(params.tensors[name].size for name in names)
+            param, grad, table_rows = params.flat[lo:hi], _joined(grads, names), None
+            m, v = params.m[lo:hi], params.v[lo:hi]
+        adam_step(param, grad, m, v, params.t, tcfg.learning_rate,
+                  tcfg.weight_decay if decayed else 0.0, params.beta1, params.beta2,
+                  params.eps, params.scratch, rows=table_rows)
+        lo = hi
+
+
+def _joined(grads: dict[str, np.ndarray], names: list[str]) -> np.ndarray:
+    """The gradients of consecutive tensors as one vector: a slice of
+    grads.flat when all are views into it, else a copy."""
+    offsets = getattr(grads, "offsets", {})
+    if all(name in offsets for name in names):
+        start = offsets[names[0]]
+        return grads.flat[start:start + sum(grads[n].size for n in names)]
+    return np.concatenate([np.reshape(grads[n], -1) for n in names])
 
 
 class _Engine:

@@ -14,7 +14,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sain.data import (DatasetManifest, FieldSpec, Interactions, _dense_ids,
+from sain import data
+from sain.data import (DatasetManifest, FieldSpec, Interactions, _block_ends, _dense_ids,
                        _plain_block, _read_table, build_dataset, build_feature_vocab,
                        encode_entity_features, interactions_to_arrays,
                        load_ratings, pack_features, parse_feature_file,
@@ -927,6 +928,21 @@ class TestBlocks:
         path = _write_text(tmp_path, "\n".join(f"e{j}\tt" for j in range(block_lines))
                            + end, name="f.tsv")
         assert len(parse_feature_file(path).entities) == block_lines
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64, data.NEWLINE_CHUNK])
+    def test_blocks_end_where_locating_every_newline_puts_them(self, monkeypatch,
+                                                               block_lines, chunk):
+        # _block_ends counts newlines a chunk at a time and locates only
+        # the block ends; at every chunk size they must fall where the
+        # positions of all the newlines put them.
+        monkeypatch.setattr(data, "NEWLINE_CHUNK", chunk)
+        for text in ["", "\n", "a", "a\n", "\n\n\n\n", "u\ti\t3\n\nv\tj\t4\n" * 7,
+                     "x" * 50 + "\n" + "y\n" * 9, "é\t\n" * 11 + "z"]:
+            whole = np.frombuffer(text.encode("utf-8"), np.uint8)
+            line_ends = np.append(np.flatnonzero(whole == 10), whole.size)
+            want = [int(line_ends[min(top + block_lines, line_ends.size) - 1])
+                    for top in range(0, line_ends.size, block_lines)]
+            assert _block_ends(whole) == want, text
 
     def test_a_plain_block_whose_only_fault_is_a_rating_of_6(self, tmp_path,
                                                              block_lines):

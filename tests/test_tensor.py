@@ -8,11 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from sain import tensor
+from sain import model, tensor
 from sain.errors import ShapeError
-from sain.tensor import (ADAM_BLOCK, ParamSet, adam_step,
-                         finite_diff_gradient, relative_error, scatter_add_rows,
-                         slab_sum, softmax_rows, sorted_distinct, top_k_mask_rows)
+from sain.model import FieldLayout, ForwardTrace, ModelConfig, SainParams
+from sain.tensor import (ADAM_BLOCK, KEYS_FIRST_ROWS, ParamSet, adam_step,
+                         empty_rows, finite_diff_gradient, relative_error, row_sums,
+                         scatter_add_rows, slab_sum, softmax_rows, sorted_distinct,
+                         top_k_mask_rows)
 from sain.training import TrainConfig, adam_update
 
 from oracles import softmax_row, top_k_indices
@@ -237,6 +239,145 @@ class TestTopKMaskMatchesPutAlongAxis:
         w = _special_rows(np.random.default_rng(9), (6, 8, 8))[:, ::2, 1:]
         np.testing.assert_array_equal(top_k_mask_rows(w, 3),
                                       _top_k_mask_put_along_axis(w, 3))
+
+
+def _stored_keys_first(a):
+    """A copy of a stored keys-first: the rows-first view of an (n, rows)
+    array, as empty_rows and the keys-first kernels store theirs."""
+    view = np.empty((a.shape[-1], math.prod(a.shape[:-1])), a.dtype).T.reshape(a.shape)
+    view[...] = a
+    return view
+
+
+def _rows_first_attention(x, d_concat, params):
+    """The attention stage's forward and backward as they ran with every
+    (B,H,S,S) array in C order: numpy's own row sums, the softmax and the
+    top-k mask of their row-at-a-time definitions. Returns what
+    test_the_attention_stage_gives_the_rows_first_bits compares."""
+    config = params.config
+    B, S, d = x.shape
+    H, dh = config.num_heads, config.head_dim
+    w_qkv = np.concatenate([params.tensors[f"attn{h}_w{p}"] for p in "qkv"
+                            for h in range(H)], axis=1)
+    q, k, v = (x.reshape(B * S, d) @ w_qkv).reshape(B, S, 3, H, dh).transpose(2, 0, 3, 1, 4)
+    logits = q @ k.swapaxes(-1, -2)
+    logits *= 1.0 / math.sqrt(dh)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    mask = _top_k_mask_put_along_axis(alpha, config.top_k)
+    ahat = alpha * mask
+    sel_sum = ahat.sum(axis=-1, keepdims=True)
+    if config.renormalize_topk:
+        ahat /= sel_sum
+    out = np.empty((B, S, H, dh))
+    np.matmul(ahat, v, out=out.transpose(0, 2, 1, 3))
+    d_out = d_concat.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
+    d_logits = d_out @ v.swapaxes(-1, -2)
+    if config.renormalize_topk:
+        d_logits -= (d_logits * ahat).sum(axis=-1, keepdims=True)
+        d_logits /= sel_sum
+    d_logits *= mask
+    d_logits -= (d_logits * alpha).sum(axis=-1, keepdims=True)
+    d_logits *= alpha
+    d_logits *= 1.0 / math.sqrt(dh)
+    d_qkv = np.empty((B, S, 3, H, dh))
+    d_q, d_k, d_v = d_qkv.transpose(2, 0, 3, 1, 4)
+    np.matmul(d_logits, k, out=d_q)
+    np.matmul(d_logits.swapaxes(-1, -2), q, out=d_k)
+    np.matmul(ahat.swapaxes(-1, -2), d_out, out=d_v)
+    d_qkv = d_qkv.reshape(B * S, 3 * d)
+    g_qkv = (x.reshape(B * S, d).T @ d_qkv).reshape(d, 3, H, dh)
+    grads = params.zero_grads()
+    for j, p in enumerate("qkv"):
+        for h in range(H):
+            grads[f"attn{h}_w{p}"] += g_qkv[:, j, h]
+    return [out.reshape(B, S, d), alpha, mask, ahat, sel_sum,
+            (d_qkv @ w_qkv.T).reshape(B, S, d), grads.flat]
+
+
+class TestLayouts:
+    """softmax_rows, top_k_mask_rows and row_sums read rows-first arrays in
+    C order or stored keys-first, with the same bits, on both sides of
+    KEYS_FIRST_ROWS and with the NaN rows that send the kernels back to
+    their rows-first forms; the attention stage, which feeds them each
+    other's results, gives the bits of running rows-first throughout."""
+
+    # (B, 4, 10, 10) has 40 rows per pair: 2 pairs are below KEYS_FIRST_ROWS,
+    # 16 above.
+    @pytest.mark.parametrize("pairs", [2, 16])
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan-rows"])
+    def test_the_kernels_give_the_same_bits_in_either_layout(self, pairs, nan):
+        assert 2 * 40 < KEYS_FIRST_ROWS <= 16 * 40
+        rng = np.random.default_rng(pairs + 2 * nan)
+        z = rng.normal(0.0, 3.0, size=(pairs, 4, 10, 10))
+        if nan:
+            z[0, 1, 2, 3] = np.nan
+            z[1, 0, 0, ::4] = np.inf            # exp(inf - inf) is NaN
+        kf = _stored_keys_first(z)
+        with np.errstate(invalid="ignore"):
+            e = np.exp(z - z.max(axis=-1, keepdims=True))
+            want = e / e.sum(axis=-1, keepdims=True)
+            got = softmax_rows(z)
+            assert got.tobytes() == want.tobytes()
+            assert softmax_rows(kf).tobytes() == want.tobytes()
+            assert kf.tobytes() == z.tobytes()                  # not written
+            assert softmax_rows(kf, out=kf) is kf and kf.tobytes() == want.tobytes()
+        keys_first = pairs * 40 >= KEYS_FIRST_ROWS and not nan
+        assert (tensor._slab_view(got) is not None) == keys_first
+        assert (tensor._slab_view(kf) is not None)              # worked in place
+        mask = _top_k_mask_put_along_axis(want, 4)
+        for w in (want, got, kf):
+            got_mask = top_k_mask_rows(w, 4)
+            assert got_mask.tobytes() == mask.tobytes()
+            assert (tensor._slab_view(got_mask) is not None) == keys_first
+        for a in (want * mask, _stored_keys_first(want) * mask, got * got_mask,
+                  (want * mask)[:, ::2], np.asfortranarray(want * mask)):
+            sums = np.ascontiguousarray(a).sum(axis=-1, keepdims=True)
+            assert row_sums(a).tobytes() == sums.tobytes()
+
+    @pytest.mark.parametrize("renormalize", [True, False])
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan-rows"])
+    def test_the_attention_stage_gives_the_rows_first_bits(self, monkeypatch,
+                                                           renormalize, nan):
+        # S = 10, where numpy's pairwise row sum is not the sequential one.
+        config = ModelConfig(embed_dim=8, num_heads=2, top_k=4,
+                             renormalize_topk=renormalize)
+        fields = [f"f{j}" for j in range(10)]
+        layout = FieldLayout(fields[:4], fields[4:], dict.fromkeys(fields, 3), 4, 4)
+        params = SainParams.init(layout, config, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(32, 10, 8))                    # 640 rows
+        d_out = rng.normal(size=x.shape)
+        if nan:
+            x[3, 1] = np.inf
+
+        def run():
+            trace = ForwardTrace()
+            out = model._attention_forward(trace, x.copy(), params)
+            grads = params.zero_grads()
+            d_x = model._attention_backward(trace, d_out.copy(), grads, params)
+            return trace, [out, trace.alpha_full, trace.topk_mask, trace.alpha_topk,
+                           trace.sel_sum, d_x, grads.flat]
+
+        with np.errstate(all="ignore"):
+            trace, keys_first = run()
+            # The softmax works in the logits' keys-first buffer either way;
+            # a NaN row sends the mask back to the argsort, in C order.
+            assert tensor._slab_view(trace.alpha_full) is not None
+            assert (tensor._slab_view(trace.topk_mask) is not None) != nan
+            oracle = _rows_first_attention(x, d_out, params)
+            monkeypatch.setattr(tensor, "KEYS_FIRST_ROWS", 10 ** 9)
+            trace, rows_first = run()
+            assert trace.alpha_full.flags.c_contiguous
+        for a, b, c in zip(keys_first, rows_first, oracle):
+            assert a.shape == b.shape == c.shape
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+
+    def test_empty_rows_is_stored_as_the_kernels_store(self):
+        small, large = empty_rows((2, 4, 10, 10)), empty_rows((16, 4, 10, 10))
+        assert small.flags.c_contiguous and tensor._slab_view(small) is None
+        assert tensor._slab_view(large) is not None
+        assert tensor._slab_view(np.zeros((16, 4, 10, 10))) is None
 
 
 class TestScatterAddRows:
@@ -509,6 +650,21 @@ class TestParamSet:
         grads = ps.zero_grads(skip=("b",))
         assert list(grads) == ["w", "one"]
         assert grads["w"].shape == (3, 4) and not grads["w"].any()
+
+    def test_zero_grads_are_views_into_one_vector(self):
+        ps = self._set()
+        grads = ps.zero_grads(skip=("b",))
+        assert grads.flat.shape == (13,) and grads.offsets == {"w": 0, "one": 12}
+        w = grads["w"]
+        grads["w"] += 1.0                       # in place: the view stays
+        grads["one"] = np.asarray([3.0])        # copied into the view
+        assert grads["w"] is w
+        np.testing.assert_array_equal(grads.flat, [1.0] * 12 + [3.0])
+        with pytest.raises(ShapeError):
+            grads["w"] = np.zeros(12)
+        table = np.ones(5)
+        grads["b"] = table                      # not a view: stored as given
+        assert grads["b"] is table and grads.flat.shape == (13,)
 
     def test_adam_states_round_trip_and_must_be_in_step(self):
         ps = self._set()

@@ -16,8 +16,9 @@ import pytest
 from sain.errors import DivergenceError, ParseError, ShapeError
 from sain import training
 from sain.checkpoint import load_checkpoint, save_checkpoint
-from sain.model import ModelConfig, forward_batch
+from sain.model import L2_SCOPES, ModelConfig, backward, decayed_names, forward_batch
 from sain.seeding import derive_seed
+from sain.tensor import adam_step, sorted_distinct
 from sain.training import (EpochLog, EvalReport, TrainConfig, attention_matrices,
                            clip_ratings, evaluate_sain, fmt, load_model,
                            predict_sain, rmse_mae, run_training, save_model,
@@ -349,6 +350,61 @@ class TestEntityRows:
             assert a.flat.tobytes() == b.flat.tobytes()
             assert a.m.tobytes() == b.m.tobytes()
             assert a.v.tobytes() == b.v.tobytes()
+
+
+class TestOneUpdate:
+    """adam_update makes one adam_step per entity table, with its rows, and
+    one over SAIN's dense tail (every tensor after cf_item), whose decay is
+    uniform under every l2_scope. That must give, bit for bit, one
+    adam_step per tensor, under every scope and gate layout, from
+    zero_grads' views or from gradients of any other form."""
+
+    @pytest.mark.parametrize("gate_shared", [False, True], ids=["split-gates", "shared-gate"])
+    @pytest.mark.parametrize("scope", L2_SCOPES)
+    def test_one_update_is_the_per_tensor_steps(self, prepared, monkeypatch, scope,
+                                                gate_shared):
+        params, _ = small_params(prepared, seed=8, top_k=2, dropout_rate=0.1,
+                                 l2_scope=scope, gate_shared=gate_shared)
+        tcfg = TrainConfig(learning_rate=0.01, weight_decay=0.05, batch_size=32, seed=2)
+        engine = training.SainEngine(prepared, params, tcfg)
+        for start in (0, 32):               # moments and step count off their start
+            engine.step(np.arange(start, start + 32))
+        idx = np.arange(64, 96)
+        u, i, r = engine.users[idx], engine.items[idx], engine.ratings[idx]
+        trace = forward_batch(u, i, prepared.user_packed, prepared.item_packed, params,
+                              mode="train", dropout_rng=np.random.default_rng(3))
+        grads = backward(trace, r, params)
+        rows = {"cf_user": sorted_distinct(u), "cf_item": sorted_distinct(i)}
+        decay = decayed_names(params, scope)
+        want, plain = params.clone(), params.clone()
+        want.t += 1
+        for name, tensor in want.tensors.items():
+            m, v = want.moments[name]
+            adam_step(tensor, grads[name], m, v, want.t, tcfg.learning_rate,
+                      tcfg.weight_decay if name in decay else 0.0, want.beta1,
+                      want.beta2, want.eps, rows=rows.get(name))
+        training.adam_update(plain, {k: np.array(g) for k, g in grads.items()}, tcfg,
+                             decay, rows)
+        calls = []
+        step = training.adam_step
+
+        def recording(param, grad, m, v, t, lr, weight_decay, *args, **kwargs):
+            calls.append((param.size, weight_decay))
+            step(param, grad, m, v, t, lr, weight_decay, *args, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", recording)
+        training.adam_update(params, grads, tcfg, decay, rows)
+        for got in (params, plain):
+            assert got.t == want.t
+            assert got.flat.tobytes() == want.flat.tobytes()
+            assert got.m.tobytes() == want.m.tobytes()
+            assert got.v.tobytes() == want.v.tobytes()
+        tables = params.EMBEDDINGS
+        tail = sum(t.size for name, t in params.tensors.items() if name not in tables)
+        table_wd = 0.0 if scope == "projections" else tcfg.weight_decay
+        tail_wd = 0.0 if scope == "embeddings" else tcfg.weight_decay
+        assert calls == [(params.tensors[name].size, table_wd) for name in tables] + [
+            (tail, tail_wd)]
 
 
 class TestKeepHeap:
