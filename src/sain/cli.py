@@ -29,12 +29,17 @@ from .errors import (DivergenceError, ManifestDriftError, ParseError, SainError,
 from .gradcheck import TOLERANCE, run_suite
 from .model import L2_SCOPES, ModelConfig
 from .training import (TrainConfig, attention_matrices, evaluate_mf, evaluate_sain,
-                       fmt, load_model, predict_mf, predict_sain, require_finite,
-                       save_model, sweep_top_k, train_biasedmf, train_sain,
-                       write_attention_csv, write_sweep_csv, write_training_log)
+                       fmt, keep_heap, load_model, predict_mf, predict_sain,
+                       require_finite, save_model, sweep_top_k, train_biasedmf,
+                       train_sain, write_attention_csv, write_sweep_csv,
+                       write_training_log)
 
 MODEL_KINDS = ("sain", "biasedmf")
 CHECKPOINT_NAME = "model.ckpt"
+# The characters at which str.splitlines ends a line, and the escapes an
+# error line writes them as, so that it stays one line whatever it quotes.
+LINE_ENDS = str.maketrans({c: repr(c)[1:-1]
+                           for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
 @dataclass
@@ -361,14 +366,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. The heap setting (keep_heap) is made before any
+    command runs, so that every command builds the dataset on the heap that
+    the engines train on, with fewer page faults than on glibc's default."""
     try:
         args = build_parser().parse_args(argv)
+        keep_heap()
         return args.func(args)
     except SainError as e:
-        print(f"error category={e.category}: {e}", file=sys.stderr)
+        print(f"error category={e.category}: {str(e).translate(LINE_ENDS)}",
+              file=sys.stderr)
         return e.exit_code
     except ValueError as e:
-        print(f"error category=error: {e}", file=sys.stderr)
+        print(f"error category=error: {str(e).translate(LINE_ENDS)}", file=sys.stderr)
         return 1
 
 

@@ -16,17 +16,22 @@ rule of `errors`.
 Every data file is read by one reader, in text mode as UTF-8, so CRLF and
 lone-CR line ends count as line ends, and a leading byte-order mark is
 dropped; blank lines are skipped but keep their place in the line numbers of
-error messages. The reader decodes the file once and splits it into fields
-in blocks of BLOCK_LINES lines, so that set-up holds the field strings of a
-block or two at a time, not one string per field of the file. The ratings
-are held as columns (`Interactions`): each block's rating and timestamp
-columns are converted and validated in bulk, and a bad file is reported at
-the first line that a line-by-line parse would reject, with the same
-message. A block whose numbers are all whole numbers in plain digits is
-read from its bytes a digit place at a time, with the values float() and
-int() give; any other block, so every bad one, is converted by float()
-and int(). Users and items get dense ids in order of first appearance,
-found in one pass over the codes. The features are columnar too: each
+error messages. The reader decodes the file once and locates its fields in
+blocks of BLOCK_LINES lines by their bytes; a block splits its fields into
+strings only when a text is needed, so set-up holds the field strings of a
+block or two at a time at most, and none for a plain ratings file. The
+ratings are held as columns (`Interactions`): each block's rating and
+timestamp columns are converted and validated in bulk, and a bad file is
+reported at the first line that a line-by-line parse would reject, with the
+same message. A block whose numbers are all whole numbers in plain digits
+is read from its bytes a digit place at a time, with the values float()
+and int() give; any other block, so every bad one, is converted by float()
+and int(). Id columns (users, items, a feature file's entities) are coded
+in order of first appearance by one coder (`_IdCoder`), from the bytes
+while the ids are plain decimal integers and from their texts once a block
+holds another id; users and items then get dense ids in order of first
+appearance among the kept ratings, found in one pass over the codes. The
+features are columnar too: each
 feature file parses into one record (`FeatureColumns`: entities, token
 counts, flat tokens), and from it the vocabulary is counted, and each side
 encoded straight into its packed tables (`PackedFeatures`), a field at a
@@ -35,6 +40,7 @@ time on arrays, with no object per entity.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -205,21 +211,27 @@ class DatasetSplit:
 
 @dataclass
 class _Table:
-    """The non-blank lines of a block of a text file split on tabs, held
-    flat: every field of the block in one list, and per row (non-blank line)
-    the index of its first field, its number of fields and its 1-based line
-    number in the file. The block's UTF-8 bytes are kept too, with the byte
-    bounds of its fields: field f is raw[bound[f] + 1:bound[f + 1]]."""
+    """The non-blank lines of a block of a text file split on tabs: the
+    block's UTF-8 bytes `raw`, the byte bounds of its fields (field f is
+    raw[bound[f] + 1:bound[f + 1]]), and per row (non-blank line) the index
+    of its first field, its number of fields and its 1-based line number in
+    the file. The fields as strings, `fields`, are split from the bytes only
+    when a text is first asked for, so a block read from its bytes alone
+    makes no string per field."""
 
-    fields: list[str]
     start: np.ndarray
     width: np.ndarray
     line: np.ndarray
     raw: np.ndarray    # (bytes,) uint8
-    bound: np.ndarray  # (len(fields) + 1,) int64
+    bound: np.ndarray  # (fields + 1,) int64
 
     def __len__(self) -> int:
         return self.line.shape[0]
+
+    @functools.cached_property
+    def fields(self) -> list[str]:
+        """Every field of the block, in order, as a string."""
+        return str(self.raw, "utf-8").replace("\n", "\t").split("\t")
 
     def column(self, k: int, rows=slice(None)) -> list[str]:
         """Field k of the given rows (an index array or a slice)."""
@@ -254,25 +266,24 @@ def _read_text(path: str) -> str:
 def _read_table(path: str) -> Iterator[_Table]:
     """Read a data file once and yield its lines split on tabs, in blocks of
     BLOCK_LINES lines (blank lines count, and the last block may be short),
-    each block a _Table. The caller's block stays alive while the next one
-    is split, so at most two blocks' fields are held as strings at a time.
+    each block a _Table. A block splits its fields into strings only when
+    asked for a text; the caller's block stays alive while the next one is
+    located, so at most two blocks' fields are held as strings at a time.
     Lines are split on "\\n" alone, as iterating the file would split
     them; str.splitlines would also split on form feeds, vertical tabs and
     other separators. A tab or a newline is one byte in UTF-8, so their byte
     offsets locate the blocks, the fields and the lines."""
-    data = memoryview(_read_text(path).encode("utf-8"))
-    whole = np.frombuffer(data, np.uint8)
+    whole = np.frombuffer(_read_text(path).encode("utf-8"), np.uint8)
     lo = 0
     for block, hi in enumerate(_block_ends(whole)):
         raw = whole[lo:hi]
-        fields = str(data[lo:hi], "utf-8").replace("\n", "\t").split("\t")
         bound = np.concatenate(([-1], np.flatnonzero((raw == 9) | (raw == 10)), [raw.size]))
         sep = bound[1:-1]                               # the byte after each field but the last
         ends = np.flatnonzero(raw[sep] == 10)           # the last field of each line but the last
         first = np.concatenate(([0], ends + 1))         # the first field of each line
-        width = np.diff(np.append(first, len(fields)))
+        width = np.diff(np.append(first, bound.size - 1))
         nonblank = np.flatnonzero(bound[first + width] > bound[first] + 1)
-        yield _Table(fields, first[nonblank], width[nonblank],
+        yield _Table(first[nonblank], width[nonblank],
                      block * BLOCK_LINES + nonblank + 1, raw, bound)
         lo = hi + 1
 
@@ -333,6 +344,78 @@ def _codes(keys: list[str], index: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
 
 
+class _IdCoder:
+    """One id column, coded block by block in order of first appearance
+    over the file: the first id is 0, the next new one 1, and so on.
+
+    Digit form: while every block's ids are canonical decimal integers (1 to
+    18 ASCII digits, no leading zero unless the id is "0"), none above the
+    number of ids coded so far, this block's included, the ids are read
+    from the block's bytes (_plain_numbers) and coded by an int64 table from
+    id value to code. The table has one entry per value up to the largest,
+    so never more than one per id coded. Text form: the first block that
+    fails any of those tests hands the ids coded so far, in code order and
+    written as decimals, to a _codes dict, which codes that block and every
+    later one from their texts."""
+
+    def __init__(self):
+        self.table = np.empty(0, np.int64)  # id value -> code, -1 for none yet
+        self.values = [np.empty(0, np.int64)]  # the digit form's ids, in code order
+        self.count = 0                          # ... and their number
+        self.index: dict[str, int] | None = None  # the text form's ids
+        self.rows = 0
+
+    def code(self, table: _Table, k: int) -> np.ndarray:
+        """The codes of field k of the block's rows."""
+        self.rows += len(table)
+        if self.index is None:
+            value = _digit_ids(table, k, self.rows)
+            if value is not None:
+                return self._number(value)
+            self.index = dict(zip(self.names(), range(self.count)))
+        return _codes(table.column(k), self.index)
+
+    def names(self) -> list[str]:
+        """The ids coded so far, as texts, in code order."""
+        if self.index is not None:
+            return list(self.index)
+        text = np.column_stack([*_decimal_columns(np.concatenate(self.values)),
+                                np.full(self.count, ord("\n"), np.uint8)])
+        return str(text[text != 0], "ascii").split("\n")[:-1]
+
+    def _number(self, value: np.ndarray) -> np.ndarray:
+        """Code the id values of a block: the new ones join the table in
+        order of first appearance, which a np.minimum.at pass over their
+        positions, made in their own table entries, finds."""
+        top = int(value.max(initial=-1)) + 1
+        if top > self.table.size:
+            self.table = np.concatenate([self.table, np.full(top - self.table.size, -1)])
+        code = self.table[value]
+        new = np.flatnonzero(code < 0)
+        if new.size:
+            fresh = value[new]
+            self.table[fresh] = value.size
+            np.minimum.at(self.table, fresh, new)
+            fresh = fresh[self.table[fresh] == new]
+            self.table[fresh] = np.arange(self.count, self.count + fresh.size)
+            self.values.append(fresh)
+            self.count += fresh.size
+            code = self.table[value]
+        return code
+
+
+def _digit_ids(table: _Table, k: int, limit: int) -> np.ndarray | None:
+    """The values of field k of the block's rows, if each is a canonical
+    decimal integer no greater than `limit`; None if some is not."""
+    begin, end = table.byte_bounds(k)
+    value = _plain_numbers(table.raw, begin, end)
+    if value is None or value.max(initial=0) > limit:
+        return None
+    if (table.raw[begin[end - begin > 1]] == 48).any():  # a leading zero
+        return None
+    return value
+
+
 def _dense_ids(names: list[str], code: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
     """Renumber the codes of `names` 0, 1, ... in order of first appearance
     in `code`: the new id of each name that appears, and the new codes.
@@ -355,19 +438,20 @@ def load_ratings(path: str, min_ratings: int = 5):
     first-appearance order. Returns (interactions, user_ids, item_ids).
 
     The file is parsed a block of lines at a time (_read_table): each block
-    is checked and its user and item ids coded before the next is split, so
-    the field strings of at most two blocks are alive, and none outlives the
-    loop, so the file's bytes are freed before the blocks' columns are
-    joined. The filter and the dense ids run on those columns as on one
-    table."""
-    user_index, item_index = {}, {}
-    blocks = [(*_rating_block(path, table), _codes(table.column(0), user_index),
-               _codes(table.column(1), item_index)) for table in _read_table(path)]
+    is checked and its user and item ids coded (_IdCoder) before the next is
+    located. A block of plain numbers and ids is read from its bytes alone
+    and makes no field strings; otherwise the field strings of at most two
+    blocks are alive. None outlives the loop, so the file's bytes are freed
+    before the blocks' columns are joined. The filter and the dense ids run
+    on those columns as on one table."""
+    user_coder, item_coder = _IdCoder(), _IdCoder()
+    blocks = [(*_rating_block(path, table), user_coder.code(table, 0),
+               item_coder.code(table, 1)) for table in _read_table(path)]
     ratings, timestamps, has_timestamp, user_code, item_code = map(np.concatenate,
                                                                    zip(*blocks))
     keep = (np.bincount(user_code) >= min_ratings)[user_code]
-    user_ids, users = _dense_ids(list(user_index), user_code[keep])
-    item_ids, items = _dense_ids(list(item_index), item_code[keep])
+    user_ids, users = _dense_ids(user_coder.names(), user_code[keep])
+    item_ids, items = _dense_ids(item_coder.names(), item_code[keep])
     interactions = Interactions(users=users, items=items, ratings=ratings[keep],
                                 timestamps=timestamps[keep],
                                 has_timestamp=has_timestamp[keep])
@@ -508,18 +592,19 @@ def parse_feature_file(path: str) -> FeatureColumns:
     """entity<TAB>token1|token2|... per line; the token list may be empty,
     and empty tokens (as in "a||b") are dropped. An entity on several lines
     gets the tokens of all of them, in file order, at the place of its first
-    line. The file is read a block of lines at a time (_read_table). A
-    block's token column is parsed in bulk: its lines are joined by tabs
-    into one string, which is split once, and the entity of each non-empty
-    token comes from the byte offsets of the tabs and pipes (one byte each
-    in UTF-8)."""
-    index, entity, tokens, rows = {}, [], [], 0
+    line. The file is read a block of lines at a time (_read_table), and its
+    entities are coded in order of first appearance (_IdCoder), from the
+    bytes while they are plain decimal integers. A block's token column is
+    parsed in bulk: its lines are joined by tabs into one string, which is
+    split once, and the entity of each non-empty token comes from the byte
+    offsets of the tabs and pipes (one byte each in UTF-8)."""
+    coder, entity, tokens = _IdCoder(), [], []
     for table in _read_table(path):
         j = _first(table.width != 2, len(table))
         if j < len(table):
             raise ParseError(f"{path} line {table.line[j]}: expected 2 tab-separated "
                              f"fields, got {table.width[j]}")
-        code = _codes(table.column(0), index)
+        code = coder.code(table, 0)
         joined = "\t".join(table.column(1))
         raw = np.frombuffer(joined.encode("utf-8"), np.uint8)
         sep = np.flatnonzero((raw == 9) | (raw == 124))  # the byte after each piece but the last
@@ -527,15 +612,14 @@ def parse_feature_file(path: str) -> FeatureColumns:
         line = np.concatenate(([0], np.cumsum(raw[sep] == 9)))  # the line of each piece
         entity.append(code[line[kept]])  # the entity of each token
         tokens += filter(None, joined.replace("\t", "|").split("|"))
-        rows += len(table)
-    entity = np.concatenate(entity)
-    lengths = np.bincount(entity, minlength=len(index))
-    if len(index) < rows:
+    entity, entities = np.concatenate(entity), coder.names()
+    lengths = np.bincount(entity, minlength=len(entities))
+    if len(entities) < coder.rows:
         # Some entity is on several lines: a stable sort by entity gathers
         # its tokens, in file order, to the place of its first line.
         tokens = list(map(tokens.__getitem__,
                           np.argsort(entity, kind="stable").tolist()))
-    return FeatureColumns(list(index), lengths, tokens)
+    return FeatureColumns(entities, lengths, tokens)
 
 
 def build_feature_vocab(specs: list[FieldSpec], tag_top_t: int,

@@ -23,7 +23,10 @@ Shapes: B batch, S = m + n feature positions (m user fields then n item
 fields), d embed dim, H heads, dh = d // H. The heads run as one tensor axis:
 Q, K and V for every head come from one (B*S,d) @ (d,3d) product, and the
 attention arrays are (B,H,S,S) and (B,H,S,dh). Each head's projections stay
-registered as their own (d,dh) tensors `attn{h}_w{q,k,v}`.
+registered as their own (d,dh) tensors `attn{h}_w{q,k,v}`, one after another
+in the arena, so the (d,3d) product matrix is one transposed copy of their
+slice, and their gradients are added into the matching slice of the
+gradient vector at once.
 
 From tensor.KEYS_FIRST_ROWS rows (B*H*S) on, the four (B,H,S,S) attention
 arrays (the trace's alpha_full, which holds the logits first, topk_mask and
@@ -38,7 +41,6 @@ array is in C order.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -344,12 +346,13 @@ def _embed_backward(trace: ForwardTrace, d_x: np.ndarray, grads: dict,
                                            len(params.tensors["embeddings"]))
 
 
-@functools.cache
-def _qkv_names(heads: int) -> tuple[str, ...]:
-    """Every head's Q, then K, then V projection name: w_qkv's column blocks.
-    Formatting the names on each pass took 1.7 of the 9.5 µs that building
-    w_qkv took for one pair at H=4, d=64 (timeit)."""
-    return tuple(f"attn{h}_w{p}" for p in "qkv" for h in range(heads))
+def _qkv_block(vector: np.ndarray, offset: int, heads: int, d: int) -> np.ndarray:
+    """The (H,3,d,dh) view of the attn{h}_w{p} tensors, which lie one after
+    another from `offset` in an arena-ordered vector, head-major then Q, K,
+    V. Its transpose (2,1,0,3) lays them out as w_qkv's columns: every
+    head's Q, then K, then V."""
+    dh = d // heads
+    return vector[offset:offset + 3 * d * d].reshape(heads, 3, d, dh)
 
 
 def _attention_forward(trace: ForwardTrace, x: np.ndarray,
@@ -363,8 +366,8 @@ def _attention_forward(trace: ForwardTrace, x: np.ndarray,
     B, S, d = x.shape
     H, dh = config.num_heads, config.head_dim
     trace.x = x
-    trace.w_qkv = np.concatenate([params.tensors[name] for name in _qkv_names(H)],
-                                 axis=1)
+    block = _qkv_block(params.flat, params.offsets["attn0_wq"], H, d)
+    trace.w_qkv = block.transpose(2, 1, 0, 3).reshape(d, 3 * d)
     qkv = (x.reshape(B * S, d) @ trace.w_qkv).reshape(B, S, 3, H, dh)
     trace.q, trace.k, trace.v = qkv.transpose(2, 0, 3, 1, 4)
     logits = np.matmul(trace.q, trace.k.swapaxes(-1, -2), out=empty_rows((B, H, S, S)))
@@ -408,9 +411,9 @@ def _attention_backward(trace: ForwardTrace, d_concat: np.ndarray, grads: dict,
     np.matmul(d_logits.swapaxes(-1, -2), trace.q, out=d_k)
     np.matmul(ahat.swapaxes(-1, -2), d_out, out=d_v)
     d_qkv = d_qkv.reshape(B * S, 3 * d)
-    g_qkv = (trace.x.reshape(B * S, d).T @ d_qkv).reshape(d, 3 * H, dh)
-    for j, name in enumerate(_qkv_names(H)):
-        grads[name] += g_qkv[:, j]
+    g_qkv = (trace.x.reshape(B * S, d).T @ d_qkv).reshape(d, 3, H, dh)
+    g_block = _qkv_block(grads.flat, grads.offsets["attn0_wq"], H, d)
+    g_block += g_qkv.transpose(2, 1, 0, 3)
     return (d_qkv @ trace.w_qkv.T).reshape(B, S, d)
 
 

@@ -380,9 +380,10 @@ class ParamSet:
     `flat`; `tensors[name]` is a view into it, so `flat` is also the order of
     flatten() and set_flat(). Adam's moments live in vectors `m` and `v` of
     the same layout (`moments[name]` gives the two views), with one step
-    counter `t` for the whole set. A subclass names in EMBEDDINGS its tables
-    indexed by id, which the optimizer updates one by one; it sweeps each
-    run of the other tensors as one slice.
+    counter `t` for the whole set; `offsets[name]` is where a tensor starts in
+    the three. A subclass names in EMBEDDINGS its tables indexed by id, which
+    the optimizer updates one by one; it sweeps each run of the other
+    tensors as one slice.
 
     `adam`, when given, is an optimizer state in the form optimizer_state()
     returns; it is copied into `m` and `v`."""
@@ -393,6 +394,8 @@ class ParamSet:
         arrays = {k: np.asarray(a, dtype=np.float64) for k, a in tensors.items()}
         self._shapes = {k: a.shape for k, a in arrays.items()}
         self.flat = np.concatenate([a.reshape(-1) for a in arrays.values()])
+        sizes = [a.size for a in arrays.values()]
+        self.offsets = dict(zip(arrays, np.cumsum([0] + sizes).tolist()))
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.t = 0

@@ -587,6 +587,17 @@ class TestBadRunConfigs:
         assert err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("key", ["\r", "a\nb", "\x0c", "\x85", "\u2028"],
+                             ids=["cr", "newline", "form-feed", "nel", "line-separator"])
+    def test_a_key_that_holds_a_line_end_is_quoted_on_one_line(
+            self, tmp_path, synthetic_manifest, capsys, key):
+        path = _write_config(tmp_path, synthetic_manifest, model_config={key: 1})
+        assert main(["train", "--config", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error category=parse: ")
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        assert repr(key)[1:-1] in err
+
 
 class TestEvaluateCommand:
     def test_metrics_line_and_report_file(self, trained, capsys):
@@ -950,6 +961,31 @@ class TestSweepCommand:
         assert captured.err.splitlines() == [
             f"error category=parse: --repeats must be >= 1, got {repeats}"]
         assert not (tmp_path / "out").exists()
+
+
+class TestHeap:
+    @pytest.mark.parametrize("command", ["train", "sweep-k", "evaluate", "predict",
+                                         "attention", "gradcheck"])
+    def test_every_command_keeps_the_heap_before_it_builds_the_dataset(
+            self, trained, monkeypatch, command):
+        run_config, _ = trained
+        events, build = [], sain.cli.build_dataset
+
+        def build_dataset(*args, **kwargs):
+            events.append("build_dataset")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(sain.cli, "keep_heap", lambda: events.append("keep_heap"))
+        monkeypatch.setattr(sain.cli, "build_dataset", build_dataset)
+        argv = {"train": ["--output-dir", "again"], "sweep-k": ["--k-values", "1"],
+                "predict": ["--user", "u0", "--item", "i1"],
+                "attention": ["--user", "u0", "--item", "i1"]}.get(command, [])
+        if command == "gradcheck":
+            assert main([command, "--seeds", "1"]) == 0
+            assert events == ["keep_heap"]
+            return
+        assert main([command, "--config", run_config, *argv]) == 0
+        assert events == ["keep_heap", "build_dataset"]
 
 
 class TestGradcheckCommand:

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from sain import data
-from sain.data import (DatasetManifest, FieldSpec, Interactions, _block_ends, _dense_ids,
+from sain.data import (DatasetManifest, FeatureColumns, FieldSpec, Interactions,
+                       _block_ends, _dense_ids,
                        _plain_block, _read_table, build_dataset, build_feature_vocab,
                        encode_entity_features, interactions_to_arrays,
                        load_ratings, pack_features, parse_feature_file,
@@ -967,6 +968,156 @@ class TestBlocks:
         inter, _ = _same_as_oracle(path, 1)
         assert inter.ratings[first * block_lines] == 3.0
         assert _byte_path(path) == [first == 1, first == 0]
+
+
+def _outcome(load, *args) -> tuple:
+    """What `load` gives, with id dicts as ordered pairs and interactions as
+    rows, or the type and text of its error."""
+    try:
+        got = load(*args)
+    except (IoError, ParseError) as e:
+        return type(e), str(e)
+    if isinstance(got, FeatureColumns):
+        return got.entities, got.lengths.tolist(), got.tokens
+    inter, users, items = got
+    return _rows(inter), list(users.items()), list(items.items())
+
+
+def _same_as_text_path(monkeypatch, load, *args) -> tuple:
+    """`load` gives what it gives with every id column coded from its texts
+    (the digit form refused): the same codes, ids in order, or error."""
+    got = _outcome(load, *args)
+    with monkeypatch.context() as patch:
+        patch.setattr(data, "_digit_ids", lambda *a: None)
+        assert got == _outcome(load, *args)
+    return got
+
+
+def _tops(path) -> list[int]:
+    """The 0-based index of the first line of each block of a file."""
+    return [block * data.BLOCK_LINES for block, _ in enumerate(_read_table(path))]
+
+
+def _digit_form(path, k) -> list[bool]:
+    """Per block of a file, whether field k's ids are coded in the digit
+    form (data._IdCoder) rather than by their texts."""
+    coder, forms = data._IdCoder(), []
+    for table in _read_table(path):
+        coder.code(table, k)
+        forms.append(coder.index is None)
+    return forms
+
+
+# (id text, whether a block holding it may be coded in the digit form): the
+# canonical decimal integers, and the texts beside them.
+ID_TEXTS = [
+    ("0", True),
+    ("00", False),                      # a leading zero
+    ("012", False),
+    ("1" * 18, False),                  # canonical, past the table bound
+    ("1" * 19, False),                  # too long for _plain_numbers
+    ("", False),
+    ("+5", False),
+    (" 5", False),
+    ("5 ", False),
+    ("\u0665", False),                  # an Arabic-Indic five
+    ("\uff15", False),                  # a full-width five
+    ("-1", False),
+    ("u7", False),
+]
+
+
+@pytest.mark.usefixtures("block_lines")
+class TestIdCoder:
+    """Ids coded from the bytes (the digit form) number as their texts do,
+    as _same_as_text_path and the line-by-line oracles check."""
+
+    @pytest.mark.parametrize("text, digit", ID_TEXTS, ids=[repr(c[0]) for c in ID_TEXTS])
+    def test_id_texts_at_the_edge_of_the_digit_form(self, tmp_path, monkeypatch,
+                                                    block_lines, text, digit):
+        # Line 3 of 5 (index 2) holds the case as a user, an item and an
+        # entity; every other id is at most its line number, so within the
+        # table bound at every block size, and they first appear out of
+        # their order as numbers (j ^ 1 swaps 0 and 1, 2 and 3, ...).
+        lines = [f"{j ^ 1}\t{(j ^ 1) % 2}\t{1 + j}" for j in range(5)]
+        lines[2] = f"{text}\t{text}\t3"
+        path = _write_text(tmp_path, "\n".join(lines) + "\n")
+        _same_as_text_path(monkeypatch, load_ratings, path, 1)
+        _same_as_oracle(path, 1)
+        want = [digit or top + block_lines <= 2 for top in _tops(path)]
+        assert _digit_form(path, 0) == _digit_form(path, 1) == want
+        features = _write_text(tmp_path, "\n".join(f"{line.split(chr(9))[0]}\tt{j}|s"
+                                                   for j, line in enumerate(lines)),
+                               name="f.tsv")
+        got = _same_as_text_path(monkeypatch, parse_feature_file, features)
+        assert got[0] == list(feature_dict(features))
+        assert _digit_form(features, 0) == [digit or top + block_lines <= 2
+                                            for top in _tops(features)]
+
+    def test_a_leading_zero_makes_another_id(self, tmp_path, monkeypatch):
+        path = _ratings(tmp_path, [(0, 1, 3, 0), (12, 1, 4, 1), ("012", "01", 5, 2),
+                                   (12, "01", 1, 3), ("00", 0, 2, 4), (0, 1, 3, 5)])
+        _, users, items = _same_as_text_path(monkeypatch, load_ratings, path, 1)
+        assert users == [("0", 0), ("12", 1), ("012", 2), ("00", 3)]
+        assert items == [("1", 0), ("01", 1), ("0", 2)]
+        _same_as_oracle(path, 1)
+
+    @pytest.mark.parametrize("past", [0, 1], ids=["at-the-bound", "past-the-bound"])
+    def test_ids_at_and_past_the_table_bound(self, tmp_path, monkeypatch, block_lines,
+                                             past):
+        # Line j holds user j + 1, within the bound: the number of ids coded
+        # up to the end of its block. Line 4 (index 3) holds its block's
+        # bound, or one past it.
+        users = [j + 1 for j in range(7)]
+        users[3] = min(-(-4 // block_lines) * block_lines, len(users)) + past
+        path = _ratings(tmp_path, [(u, 1, 3, j) for j, u in enumerate(users)])
+        _same_as_text_path(monkeypatch, load_ratings, path, 1)
+        _same_as_oracle(path, 1)
+        assert _digit_form(path, 0) == [not past or top + block_lines <= 3
+                                        for top in _tops(path)]
+        assert all(_digit_form(path, 1))
+        features = _write_text(tmp_path, "".join(f"{u}\ta\n" for u in users),
+                               name="f.tsv")
+        _same_as_text_path(monkeypatch, parse_feature_file, features)
+        assert _digit_form(features, 0) == _digit_form(path, 0)
+
+    def test_a_text_id_between_plain_blocks(self, tmp_path, monkeypatch, block_lines):
+        # Blocks of ids in the digit form, one holding u7, then blocks where
+        # ids coded before the switch reappear among new ones.
+        n = 3 * block_lines
+        rows = [((j ^ 1) % 5, (j ^ 1) % 4, 1 + j % 5, j) for j in range(n)]
+        rows[block_lines] = ("u7", "u7", 3, block_lines)
+        rows += [(4 - j % 5, j % 6, 2, n + j) for j in range(8)] + [("u7", 9, 4, 0)]
+        path = _ratings(tmp_path, rows)
+        for min_ratings in (1, 2):
+            got = _same_as_text_path(monkeypatch, load_ratings, path, min_ratings)
+            assert _same_as_oracle(path, min_ratings)[1] == got[0]
+            users = [name for name, _ in got[1]]
+            assert users[0] == "1" and "u7" in users
+        assert _digit_form(path, 0) == [True] + [False] * (len(_tops(path)) - 1)
+
+    def test_a_feature_file_entity_on_lines_in_different_blocks(self, tmp_path,
+                                                                monkeypatch, block_lines):
+        lines = [f"{(j ^ 1) % 4}\tt{j}|x" for j in range(2 * block_lines + 3)]
+        lines.insert(block_lines + 1, "u7\ty")
+        lines += ["", "2\tz", "u7\t", "4\tw|"]
+        for text in ("\n".join(lines), "\n".join(line for line in lines if "u7" not in line)):
+            path = _write_text(tmp_path, text, name="f.tsv")
+            got = _same_as_text_path(monkeypatch, parse_feature_file, path)
+            _assert_columns(FeatureColumns(got[0], np.array(got[1]), got[2]),
+                            feature_dict(path))
+            assert _digit_form(path, 0)[0]
+            assert all(_digit_form(path, 0)) == ("u7" not in text)
+
+    def test_errors_name_the_same_line(self, tmp_path, monkeypatch, block_lines):
+        rows = [f"{j}\t{j}\t3" for j in range(block_lines + 2)]
+        for bad in ("1\t1\tnine", "1\t1", "u7\t1\t6"):
+            path = _write_text(tmp_path, "\n".join(rows + [bad]))
+            got = _same_as_text_path(monkeypatch, load_ratings, path, 1)
+            assert got[0] is ParseError and f"line {block_lines + 3}:" in got[1]
+        path = _write_text(tmp_path, "1\ta\n2\tb\tc\n", name="f.tsv")
+        assert _same_as_text_path(monkeypatch, parse_feature_file, path) == (
+            ParseError, f"{path} line 2: expected 2 tab-separated fields, got 3")
 
 
 def test_set_up_memory_is_bounded_by_the_block(tmp_path, monkeypatch):
