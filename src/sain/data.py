@@ -31,11 +31,14 @@ in order of first appearance by one coder (`_IdCoder`), from the bytes
 while the ids are plain decimal integers and from their texts once a block
 holds another id; users and items then get dense ids in order of first
 appearance among the kept ratings, found in one pass over the codes. The
-features are columnar too: each
-feature file parses into one record (`FeatureColumns`: entities, token
-counts, flat tokens), and from it the vocabulary is counted, and each side
-encoded straight into its packed tables (`PackedFeatures`), a field at a
-time on arrays, with no object per entity.
+features are columnar too: each feature file parses into one record
+(`FeatureColumns`: entities, token counts, and the tokens as int64 codes
+with the text of each code). A block's tokens are cut from its bytes and
+coded by keys read from them, which makes one string per distinct token
+per block and none per field or token. The vocabulary is counted on those
+codes, and each side encoded straight into its packed tables
+(`PackedFeatures`), a field at a time on arrays, with one text lookup per
+distinct token and no object per entity.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import json
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -579,13 +582,15 @@ def split_dataset(interactions: Interactions, seed: int,
 @dataclass(frozen=True, eq=False)
 class FeatureColumns:
     """One feature file as columns: the distinct entities in order of first
-    appearance, each one's count of non-empty tokens, and those tokens in
-    one flat list, entity after entity. An entity's tokens are those of all
-    its lines, in file order."""
+    appearance, each one's count of non-empty tokens, and those tokens as
+    int64 codes in one flat array, entity after entity, with the text of
+    each code. An entity's tokens are those of all its lines, in file order;
+    tokens are coded in order of first appearance in the file."""
 
     entities: list[str]
     lengths: np.ndarray  # (len(entities),) int64
-    tokens: list[str]    # (lengths.sum(),)
+    codes: np.ndarray    # (lengths.sum(),) int64
+    names: list[str]     # the token texts, in code order
 
 
 def parse_feature_file(path: str) -> FeatureColumns:
@@ -594,62 +599,113 @@ def parse_feature_file(path: str) -> FeatureColumns:
     gets the tokens of all of them, in file order, at the place of its first
     line. The file is read a block of lines at a time (_read_table), and its
     entities are coded in order of first appearance (_IdCoder), from the
-    bytes while they are plain decimal integers. A block's token column is
-    parsed in bulk: its lines are joined by tabs into one string, which is
-    split once, and the entity of each non-empty token comes from the byte
-    offsets of the tabs and pipes (one byte each in UTF-8)."""
-    coder, entity, tokens = _IdCoder(), [], []
+    bytes while they are plain decimal integers. A block's tokens are cut
+    from its bytes (_token_pieces) and coded from them (_token_codes), which
+    makes one string per distinct token of the block and none per field."""
+    coder, entity, code, index = _IdCoder(), [], [], {}
     for table in _read_table(path):
         j = _first(table.width != 2, len(table))
         if j < len(table):
             raise ParseError(f"{path} line {table.line[j]}: expected 2 tab-separated "
                              f"fields, got {table.width[j]}")
-        code = coder.code(table, 0)
-        joined = "\t".join(table.column(1))
-        raw = np.frombuffer(joined.encode("utf-8"), np.uint8)
-        sep = np.flatnonzero((raw == 9) | (raw == 124))  # the byte after each piece but the last
-        kept = np.append(sep, raw.size) > np.concatenate(([0], sep + 1))  # the non-empty pieces
-        line = np.concatenate(([0], np.cumsum(raw[sep] == 9)))  # the line of each piece
-        entity.append(code[line[kept]])  # the entity of each token
-        tokens += filter(None, joined.replace("\t", "|").split("|"))
-    entity, entities = np.concatenate(entity), coder.names()
+        row, begin, end = _token_pieces(table)
+        entity.append(coder.code(table, 0)[row])
+        code.append(_token_codes(table.raw, begin, end, index))
+    entity, code, entities = np.concatenate(entity), np.concatenate(code), coder.names()
     lengths = np.bincount(entity, minlength=len(entities))
     if len(entities) < coder.rows:
         # Some entity is on several lines: a stable sort by entity gathers
         # its tokens, in file order, to the place of its first line.
-        tokens = list(map(tokens.__getitem__,
-                          np.argsort(entity, kind="stable").tolist()))
-    return FeatureColumns(entities, lengths, tokens)
+        code = code[np.argsort(entity, kind="stable")]
+    return FeatureColumns(entities, lengths, code, list(index))
+
+
+def _token_pieces(table: _Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row, first byte and past-the-end byte in `raw` of each non-empty
+    token of the block, in file order. A row's pieces lie between the start
+    of its token column, each "|" and its end: the k-th piece start after
+    a stable merge of the starts and the "|"s pairs with the k-th piece end,
+    and the row of a piece is the number of column starts up to it. A "|"
+    of an entity column makes the piece (p + 1, p), which drops out with
+    the empty ones, so it separates nothing."""
+    begin, end = table.byte_bounds(1)
+    pipe = np.flatnonzero(table.raw == 124)
+    first = np.concatenate((begin, pipe + 1))
+    order = np.argsort(first, kind="stable")  # a merge of two sorted runs
+    first, last = first[order], np.sort(np.concatenate((pipe, end)), kind="stable")
+    row = np.cumsum(order < len(table)) - 1
+    kept = last > first
+    return row[kept], first[kept], last[kept]
+
+
+# _WORD_MASKS[k] keeps the first k bytes of a little-endian 8-byte word.
+_WORD_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+
+
+def _token_codes(raw: np.ndarray, begin: np.ndarray, end: np.ndarray,
+                 index: dict[str, int]) -> np.ndarray:
+    """The code in `index` (text -> code) of each token raw[begin:end], the
+    block's new tokens joining it in order of first appearance. Fed a
+    file's blocks in order, `index` numbers its tokens in that order.
+
+    Each token is keyed by its bytes: its first 8 as one little-endian word,
+    read through a 1-byte-stride view of the block padded by 8 bytes and
+    masked to the token's length, and each further 8 folded in through the
+    inverse codes (np.unique) of the key so far and of the word. Without NUL
+    bytes in the block the last non-zero byte marks a token's length; with
+    them the length joins the key too, as "a" and "a\\0" read the same
+    words. Equal keys are equal bytes, so the inverse codes of the keys
+    group the tokens, one token of each group makes the only string of
+    that text in the block, and _dense_ids numbers the groups in order of
+    first appearance before `index` gives them their codes."""
+    size = end - begin
+    words = np.ndarray(raw.size + 1, "<u8", strides=(1,),
+                       buffer=np.concatenate((raw, np.zeros(8, np.uint8))))
+    key = words[begin] & _WORD_MASKS[np.minimum(size, 8)]
+    further = [words.take(begin + at, mode="clip") & _WORD_MASKS[np.clip(size - at, 0, 8)]
+               for at in range(8, int(size.max(initial=0)), 8)]
+    for word in further + ([size] if 0 in raw else []):
+        key = _inverse(key) * size.size + _inverse(word)
+    group = _inverse(key)
+    some = np.empty(int(group.max(initial=-1)) + 1, np.int64)
+    some[group] = np.arange(group.size)  # one token of each group; they are the same text
+    local, code = _dense_ids([str(raw[begin[j]:end[j]], "utf-8") for j in some.tolist()],
+                             group)
+    return np.array([index.setdefault(text, len(index)) for text in local], np.int64)[code]
+
+
+def _inverse(key: np.ndarray) -> np.ndarray:
+    """Each key's index among the sorted distinct keys."""
+    return np.unique(key, return_inverse=True)[1]
 
 
 def build_feature_vocab(specs: list[FieldSpec], tag_top_t: int,
                         population: dict[str, set] | None = None) -> FeatureVocab:
     """Index each field's tokens. Closed fields are indexed exhaustively in
-    first-appearance order. Open fields keep only the tag_top_t most frequent
-    tokens (frequency = number of distinct entities using the token, counted
-    over the filtered population when given; ties broken lexicographically).
-    The counting runs on the file's tokens as one array: each (entity,
-    token) pair is counted once, after one sort of their keys."""
+    first-appearance order (the entity after entity order of
+    FeatureColumns.codes, _dense_ids). Open fields keep only the tag_top_t
+    most frequent tokens (frequency = number of distinct entities using the
+    token, counted over the filtered population when given; ties broken
+    lexicographically). Both run on the file's token codes as one array: an
+    open field counts each (entity, code) pair once, after one sort of
+    their keys, and ranks only the texts of the codes it counted."""
     tokens: dict[str, dict[str, int]] = {}
     for spec in specs:
         columns = parse_feature_file(spec.path)
-        flat = columns.tokens
+        names, code = columns.names, columns.codes
         if not spec.open_vocab:
-            tokens[spec.name] = {tok: i for i, tok in enumerate(dict.fromkeys(flat))}
+            tokens[spec.name] = _dense_ids(names, code)[0]
             continue
         n = len(columns.entities)
         entity = np.repeat(np.arange(n), columns.lengths)
         if population is not None:
             member = np.fromiter(map(population[spec.owner].__contains__,
                                      columns.entities), bool, n)[entity]
-            flat, entity = list(compress(flat, member.tolist())), entity[member]
-        index = {}
-        code = _codes(flat, index)
-        names = list(index)
+            code, entity = code[member], entity[member]
         # one key per distinct (entity, token) pair, so an entity counts once
         pairs = sorted_distinct(entity * len(names) + code)
-        users = np.bincount(pairs % max(len(names), 1), minlength=len(names))
-        ranked = sorted(range(len(names)), key=lambda j: (-users[j], names[j]))
+        users = np.bincount(pairs % max(len(names), 1), minlength=len(names)).tolist()
+        ranked = sorted(np.flatnonzero(users).tolist(), key=lambda j: (-users[j], names[j]))
         tokens[spec.name] = {names[j]: i for i, j in enumerate(ranked[:tag_top_t])}
     return FeatureVocab(specs, tokens)
 
@@ -677,8 +733,10 @@ def encode_entity_features(columns_by_field: dict[str, FeatureColumns],
     """Encode and pack the entities of `id_map` (raw id -> dense id) field by
     field, from each field's parsed file. Tokens outside a field's vocabulary
     and entities outside `id_map` are dropped; a slot with nothing retained
-    (including entities absent from the file) holds the unknown index. Each
-    field is one sort of the keys entity * size + index of its known tokens
+    (including entities absent from the file) holds the unknown index. A
+    field's token texts are looked up in its vocabulary once each, in code
+    order, and its tokens' indices gathered from those by code. Each field
+    is then one sort of the keys entity * size + index of its known tokens
     and its empty slots' unknown index, which orders and de-duplicates every
     slot at once."""
     n = len(id_map)
@@ -688,8 +746,9 @@ def encode_entity_features(columns_by_field: dict[str, FeatureColumns],
         size, unknown = vocab.field_size(fname), vocab.unknown_index(fname)
         dense = np.fromiter(map(id_map.get, columns.entities, repeat(-1)), np.int64,
                             len(columns.entities))
-        index = np.fromiter(map(vocab.tokens[fname].get, columns.tokens, repeat(unknown)),
-                            np.int64, len(columns.tokens))
+        lookup = np.fromiter(map(vocab.tokens[fname].get, columns.names, repeat(unknown)),
+                             np.int64, len(columns.names))
+        index = lookup[columns.codes]
         entity = np.repeat(dense, columns.lengths)
         known = (entity >= 0) & (index != unknown)
         entity, index = entity[known], index[known]

@@ -1,10 +1,11 @@
 """Reference implementations that the tests compare the package against: one
 attention head on one sequence, a single-row softmax, top-k selection by a
 stable sort, dense ids by np.unique, and the feature pipeline entity by
-entity (a line-by-line parse into a dict, vocabulary, slots and packed
-tables). The package itself runs the batched forms (all heads as one tensor
-axis, softmax_rows, top_k_mask_rows, a minimum.at pass over the codes,
-columnar feature records and per-field column arrays)."""
+entity (a line-by-line parse into a dict and a token order, vocabulary,
+slots and packed tables). The package itself runs the batched forms (all
+heads as one tensor axis, softmax_rows, top_k_mask_rows, a minimum.at pass
+over the codes, feature records of token codes cut from the bytes, and
+per-field column arrays)."""
 
 import math
 from collections import Counter
@@ -104,19 +105,34 @@ def feature_dict(path) -> dict:
     return out
 
 
+def feature_names(path) -> list:
+    """The distinct non-empty tokens of a feature file in order of first
+    appearance, line by line: the texts of parse_feature_file's codes, in
+    code order. A file with a bad line raises feature_dict's ParseError."""
+    feature_dict(path)
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().removeprefix("\ufeff").split("\n")
+    return list(dict.fromkeys(t for line in lines if line
+                              for t in line.split("\t")[1].split("|") if t != ""))
+
+
 def feature_columns(mapping) -> FeatureColumns:
     """The record parse_feature_file gives for a file whose entities, in
-    order, have the token lists of `mapping`."""
+    order, each on one line, have the token lists of `mapping`."""
+    flat = [t for tokens in mapping.values() for t in tokens]
+    names = list(dict.fromkeys(flat))
+    code = {t: j for j, t in enumerate(names)}
     return FeatureColumns(list(mapping),
                           np.array([len(t) for t in mapping.values()], dtype=np.int64),
-                          [t for tokens in mapping.values() for t in tokens])
+                          np.array([code[t] for t in flat], dtype=np.int64), names)
 
 
 def columns_dict(columns: FeatureColumns) -> dict:
     """A parse_feature_file record as feature_dict gives it: each entity, in
-    order, with its tokens."""
+    order, with the texts of its token codes."""
+    tokens = [columns.names[c] for c in columns.codes.tolist()]
     ends = np.cumsum(columns.lengths).tolist()
-    return {entity: columns.tokens[end - n:end] for entity, n, end
+    return {entity: tokens[end - n:end] for entity, n, end
             in zip(columns.entities, columns.lengths.tolist(), ends)}
 
 

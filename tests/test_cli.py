@@ -662,6 +662,21 @@ class TestEvaluateCommand:
         assert err.startswith("error category=parse: checkpoint ") and err.count("\n") == 1
         assert path in err and "loss_weights" in err
 
+    def test_an_unknown_model_kind_in_a_checkpoint_exits_4(self, trained, capsys):
+        # The checksum is written anew, so the file passes it and the kind
+        # is refused when the model is rebuilt.
+        run_config, tmp_path = trained
+        path = str(tmp_path / "out" / "model.ckpt")
+        ckpt = load_checkpoint(path)
+        ckpt.kind = "xgboost"
+        save_checkpoint(path, ckpt)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", run_config]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error category=parse: unknown model kind in "
+                                "checkpoint: 'xgboost'\n")
+
     def test_missing_checkpoint_exits_3(self, run_config, capsys):
         assert main(["evaluate", "--config", run_config,
                      "--checkpoint", "/nonexistent/model.ckpt"]) == 3
@@ -873,6 +888,15 @@ class TestPredictCommand:
                      "--user", "nobody", "--item", "i1"]) == 5
         assert "category=shape" in capsys.readouterr().err
 
+    def test_unknown_item_exits_5(self, trained, capsys):
+        run_config, _ = trained
+        capsys.readouterr()
+        assert main(["predict", "--config", run_config,
+                     "--user", "u0", "--item", "nothing"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error category=shape: unknown item id 'nothing'\n"
+
     def test_biasedmf_prints_bare_score(self, run_config, tmp_path, capsys):
         assert main(["train", "--config", run_config, "--model", "biasedmf",
                      "--output-dir", "mf"]) == 0
@@ -946,6 +970,19 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"error category=parse: --k-values must be >= 1, got {k}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("k_values", [",", "", " , ,"],
+                             ids=["comma", "empty", "spaces-and-commas"])
+    def test_empty_k_values_exit_4(self, run_config, tmp_path, capsys, monkeypatch,
+                                   k_values):
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("the dataset was built")
+        monkeypatch.setattr(sain.cli, "build_dataset", no_dataset)
+        assert main(["sweep-k", "--config", run_config, "--k-values", k_values]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error category=parse: --k-values is empty"]
         assert not (tmp_path / "out").exists()
 
     def test_requires_attention_model(self, run_config, capsys):

@@ -27,7 +27,7 @@ from sain.model import FieldLayout
 
 from conftest import write_feature_file, write_rating_file, write_synthetic_dataset
 from oracles import (columns_dict, dense_ids, encoded, feature_columns, feature_dict,
-                     slots_of)
+                     feature_names, slots_of)
 
 BOM = "\ufeff".encode()
 
@@ -303,11 +303,15 @@ class TestSplit:
 
 
 def _assert_columns(columns, want):
-    """`columns` holds the entities, lengths and tokens of the dict `want`."""
+    """`columns` holds the entities, lengths and tokens of the dict `want`,
+    each token as the code of its text, one code per distinct text."""
     assert columns.entities == list(want)
     assert columns.lengths.dtype == np.int64
     assert columns.lengths.tolist() == [len(t) for t in want.values()]
-    assert columns.tokens == [t for tokens in want.values() for t in tokens]
+    assert columns.codes.dtype == np.int64
+    assert [columns.names[c] for c in columns.codes.tolist()] == [
+        t for tokens in want.values() for t in tokens]
+    assert sorted(columns.names) == sorted({t for tokens in want.values() for t in tokens})
     assert list(columns_dict(columns).items()) == list(want.items())
 
 
@@ -978,7 +982,7 @@ def _outcome(load, *args) -> tuple:
     except (IoError, ParseError) as e:
         return type(e), str(e)
     if isinstance(got, FeatureColumns):
-        return got.entities, got.lengths.tolist(), got.tokens
+        return got.entities, got.lengths.tolist(), got.codes.tolist(), got.names
     inter, users, items = got
     return _rows(inter), list(users.items()), list(items.items())
 
@@ -1104,8 +1108,9 @@ class TestIdCoder:
         for text in ("\n".join(lines), "\n".join(line for line in lines if "u7" not in line)):
             path = _write_text(tmp_path, text, name="f.tsv")
             got = _same_as_text_path(monkeypatch, parse_feature_file, path)
-            _assert_columns(FeatureColumns(got[0], np.array(got[1]), got[2]),
-                            feature_dict(path))
+            _assert_columns(FeatureColumns(got[0], np.array(got[1]), np.array(got[2]),
+                                           got[3]), feature_dict(path))
+            assert got[3] == feature_names(path)
             assert _digit_form(path, 0)[0]
             assert all(_digit_form(path, 0)) == ("u7" not in text)
 

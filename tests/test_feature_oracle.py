@@ -10,8 +10,8 @@ import os
 import numpy as np
 import pytest
 
-from oracles import (columns_dict, entity_slots, feature_dict, feature_vocab,
-                     packed_tables)
+from oracles import (columns_dict, entity_slots, feature_dict, feature_names,
+                     feature_vocab, packed_tables)
 from sain.data import (OWNERS, FieldSpec, build_feature_vocab,
                        encode_entity_features, parse_feature_file)
 from sain.errors import ParseError
@@ -48,7 +48,9 @@ def assert_matches_reference(vocab, packed, specs, tag_top_t, ids):
     for spec in specs:
         columns = parse_feature_file(spec.path)
         assert columns.lengths.dtype == np.int64
-        assert len(columns.tokens) == int(columns.lengths.sum())
+        assert columns.codes.dtype == np.int64
+        assert columns.codes.shape == (int(columns.lengths.sum()),)
+        assert columns.names == feature_names(spec.path)
         assert list(columns_dict(columns).items()) == list(feature_dict(spec.path).items())
     ref_vocab, ref_tables = reference_tables(specs, tag_top_t, ids)
     assert _vocab_json(vocab) == _vocab_json(ref_vocab)

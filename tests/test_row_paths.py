@@ -68,25 +68,24 @@ def test_the_gated_ratings_files_take_the_byte_path(tmp_path, monkeypatch):
 def test_the_gated_files_code_their_ids_from_the_bytes(tmp_path, monkeypatch):
     # An id column is coded from its texts only through _codes, and a
     # block's fields are split into strings only through _Table.fields:
-    # with both refused, the ratings files must load, and with _codes
-    # refused, the feature files must parse.
+    # with both refused, the ratings files must load and the feature files
+    # must parse, their tokens coded from the bytes too.
     def refuse(*args):
         raise AssertionError("an id column was coded from its texts")
 
     def no_split(table):
-        raise AssertionError("a ratings block was split into field strings")
+        raise AssertionError("a block was split into field strings")
 
     monkeypatch.setattr("sain.data._codes", refuse)
+    monkeypatch.setattr(_Table, "fields", property(no_split))
     for name in ("wide-topk", "mf-large-catalog"):
         manifest = DatasetManifest.from_file(
             generate(WORKLOADS[name].scaled(0.02), 0, str(tmp_path / name)))
-        with monkeypatch.context() as patch:
-            patch.setattr(_Table, "fields", property(no_split))
-            interactions, _, _ = load_ratings(manifest.ratings_path,
-                                              manifest.min_ratings)
+        interactions, _, _ = load_ratings(manifest.ratings_path, manifest.min_ratings)
         assert len(interactions) > 0, name
         for spec in manifest.features:
-            assert len(parse_feature_file(spec.path).entities) > 0, spec.path
+            columns = parse_feature_file(spec.path)
+            assert len(columns.entities) > 0 and len(columns.names) > 0, spec.path
 
 
 def test_the_gated_ids_stay_within_the_digit_forms_bound():

@@ -335,6 +335,23 @@ class TestLayouts:
             sums = np.ascontiguousarray(a).sum(axis=-1, keepdims=True)
             assert row_sums(a).tobytes() == sums.tobytes()
 
+    @pytest.mark.parametrize("layout", ["c-order", "strided-view", "keys-first"])
+    def test_a_foreign_out_at_keys_first_sizes_gets_the_rows_first_bits(self, layout):
+        # Finite logits at 640 rows take the keys-first path, and an `out`
+        # that is not the input gets a copy of its result.
+        rng = np.random.default_rng(11)
+        z = rng.normal(0.0, 3.0, size=(16, 4, 10, 10))
+        assert math.prod(z.shape[:-1]) >= KEYS_FIRST_ROWS
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        out = {"c-order": np.empty_like(z),
+               "strided-view": np.empty((16, 4, 10, 12))[..., 1:-1],
+               "keys-first": _stored_keys_first(np.zeros_like(z))}[layout]
+        before = z.tobytes()
+        assert softmax_rows(z, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert z.tobytes() == before
+
     @pytest.mark.parametrize("renormalize", [True, False])
     @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan-rows"])
     def test_the_attention_stage_gives_the_rows_first_bits(self, monkeypatch,
