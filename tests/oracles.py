@@ -106,10 +106,9 @@ def feature_dict(path) -> dict:
 
 
 def feature_names(path) -> list:
-    """The distinct non-empty tokens of a feature file in order of first
-    appearance, line by line: the texts of parse_feature_file's codes, in
-    code order. A file with a bad line raises feature_dict's ParseError."""
-    feature_dict(path)
+    """The distinct non-empty tokens of a well-formed feature file in order
+    of first appearance, line by line: the texts of parse_feature_file's
+    codes, in code order."""
     with open(path, encoding="utf-8") as f:
         lines = f.read().removeprefix("\ufeff").split("\n")
     return list(dict.fromkeys(t for line in lines if line
