@@ -28,15 +28,17 @@ in the arena, so the (d,3d) product matrix is one transposed copy of their
 slice, and their gradients are added into the matching slice of the
 gradient vector at once.
 
-From tensor.KEYS_FIRST_ROWS rows (B*H*S) on, the four (B,H,S,S) attention
-arrays (the trace's alpha_full, which holds the logits first, topk_mask and
-alpha_topk, and the backward's d_logits) are stored keys-first: each is the
-rows-first view of an (S, B*H*S) array, as tensor.empty_rows makes it and
-the row kernels return it. Numpy's elementwise passes run over that storage
-in memory order, tensor.row_sums adds the rows as slab passes, and BLAS
-reads and writes the views as transposed matrices; every one of these gives
-the bits of C order. Below that row count, as for a single pair, every
-array is in C order.
+The layout of the four (B,H,S,S) attention arrays (the trace's alpha_full,
+which holds the logits first, topk_mask and alpha_topk, and the backward's
+d_logits) is picked once, by tensor.empty_rows from the row count B*H*S,
+for the logits' and d_logits' buffers; the row kernels and every pass
+after them follow it. From its threshold on, each array is stored
+keys-first: the rows-first view of an (S, B*H*S) array, in which
+softmax_rows works in place, and the form in which top_k_mask_rows returns
+its mask. Numpy's elementwise passes run over that storage in memory order,
+tensor.row_sums adds the rows as slab passes, and BLAS reads and writes the
+views as transposed matrices; every one of these gives the bits of C order.
+Below the threshold, as for a single pair, every array is in C order.
 """
 
 from __future__ import annotations

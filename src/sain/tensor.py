@@ -5,15 +5,15 @@ weight decay (which can leave out the zero-gradient terms of the rows a
 batch did not touch), and a central finite-difference oracle used to
 certify every analytic gradient in this package.
 
-The softmax and the top-k mask run rows-first on small inputs and, from
-KEYS_FIRST_ROWS rows on, keys-first: as elementwise passes over the n slabs
-of an (n, rows) array, with the row sums in numpy's pairwise order
-(slab_sum). Both forms give the same bits. A keys-first result is handed
-back as the rows-first view t.T.reshape(shape) of the array it was computed
-in, not copied back, and an input stored that way (such a view, or an
-empty_rows buffer) is read in place. row_sums gives np.sum(axis=-1)'s bits
-in either layout, so a caller can keep its arrays keys-first between the
-kernels, as the attention stage does.
+The softmax and the top-k mask follow the storage of their input. On an
+array stored keys-first, as empty_rows stores a large one (the rows-first
+view t.T.reshape(shape) of a contiguous (n, rows) array t), they run as
+elementwise passes over the n slabs of t, with the row sums in numpy's
+pairwise order (slab_sum), and hand back their result in that layout: the
+softmax in place (out is the input), the mask as a new such view. On any
+other array they run rows-first. Both forms give the same bits. row_sums
+gives np.sum(axis=-1)'s bits in either layout, so a caller can keep its
+arrays keys-first between the kernels, as the attention stage does.
 
 A ParamSet is the one holder of a model's tensors and Adam state; its
 optimizer_state() is the form a checkpoint stores, and its constructor takes
@@ -33,22 +33,21 @@ import numpy as np
 from .errors import ShapeError
 
 
-# Rows (the product of all but the last axis) from which softmax_rows and
-# top_k_mask_rows work keys-first, on the contiguous (n, rows) form of their
-# input: every step is then one elementwise pass over n slabs of `rows`
-# values, where the rows-first form runs numpy's reductions and argsort over
-# many short rows. Both forms give the same bits, and from here on both
-# kernels return the rows-first view of their (n, rows) result, and
-# empty_rows stores keys-first. On a 2-core Xeon (one BLAS thread,
-# (B, 4, 10, 10) attention logits, heap kept as in training) the two forms
-# cross near 160 rows for the softmax, 400 for the top-k mask and 350 for
-# the two together. At 10240 rows (B=256) the rows-first forms take 914 µs
-# for the softmax and 1677 µs for the mask. Keys-first, the softmax takes
-# 230 µs in place in an empty_rows buffer, against 405 µs when it copies a
-# C-order input in and its result back out; the mask takes 203 µs on the
-# softmax's result, against 252 µs on a C-order one that it copies.
-# Single-pair predict (H*S = 40 rows on perfbench's wide-topk) stays
-# rows-first.
+# Rows (the product of all but the last axis) from which empty_rows stores
+# keys-first, as the contiguous (n, rows) form of its array; softmax_rows and
+# top_k_mask_rows follow that storage, so this is where they switch: every
+# step is then one elementwise pass over n slabs of `rows` values, where the
+# rows-first form runs numpy's reductions and argsort over many short rows.
+# On a 2-core Xeon (one BLAS thread, (B, 4, 10, 10) attention logits, heap
+# kept as in training) the two forms cross near 160 rows for the softmax,
+# 400 for the top-k mask and 350 for the two together. At 10240 rows (B=256)
+# the rows-first forms take 914 µs for the softmax and 1677 µs for the mask.
+# Keys-first, the softmax takes 230 µs in place in an empty_rows buffer,
+# against 405 µs when it copied a C-order input in and its result back out;
+# the mask takes 203 µs on the softmax's result, against 252 µs on a C-order
+# one that it copied. So the kernels run keys-first only on storage that is
+# already keys-first. Single-pair predict (H*S = 40 rows on perfbench's
+# wide-topk) stays rows-first.
 KEYS_FIRST_ROWS = 512
 
 
@@ -62,23 +61,20 @@ def _slabs(a: np.ndarray) -> np.ndarray:
 def _slab_view(a: np.ndarray) -> np.ndarray | None:
     """a's own (n, rows) storage when a is stored keys-first, that is when a
     is t.T.reshape(a.shape) for a contiguous (n, rows) t, as the row
-    kernels return it and empty_rows makes it; otherwise None."""
+    kernels return it and empty_rows makes it; otherwise None, and at once
+    for an array in C order (so a single-pair call pays no reshape)."""
+    if a.flags.c_contiguous:
+        return None
     t = _slabs(a)
     return t if t.flags.c_contiguous and np.may_share_memory(t, a) else None
 
 
-def _keys_first(a: np.ndarray) -> np.ndarray:
-    """The contiguous (n, rows) keys-first form of a: a's own storage when
-    it is stored keys-first, else a copy."""
-    t = _slab_view(a)
-    return np.ascontiguousarray(_slabs(a)) if t is None else t
-
-
 def empty_rows(shape: tuple) -> np.ndarray:
-    """An uninitialised float64 array of `shape`, stored as the row kernels
-    store their results for that many rows: from KEYS_FIRST_ROWS rows on
-    keys-first, as the rows-first view of an (n, rows) array, so that
-    softmax_rows works in it in place; below, in C order."""
+    """An uninitialised float64 array of `shape`: from KEYS_FIRST_ROWS rows
+    on stored keys-first, as the rows-first view of an (n, rows) array, and
+    below in C order. This is the one place that picks the row kernels'
+    form: softmax_rows works keys-first in place in such a buffer, and
+    top_k_mask_rows and row_sums follow the layout they are handed."""
     rows = math.prod(shape[:-1])
     if rows >= KEYS_FIRST_ROWS:
         return np.empty((shape[-1], rows)).T.reshape(shape)
@@ -133,32 +129,25 @@ def softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     operations are exp(z - max) / sum in that order either way, so `out`
     changes no bit.
 
-    From KEYS_FIRST_ROWS rows it works keys-first: the row max is one
-    elementwise maximum over the slabs, and slab_sum adds the slabs in
-    numpy's order, so every value has the bits of the rows-first form. The
-    result is then the rows-first view of the (n, rows) array it was
-    computed in: a new one when `out` is None; `out`'s own storage, with no
-    copy, when `out` is `logits` and stored keys-first (empty_rows);
-    otherwise it is copied into `out`. A row max that is NaN sends the input
-    rows-first, because which NaN a maximum keeps depends on the order of
-    its comparisons; that result is in `out`, or C order."""
+    When `out` is `logits` and stored keys-first (empty_rows), it works
+    keys-first in that storage: the row max is one elementwise maximum over
+    the slabs, and slab_sum adds the slabs in numpy's order, so every value
+    has the bits of the rows-first form. Every other call runs rows-first,
+    and a result in `out` keeps `out`'s layout (row_sums reads either). A
+    row max that is NaN sends a keys-first input rows-first too, because
+    which NaN a maximum keeps depends on the order of its comparisons; it
+    is then read through a C-order copy, as the maxima of any keys-first
+    input are."""
     z = np.asarray(logits, dtype=np.float64)
-    if math.prod(z.shape[:-1]) >= KEYS_FIRST_ROWS:
-        t = _slab_view(z) if out is z else None
-        in_out = t is not None
-        if not in_out:
-            t = np.array(_slabs(z), order="C")
-        peak = np.maximum.reduce(t, axis=0)
-        if not np.isnan(peak).any():
-            t -= peak
-            np.exp(t, out=t)
-            t /= slab_sum(t)
-            if out is None:
-                return t.T.reshape(z.shape)
-            if not in_out:
-                out[...] = t.T.reshape(z.shape)
-            return out
-    if not z.flags.c_contiguous and _slab_view(z) is not None:
+    t = _slab_view(z)
+    if t is not None:
+        if out is z:
+            peak = np.maximum.reduce(t, axis=0)
+            if not np.isnan(peak).any():
+                t -= peak
+                np.exp(t, out=t)
+                t /= slab_sum(t)
+                return out
         z = np.ascontiguousarray(z)     # for the max's NaN, as on C order
     e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
@@ -169,39 +158,38 @@ def softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 def top_k_mask_rows(weights: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask over the last axis keeping each row's k largest entries
     (ties by smaller index, NaN last). Works on any leading batch shape. A k
-    of at least the row length keeps every entry. Below KEYS_FIRST_ROWS
-    rows, the mask is written through its (rows, n) view with one fancy
-    assignment, which has less fixed cost than np.put_along_axis (about 20
-    against 32 µs on one (4,10,10) pair), and is C order. From there it is
-    counted keys-first (_top_k_keys_first) and is the rows-first view of an
-    (n, rows) array; a row holding NaN sends the input back to the C-order
-    form."""
+    of at least the row length keeps every entry. On weights stored
+    keys-first it is counted over their slabs (_top_k_keys_first) and is
+    the rows-first view of an (n, rows) array; a row holding NaN sends them
+    to the rows-first form. That form writes the mask through its (rows, n)
+    view with one fancy assignment, which has less fixed cost than
+    np.put_along_axis (about 20 against 32 µs on one (4,10,10) pair), and
+    is C order."""
     if k < 1:
         raise ValueError("k must be positive")
     n = weights.shape[-1]
-    r = math.prod(weights.shape[:-1])
     if k >= n:
         return np.ones(weights.shape, dtype=bool)
-    if r >= KEYS_FIRST_ROWS:
-        mask = _top_k_keys_first(weights, k)
-        if mask is not None:
-            return mask
+    t = _slab_view(weights)
+    keep = None if t is None else _top_k_keys_first(t, k)
+    if keep is not None:
+        return keep.T.reshape(weights.shape)
+    r = math.prod(weights.shape[:-1])
     order = np.argsort(-weights, axis=-1, kind="stable").reshape(r, n)
     mask = np.zeros(weights.shape, dtype=bool)
     mask.reshape(r, n)[np.arange(r)[:, None], order[:, :k]] = True
     return mask
 
 
-def _top_k_keys_first(weights: np.ndarray, k: int) -> np.ndarray | None:
-    """The top-k mask by counting, over n passes on the keys-first form of
-    weights (its own storage when it is stored keys-first), how many entries
-    of its row beat each entry: entry i beats entry j when w_i > w_j, or
-    w_i == w_j and i < j. The entries beaten fewer than k times are kept.
-    Without NaN those counts are the positions of a stable descending sort,
-    so the mask is the argsort's. A NaN is beaten by nothing, so a row
-    holding one keeps more than k entries; then the total is off and this
-    returns None, for the argsort to order the NaNs last."""
-    t = _keys_first(weights)
+def _top_k_keys_first(t: np.ndarray, k: int) -> np.ndarray | None:
+    """The (n, rows) top-k mask of the (n, rows) slabs t, by counting, over
+    n passes, how many entries of its row beat each entry: entry i beats
+    entry j when w_i > w_j, or w_i == w_j and i < j. The entries beaten
+    fewer than k times are kept. Without NaN those counts are the positions
+    of a stable descending sort, so the mask is the argsort's. A NaN is
+    beaten by nothing, so a row holding one keeps more than k entries; then
+    the total is off and this returns None, for the argsort to order the
+    NaNs last."""
     n, r = t.shape
     beaten = np.zeros((n, r), dtype=np.min_scalar_type(n))
     hit = np.empty((n, r), dtype=bool)
@@ -211,9 +199,7 @@ def _top_k_keys_first(weights: np.ndarray, k: int) -> np.ndarray | None:
         np.greater_equal(t[i], t[i + 1:], out=hit[i + 1:])
         beaten += hit.view(np.uint8)
     keep = np.less(beaten, k, out=hit)
-    if np.count_nonzero(keep) != r * k:
-        return None
-    return keep.T.reshape(weights.shape)
+    return keep if np.count_nonzero(keep) == r * k else None
 
 
 def scatter_add_rows(rows: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
@@ -382,8 +368,8 @@ class ParamSet:
     the same layout (`moments[name]` gives the two views), with one step
     counter `t` for the whole set; `offsets[name]` is where a tensor starts in
     the three. A subclass names in EMBEDDINGS its tables indexed by id, which
-    the optimizer updates one by one; it sweeps each run of the other
-    tensors as one slice.
+    must come first in the arena, in that order: the optimizer updates them
+    one by one and sweeps the tensors after them as one slice.
 
     `adam`, when given, is an optimizer state in the form optimizer_state()
     returns; it is copied into `m` and `v`."""
@@ -392,6 +378,9 @@ class ParamSet:
 
     def __init__(self, tensors: dict[str, np.ndarray], adam: dict | None = None):
         arrays = {k: np.asarray(a, dtype=np.float64) for k, a in tensors.items()}
+        if tuple(arrays)[:len(self.EMBEDDINGS)] != self.EMBEDDINGS:
+            raise ShapeError(f"the arena must start with the id tables "
+                             f"{', '.join(self.EMBEDDINGS)}, in that order")
         self._shapes = {k: a.shape for k, a in arrays.items()}
         self.flat = np.concatenate([a.reshape(-1) for a in arrays.values()])
         sizes = [a.size for a in arrays.values()]

@@ -474,6 +474,23 @@ class TestBadDataFiles:
         assert not (tmp_path / "out").exists()
 
 
+    def test_a_side_without_a_feature_field_exits_5(self, tmp_path, capsys):
+        # The manifest is valid, but the attention model has no item field
+        # to attend over.
+        def edit(root):
+            manifest = json.loads((root / "dataset.json").read_text())
+            manifest["features"] = [f for f in manifest["features"]
+                                    if f["owner"] == "user"]
+            (root / "dataset.json").write_text(json.dumps(manifest))
+        config = _broken_dataset(tmp_path, edit)
+        assert main(["train", "--config", config]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error category=shape: the attention model needs at least one feature "
+            "field on each of the user and item sides\n")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_owner_names_the_manifest(self, tmp_path, capsys):
         # The refusal named the field but not the manifest.
         def edit(root):
@@ -953,6 +970,24 @@ class TestSweepCommand:
         assert [r[0] for r in rows[1:]] == ["1", "4"]
         out = capsys.readouterr().out
         assert "k=1" in out and "k=4" in out
+
+    def test_repeats_print_each_ks_mean_and_std(self, tmp_path, memo_manifest,
+                                                 capsys):
+        config = _write_config(
+            tmp_path, memo_manifest, name="sweep.json",
+            model_config={"embed_dim": 8, "num_heads": 2, "dropout_rate": 0.0},
+            train_config={"max_epochs": 1, "batch_size": 80, "seed": 0})
+        assert main(["sweep-k", "--config", config, "--k-values", "1,4",
+                     "--repeats", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rmse = {}
+        for line in lines[:4]:
+            k, repeat, test_rmse, _ = line.split()
+            rmse.setdefault(k, []).append(float(test_rmse.removeprefix("test_rmse=")))
+        assert {k: len(v) for k, v in rmse.items()} == {"k=1": 2, "k=4": 2}
+        assert lines[4:] == [f"{k} mean_rmse={sain.training.fmt(np.mean(v))} "
+                             f"std_rmse={sain.training.fmt(np.std(v))}"
+                             for k, v in rmse.items()]
 
     def test_bad_k_values_exit_4(self, run_config, capsys):
         assert main(["sweep-k", "--config", run_config,

@@ -94,6 +94,23 @@ class TestConverter:
         flagless = slots_of(data.item_packed, data.vocab, "item")[data.item_ids["2"]]
         assert flagless[0] == [data.vocab.unknown_index("genre")]
 
+    def test_without_u_genre_the_columns_take_the_built_in_names(self, tmp_path):
+        # The same archive converts to the same files with and without
+        # u.genre, and the names follow the flag columns to the last one.
+        src = _mini_archive(str(tmp_path / "src"))
+        with open(os.path.join(src, "u.item"), "a") as f:
+            f.write(f"6|Film F (1995)|01-Jan-1995||http://f|{_flags(15, 18)}\n")
+        convert_ml100k(src, str(tmp_path / "listed"))
+        os.remove(os.path.join(src, "u.genre"))
+        convert_ml100k(src, str(tmp_path / "built-in"))
+        genres = columns_dict(parse_feature_file(
+            str(tmp_path / "built-in" / "item_genre.tsv")))
+        assert genres["1"] == ["Action", "Comedy"] and genres["3"] == ["Drama"]
+        assert genres["6"] == ["Sci-Fi", "Western"] and genres["2"] == []
+        for name in ("item_genre.tsv", "dataset.json"):
+            assert ((tmp_path / "built-in" / name).read_bytes()
+                    == (tmp_path / "listed" / name).read_bytes())
+
     def test_missing_archive_file(self, tmp_path):
         with pytest.raises(IoError):
             convert_ml100k(str(tmp_path), str(tmp_path / "out"))

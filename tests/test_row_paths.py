@@ -1,9 +1,10 @@
 """Paths chosen by input size, and the benchmark workloads that gate them.
 
-softmax_rows and top_k_mask_rows choose their path by the row count of
-their input (tensor.KEYS_FIRST_ROWS). The benchmark's `wide-topk` workload
-gates both sides of that choice: its single-pair predictions must run
-rows-first, its train steps and eval blocks keys-first. The data readers
+tensor.empty_rows stores the attention's logits keys-first from
+tensor.KEYS_FIRST_ROWS rows on, and softmax_rows and top_k_mask_rows follow
+the layout of the buffer they are handed. The benchmark's `wide-topk`
+workload gates both sides of that choice: its single-pair predictions must
+run rows-first, its train steps and eval blocks keys-first. The data readers
 split a file into blocks of data.BLOCK_LINES lines, and both gated
 workloads' ratings files must span several blocks, each of which must be
 read from its bytes (data._plain_block), not by float() and int(). Their
@@ -16,15 +17,18 @@ a gated workload across a choice unnoticed."""
 import os
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for path in (ROOT, os.path.join(ROOT, "src")):
     if path not in sys.path:
         sys.path.insert(0, path)
 
 from perfbench.synth import WORKLOADS, generate  # noqa: E402
-from sain.data import (BLOCK_LINES, DatasetManifest, _Table, load_ratings,  # noqa: E402
-                       parse_feature_file)
-from sain.tensor import KEYS_FIRST_ROWS  # noqa: E402
+from sain.data import (BLOCK_LINES, DatasetManifest, _Table, build_dataset,  # noqa: E402
+                       interactions_to_arrays, load_ratings, parse_feature_file)
+from sain.model import FieldLayout, ModelConfig, SainParams, forward_batch  # noqa: E402
+from sain.tensor import KEYS_FIRST_ROWS, _slab_view  # noqa: E402
 from sain.training import EVAL_BATCH, TrainConfig  # noqa: E402
 
 
@@ -40,6 +44,33 @@ def test_wide_topk_runs_each_path():
     assert rows(1) < KEYS_FIRST_ROWS
     assert rows(TrainConfig().batch_size) >= KEYS_FIRST_ROWS
     assert rows(EVAL_BATCH) >= KEYS_FIRST_ROWS
+
+
+def test_wide_topk_attention_arrays_take_each_path(tmp_path):
+    # The arrays that forward_batch keeps are stored as empty_rows stored
+    # the logits: keys-first for a train step and a full eval block, and
+    # for a short last eval block from KEYS_FIRST_ROWS rows on; C order for
+    # a single pair and below that row count.
+    w = WORKLOADS["wide-topk"]
+    data = build_dataset(DatasetManifest.from_file(
+        generate(w.scaled(0.02), 0, str(tmp_path / "wide-topk"))), 0)
+    layout = FieldLayout.from_vocab(data.vocab, data.num_users, data.num_items)
+    params = SainParams.init(layout, ModelConfig(**w.model_config),
+                             np.random.default_rng(0))
+    assert layout.seq_len == len(w.fields)
+    users, items, _ = interactions_to_arrays(data.split.train)
+    edge = -(-KEYS_FIRST_ROWS // (params.config.num_heads * layout.seq_len))
+    for pairs, mode, keys_first in [(1, "eval", False),
+                                    (TrainConfig().batch_size, "train", True),
+                                    (EVAL_BATCH, "eval", True),
+                                    (edge - 1, "eval", False), (edge, "eval", True)]:
+        trace = forward_batch(np.resize(users, pairs), np.resize(items, pairs),
+                              data.user_packed, data.item_packed, params, mode=mode,
+                              dropout_rng=np.random.default_rng(1))
+        for name in ("alpha_full", "topk_mask", "alpha_topk"):
+            a = getattr(trace, name)
+            assert (_slab_view(a) is not None) == keys_first, (pairs, name)
+            assert a.flags.c_contiguous != keys_first, (pairs, name)
 
 
 def test_the_gated_ratings_files_span_several_blocks():

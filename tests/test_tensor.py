@@ -4,6 +4,7 @@ finite-difference oracle itself. The single-row softmax and top-k index
 oracles in oracles.py are pinned here to hand values too."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,12 +22,12 @@ from oracles import softmax_row, top_k_indices
 
 
 @pytest.fixture(params=["rows-first", "keys-first"])
-def row_path(request, monkeypatch):
-    """Runs a test once as the kernels run on small inputs and once with
-    KEYS_FIRST_ROWS at 0, so that every input takes the keys-first path."""
-    if request.param == "keys-first":
-        monkeypatch.setattr(tensor, "KEYS_FIRST_ROWS", 0)
-    return request.param
+def row_path(request):
+    """Lays out a test's inputs for one of the kernels' two forms, which
+    follow the input's storage: as given (C order, read rows-first), or as
+    a _stored_keys_first copy, which every kernel reads keys-first (the
+    softmax when it works in place)."""
+    return _stored_keys_first if request.param == "keys-first" else np.asarray
 
 
 class TestSoftmax:
@@ -81,6 +82,7 @@ class TestSoftmax:
         with np.errstate(invalid="ignore"):
             e = np.exp(z - z.max(axis=-1, keepdims=True))
             want = e / e.sum(axis=-1, keepdims=True)
+            z = row_path(z)
             assert softmax_rows(z).tobytes() == want.tobytes()
             buf = np.empty_like(z)
             assert softmax_rows(z, out=buf) is buf and buf.tobytes() == want.tobytes()
@@ -96,8 +98,8 @@ class TestSoftmax:
 
     def test_empty_rows_raise_and_no_rows_give_no_rows(self, row_path):
         with pytest.raises(ValueError):
-            softmax_rows(np.zeros((3, 0)))
-        assert softmax_rows(np.zeros((0, 4))).shape == (0, 4)
+            softmax_rows(row_path(np.zeros((3, 0))))
+        assert softmax_rows(row_path(np.zeros((0, 4)))).shape == (0, 4)
 
     def test_slab_sum_is_numpys_row_sum(self):
         # Every row length up to 300: below 8, 8..128 and the split past 128.
@@ -165,10 +167,10 @@ class TestTopK:
         w[0] = [0.0, -0.0, 0.0, -0.0, 1.0, 1.0]
         w[1] = [np.inf, -np.inf, np.inf, 2.0, -np.inf, 2.0]
         for k in range(1, 6):
-            np.testing.assert_array_equal(tensor._top_k_keys_first(w, k),
+            np.testing.assert_array_equal(tensor._top_k_keys_first(w.T.copy(), k).T,
                                           _top_k_mask_put_along_axis(w, k))
         w[7, 2] = np.nan
-        assert tensor._top_k_keys_first(w, 2) is None
+        assert tensor._top_k_keys_first(w.T.copy(), 2) is None
 
     def test_mask_works_on_3d_batches(self):
         rng = np.random.default_rng(5)
@@ -206,37 +208,36 @@ def _special_rows(rng, shape):
     return w
 
 
-@pytest.mark.usefixtures("row_path")
 class TestTopKMaskMatchesPutAlongAxis:
     @pytest.mark.parametrize("shape", [(1,), (7,), (9, 6), (1, 6), (3, 4, 5, 5),
                                        (2, 3, 10, 10), (0, 4), (3, 0)],
                              ids=["1d-one", "1d", "2d", "2d-one-row", "4d",
                                   "4d-wide", "no-rows", "empty-rows"])
-    def test_random_tied_equal_and_non_finite_rows(self, shape):
+    def test_random_tied_equal_and_non_finite_rows(self, row_path, shape):
         rng = np.random.default_rng(sum(shape) + len(shape))
         for _ in range(5):
-            w = _special_rows(rng, shape)
+            w = row_path(_special_rows(rng, shape))
             n = shape[-1]
             for k in sorted({1, 2, max(n - 1, 1), max(n, 1), n + 3}):
                 got = top_k_mask_rows(w, k)
                 assert got.dtype == bool and got.shape == w.shape
                 np.testing.assert_array_equal(got, _top_k_mask_put_along_axis(w, k))
 
-    def test_k_at_or_above_the_row_length_keeps_everything(self):
-        w = _special_rows(np.random.default_rng(8), (4, 2, 5))
+    def test_k_at_or_above_the_row_length_keeps_everything(self, row_path):
+        w = row_path(_special_rows(np.random.default_rng(8), (4, 2, 5)))
         for k in (5, 6, 100):
             assert top_k_mask_rows(w, k).all()
 
-    def test_nan_rows_keep_the_argsort_order(self):
+    def test_nan_rows_keep_the_argsort_order(self, row_path):
         # -NaN sorts last, so a NaN is kept only when k reaches it.
-        w = np.array([[np.nan, 1.0, np.nan, -np.inf, np.inf]])
+        w = row_path(np.array([[np.nan, 1.0, np.nan, -np.inf, np.inf]] * 2))
         np.testing.assert_array_equal(top_k_mask_rows(w, 2),
-                                      [[False, True, False, False, True]])
+                                      [[False, True, False, False, True]] * 2)
         np.testing.assert_array_equal(top_k_mask_rows(w, 4),
-                                      [[True, True, False, True, True]])
+                                      [[True, True, False, True, True]] * 2)
 
-    def test_non_contiguous_input(self):
-        w = _special_rows(np.random.default_rng(9), (6, 8, 8))[:, ::2, 1:]
+    def test_non_contiguous_input(self, row_path):
+        w = row_path(_special_rows(np.random.default_rng(9), (6, 8, 8)))[:, ::2, 1:]
         np.testing.assert_array_equal(top_k_mask_rows(w, 3),
                                       _top_k_mask_put_along_axis(w, 3))
 
@@ -297,13 +298,15 @@ def _rows_first_attention(x, d_concat, params):
 
 class TestLayouts:
     """softmax_rows, top_k_mask_rows and row_sums read rows-first arrays in
-    C order or stored keys-first, with the same bits, on both sides of
-    KEYS_FIRST_ROWS and with the NaN rows that send the kernels back to
-    their rows-first forms; the attention stage, which feeds them each
-    other's results, gives the bits of running rows-first throughout."""
+    C order or stored keys-first, with the same bits, at sizes on both sides
+    of KEYS_FIRST_ROWS and with the NaN rows that send the kernels back to
+    their rows-first forms; their results keep the input's layout. The
+    attention stage, which feeds them each other's results, gives the bits
+    of running rows-first throughout."""
 
-    # (B, 4, 10, 10) has 40 rows per pair: 2 pairs are below KEYS_FIRST_ROWS,
-    # 16 above.
+    # (B, 4, 10, 10) has 40 rows per pair: empty_rows stores 2 pairs in C
+    # order and 16 keys-first, but the kernels follow the layout they are
+    # handed at either size.
     @pytest.mark.parametrize("pairs", [2, 16])
     @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan-rows"])
     def test_the_kernels_give_the_same_bits_in_either_layout(self, pairs, nan):
@@ -322,14 +325,16 @@ class TestLayouts:
             assert softmax_rows(kf).tobytes() == want.tobytes()
             assert kf.tobytes() == z.tobytes()                  # not written
             assert softmax_rows(kf, out=kf) is kf and kf.tobytes() == want.tobytes()
-        keys_first = pairs * 40 >= KEYS_FIRST_ROWS and not nan
-        assert (tensor._slab_view(got) is not None) == keys_first
+        assert got.flags.c_contiguous
         assert (tensor._slab_view(kf) is not None)              # worked in place
         mask = _top_k_mask_put_along_axis(want, 4)
         for w in (want, got, kf):
             got_mask = top_k_mask_rows(w, 4)
             assert got_mask.tobytes() == mask.tobytes()
+            # A NaN row sends a keys-first input to the C-order argsort.
+            keys_first = w is kf and not nan
             assert (tensor._slab_view(got_mask) is not None) == keys_first
+            assert got_mask.flags.c_contiguous != keys_first
         for a in (want * mask, _stored_keys_first(want) * mask, got * got_mask,
                   (want * mask)[:, ::2], np.asfortranarray(want * mask)):
             sums = np.ascontiguousarray(a).sum(axis=-1, keepdims=True)
@@ -337,8 +342,8 @@ class TestLayouts:
 
     @pytest.mark.parametrize("layout", ["c-order", "strided-view", "keys-first"])
     def test_a_foreign_out_at_keys_first_sizes_gets_the_rows_first_bits(self, layout):
-        # Finite logits at 640 rows take the keys-first path, and an `out`
-        # that is not the input gets a copy of its result.
+        # At 640 rows, where empty_rows stores keys-first, an `out` that is
+        # not the input is written rows-first, in its own layout.
         rng = np.random.default_rng(11)
         z = rng.normal(0.0, 3.0, size=(16, 4, 10, 10))
         assert math.prod(z.shape[:-1]) >= KEYS_FIRST_ROWS
@@ -389,6 +394,33 @@ class TestLayouts:
         for a, b, c in zip(keys_first, rows_first, oracle):
             assert a.shape == b.shape == c.shape
             assert a.tobytes() == b.tobytes() == c.tobytes()
+
+    def test_the_in_place_softmax_copies_nothing(self):
+        # Keys-first in its own storage, the softmax's temporaries are a few
+        # slabs (the row max, slab_sum's partial sums); the rows-first form
+        # on the same input first copies all of it to C order.
+        z = _stored_keys_first(np.random.default_rng(13).normal(size=(256, 4, 10, 10)))
+        tracemalloc.start()
+        try:
+            assert softmax_rows(z, out=z) is z
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < z.nbytes
+
+    def test_a_c_order_input_runs_rows_first_at_any_size(self, monkeypatch):
+        # Rows-first, a C-order softmax sums its rows with numpy's sum and
+        # the mask comes from the argsort: no slab pass runs.
+        def refuse(*args):
+            raise AssertionError("a C-order input was worked keys-first")
+
+        monkeypatch.setattr(tensor, "slab_sum", refuse)
+        monkeypatch.setattr(tensor, "_top_k_keys_first", refuse)
+        z = np.random.default_rng(14).normal(size=(256, 4, 10, 10))
+        want = _top_k_mask_put_along_axis(z, 4)
+        assert top_k_mask_rows(z, 4).tobytes() == want.tobytes()
+        assert softmax_rows(z).flags.c_contiguous
+        assert softmax_rows(z, out=z) is z and z.flags.c_contiguous
 
     def test_empty_rows_is_stored_as_the_kernels_store(self):
         small, large = empty_rows((2, 4, 10, 10)), empty_rows((16, 4, 10, 10))
@@ -442,8 +474,9 @@ class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         # With bias correction the very first step is lr * g / (|g| + eps).
         ps = ParamSet({"p": np.asarray([1.0])})
-        adam_update(ps, {"p": np.asarray([1.0])},
-                    TrainConfig(learning_rate=0.1, weight_decay=0.0), set())
+        grads = ps.zero_grads()
+        grads["p"] = [1.0]
+        adam_update(ps, grads, TrainConfig(learning_rate=0.1, weight_decay=0.0), set())
         assert math.isclose(ps.tensors["p"][0], 0.9, abs_tol=1e-7)
         assert ps.t == 1
         m, v = ps.moments["p"]
@@ -682,6 +715,22 @@ class TestParamSet:
         table = np.ones(5)
         grads["b"] = table                      # not a view: stored as given
         assert grads["b"] is table and grads.flat.shape == (13,)
+
+    def test_the_id_tables_must_come_first_in_order(self):
+        # adam_update steps the EMBEDDINGS one by one and the rest of the
+        # arena, from the end of the last of them, as one slice.
+        class Tables(ParamSet):
+            EMBEDDINGS = ("w", "b")
+
+        rng = np.random.default_rng(9)
+        w, b, one = rng.normal(size=(3, 4)), rng.normal(size=5), np.ones(1)
+        assert list(Tables({"w": w, "b": b, "one": one}).tensors) == ["w", "b", "one"]
+        assert list(Tables({"w": w, "b": b}).tensors) == ["w", "b"]
+        want = "the arena must start with the id tables w, b, in that order"
+        for tensors in ({"b": b, "w": w, "one": one}, {"w": w, "one": one, "b": b},
+                        {"one": one, "w": w, "b": b}, {"w": w}):
+            with pytest.raises(ShapeError, match=want):
+                Tables(tensors)
 
     def test_adam_states_round_trip_and_must_be_in_step(self):
         ps = self._set()
